@@ -53,7 +53,7 @@
 
 use crate::checkpoint::{self, CheckpointError};
 use crate::scratch::ScratchSpace;
-use crate::{Forward, Network, SpikeRaster};
+use crate::{Compute, Forward, Network, SpikeRaster};
 use snn_tensor::stats;
 use std::fmt;
 use std::path::Path;
@@ -84,33 +84,17 @@ pub trait InferenceBackend: Send + Sync {
     /// Runs one input through the backend into reusable buffers.
     fn forward_into(&self, input: &SpikeRaster, fwd: &mut Forward, scratch: &mut ScratchSpace);
 
-    /// How a [`StreamSession`](crate::stream::StreamSession) must step
-    /// this backend to stay bitwise-identical to
-    /// [`forward_into`](Self::forward_into).
-    ///
-    /// The default is [`StreamMode::Sparse`], correct for any backend
-    /// whose `forward_into` bottoms out in the event-driven
-    /// [`Network::forward_into`] rollout (the bare network, the sparse
-    /// backend, and the hardware backend, which replays its *effective*
-    /// network through the sparse kernels). Backends with a different
-    /// arithmetic path must override — the dense reference does, because
-    /// its per-step matrix–vector products order the floating-point
-    /// reductions differently.
-    fn stream_mode(&self) -> StreamMode {
-        StreamMode::Sparse
+    /// Which arithmetic [`forward_into`](Self::forward_into) runs, so a
+    /// [`StreamSession`](crate::stream::StreamSession) can replay it
+    /// bitwise. The default, [`Compute::Events`], is right for any
+    /// backend whose `forward_into` bottoms out in
+    /// [`Network::forward_into`] (the bare network, the sparse backend,
+    /// and the hardware backend's *effective* network). The dense
+    /// reference overrides it: its matrix–vector products order the
+    /// floating-point reductions differently.
+    fn compute(&self) -> Compute {
+        Compute::Events
     }
-}
-
-/// Which per-step arithmetic a [`StreamSession`](crate::stream::StreamSession)
-/// replays for a backend (see [`InferenceBackend::stream_mode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamMode {
-    /// Event-driven stepping (`DenseLayer::step_events`), matching the
-    /// sparse rollout bitwise.
-    Sparse,
-    /// Dense per-row matrix–vector stepping (`DenseLayer::step_dense`),
-    /// matching the dense reference rollout bitwise.
-    Dense,
 }
 
 /// A bare [`Network`] is the sparse (event-driven) backend: this impl is
@@ -186,8 +170,8 @@ impl InferenceBackend for DenseBackend {
         self.net.forward_dense_into(input, fwd, scratch);
     }
 
-    fn stream_mode(&self) -> StreamMode {
-        StreamMode::Dense
+    fn compute(&self) -> Compute {
+        Compute::Dense
     }
 }
 

@@ -44,6 +44,27 @@ impl NeuronKind {
     }
 }
 
+/// How a rollout forms each step's synaptic drive `W·k[t]` — the only
+/// difference between the event-driven path and the dense reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Compute {
+    /// Event-driven: decay the previous drive and add the weight columns
+    /// of this step's input spikes (the production path).
+    Events,
+    /// Dense reference: a full matrix–vector product over the input
+    /// trace every step.
+    Dense,
+}
+
+/// [`Compute`] resolved for one rollout.
+enum Drive<'a> {
+    Events(RwLockReadGuard<'a, Mirror>),
+    Dense,
+}
+
+/// One timestep's `pre`, `v` and `o` record rows.
+type Rows<'a> = (&'a mut [f32], &'a mut [f32], &'a mut [f32]);
+
 /// Per-layer forward cache for one input sample: everything BPTT needs.
 ///
 /// All matrices are `T × width` (row per timestep).
@@ -80,6 +101,10 @@ impl LayerRecord {
         self.pre.resize_zeroed(t_steps, n_in);
         self.v.resize_zeroed(t_steps, n_out);
         self.o.resize_zeroed(t_steps, n_out);
+    }
+
+    fn rows_mut(&mut self, t: usize) -> Rows<'_> {
+        (self.pre.row_mut(t), self.v.row_mut(t), self.o.row_mut(t))
     }
 }
 
@@ -249,8 +274,7 @@ impl DenseLayer {
     /// cleared mid-sequence.
     ///
     /// Allocating wrapper over
-    /// [`forward_dense_into`](Self::forward_dense_into) — there is one
-    /// dense implementation of each neuron kind's dynamics, not two.
+    /// [`forward_dense_into`](Self::forward_dense_into).
     ///
     /// # Panics
     ///
@@ -287,117 +311,14 @@ impl DenseLayer {
         scratch: &mut LayerScratch,
         active_out: &mut ActiveIndices,
     ) {
-        let t_steps = active_in.steps();
-        let (n_in, n_out) = (self.n_in(), self.n_out());
-        rec.resize_zeroed(t_steps, n_in, n_out);
-        scratch.ensure(n_in, n_out);
-        active_out.clear();
-        match self.kind {
-            NeuronKind::Adaptive => {
-                self.forward_steps_adaptive(active_in, rec, scratch, active_out)
-            }
-            NeuronKind::HardReset | NeuronKind::HardResetMatched => {
-                self.forward_steps_hard_reset(active_in, rec, scratch, active_out)
-            }
-        }
-    }
-
-    fn forward_steps_adaptive(
-        &self,
-        active_in: &ActiveIndices,
-        rec: &mut LayerRecord,
-        scratch: &mut LayerScratch,
-        active_out: &mut ActiveIndices,
-    ) {
-        let t_steps = active_in.steps();
-        let alpha = self.params.synapse_decay();
-        let beta = self.params.reset_decay();
-        let (theta, v_th) = (self.params.theta, self.params.v_th);
-        let mirror = self.fresh_mirror();
-        let LayerScratch {
-            trace_in: k,
-            trace_out: h,
-            drive: g,
-            fired,
-            prev_fired,
-        } = scratch;
-
-        for t in 0..t_steps {
-            let active = active_in.step(t);
-            kernels::decay_add_unit(alpha, k, active); // eq. 9
-            rec.pre.row_mut(t).copy_from_slice(k);
-            // g[t] = α·g[t−1] + Σ active columns  (eq. 7, factored),
-            // fused decay + accumulation in one blocked traversal
-            kernels::fused_decay_accumulate(alpha, &mirror.cols, active, g);
-            // eq. 8: decay + last step's spikes charge h (empty at t = 0)
-            kernels::decay_add_unit(beta, h, prev_fired);
-            // eqs. 6 + 10: membrane, threshold, and record writes fused
-            kernels::fused_adaptive_membrane(
-                theta,
-                v_th,
-                g,
-                h,
-                Some(rec.v.row_mut(t)),
-                Some(rec.o.row_mut(t)),
-                Some(fired),
-            );
-            active_out.push_step(fired);
-            std::mem::swap(fired, prev_fired);
-        }
-    }
-
-    fn forward_steps_hard_reset(
-        &self,
-        active_in: &ActiveIndices,
-        rec: &mut LayerRecord,
-        scratch: &mut LayerScratch,
-        active_out: &mut ActiveIndices,
-    ) {
-        let t_steps = active_in.steps();
-        let lambda = self.params.synapse_decay();
-        let gain = self.kind.input_gain(&self.params);
-        let v_th = self.params.v_th;
-        let mirror = self.fresh_mirror();
-        let LayerScratch {
-            trace_out: vm,
-            drive: current,
-            fired,
-            ..
-        } = scratch;
-
-        for t in 0..t_steps {
-            let active = active_in.step(t);
-            {
-                let prow = rec.pre.row_mut(t);
-                for &j in active {
-                    prow[j] = 1.0;
-                }
-            }
-            // `W·x[t]` from scratch each step: the alpha = 0 case of the
-            // fused kernel is an exact clear + blocked accumulation.
-            kernels::fused_decay_accumulate(0.0, &mirror.cols, active, current);
-            // Membrane decay + threshold + hard reset + record writes in
-            // one sweep (vrow caches the pre-reset potential for BPTT).
-            kernels::fused_hard_reset_membrane(
-                lambda,
-                gain,
-                v_th,
-                current,
-                vm,
-                Some(rec.v.row_mut(t)),
-                Some(rec.o.row_mut(t)),
-                Some(fired),
-            );
-            active_out.push_step(fired);
-        }
+        scratch.ensure(self.n_in(), self.n_out());
+        self.run(Compute::Events, active_in, Some(rec), scratch, active_out);
     }
 
     /// Dense rollout into reusable buffers: per-step matrix–vector
     /// products with no event-driven shortcuts, writing the same
     /// [`LayerRecord`] layout as [`forward_steps`](Self::forward_steps).
-    /// This is the allocation-free form of [`forward`](Self::forward)
-    /// (bit-identical results) and the compute path of the engine's
-    /// `DenseBackend`.
+    /// `input` is a 0/1 spike matrix (any nonzero entry is a spike).
     ///
     /// # Panics
     ///
@@ -417,225 +338,119 @@ impl DenseLayer {
         );
         rec.resize_zeroed(input.rows(), self.n_in(), self.n_out());
         scratch.ensure(self.n_in(), self.n_out());
-        match self.kind {
-            NeuronKind::Adaptive => self.forward_dense_adaptive_into(input, rec, scratch),
-            NeuronKind::HardReset | NeuronKind::HardResetMatched => {
-                self.forward_dense_hard_reset_into(input, rec, scratch)
+        let drive = self.drive(Compute::Dense);
+        let mut active = Vec::new();
+        for t in 0..input.rows() {
+            kernels::threshold_mask(input.row(t), 0.0, &mut active);
+            self.step(&drive, &active, scratch, Some(rec.rows_mut(t)));
+        }
+    }
+
+    /// Rolls the layer over `active_in` from the state carried in
+    /// `scratch`: zeroed by `LayerScratch::ensure` for an independent
+    /// sample, or left as the previous call left it for a stream, which
+    /// is what makes a chunked rollout bitwise identical to a single
+    /// one. `rec`, when given, is resized and receives the BPTT record;
+    /// `active_out` receives the output spike lists.
+    pub(crate) fn run(
+        &self,
+        compute: Compute,
+        active_in: &ActiveIndices,
+        mut rec: Option<&mut LayerRecord>,
+        scratch: &mut LayerScratch,
+        active_out: &mut ActiveIndices,
+    ) {
+        let t_steps = active_in.steps();
+        if let Some(rec) = rec.as_deref_mut() {
+            rec.resize_zeroed(t_steps, self.n_in(), self.n_out());
+        }
+        active_out.clear();
+        let drive = self.drive(compute);
+        for t in 0..t_steps {
+            let rows = rec.as_deref_mut().map(|rec| rec.rows_mut(t));
+            self.step(&drive, active_in.step(t), scratch, rows);
+            active_out.push_step(&scratch.fired);
+        }
+    }
+
+    /// Resolves `compute` for one rollout: the event-driven drive holds
+    /// the column mirror's read guard for the whole rollout, not per
+    /// step.
+    fn drive(&self, compute: Compute) -> Drive<'_> {
+        match compute {
+            Compute::Events => Drive::Events(self.fresh_mirror()),
+            Compute::Dense => Drive::Dense,
+        }
+    }
+
+    /// One timestep of the layer's dynamics over the state carried in
+    /// `s` — the only definition of each neuron kind's forward step.
+    ///
+    /// `active` lists this step's input spikes (ascending, no
+    /// duplicates). On return `s.fired` holds this step's output spikes
+    /// and `s.prev_fired` the previous step's. `rows` receives this
+    /// step's `pre`/`v`/`o` record rows when given. The two [`Drive`]s
+    /// differ only in how `W·k[t]` is formed, so they agree up to the
+    /// reassociation of that one sum.
+    fn step(&self, drive: &Drive<'_>, active: &[usize], s: &mut LayerScratch, rows: Option<Rows>) {
+        let p = &self.params;
+        let (pre, v, o) = match rows {
+            Some((pre, v, o)) => (Some(pre), Some(v), Some(o)),
+            None => (None, None, None),
+        };
+        // Input trace k[t] = d·k[t−1] + x[t]: the synapse filter (eq. 9)
+        // for the adaptive model, the raw spikes (d = 0) for hard reset.
+        // For 0/1 spikes and a non-negative trace the unit charges are
+        // bit-identical to a dense `d·k + 1.0·x`. The event-driven drive
+        // needs the trace only for the `pre` record.
+        let decay = match self.kind {
+            NeuronKind::Adaptive => p.synapse_decay(),
+            NeuronKind::HardReset | NeuronKind::HardResetMatched => 0.0,
+        };
+        if pre.is_some() || matches!(drive, Drive::Dense) {
+            kernels::decay_add_unit(decay, &mut s.trace_in, active);
+            if let Some(pre) = pre {
+                pre.copy_from_slice(&s.trace_in);
             }
         }
-    }
-
-    fn forward_dense_adaptive_into(
-        &self,
-        input: &Matrix,
-        rec: &mut LayerRecord,
-        scratch: &mut LayerScratch,
-    ) {
-        let t_steps = input.rows();
-        let alpha = self.params.synapse_decay();
-        let beta = self.params.reset_decay();
-        let (theta, v_th) = (self.params.theta, self.params.v_th);
-        let LayerScratch {
-            trace_in: k,
-            trace_out: h,
-            drive: g,
-            ..
-        } = scratch;
-
-        for t in 0..t_steps {
-            kernels::decay_axpy(1.0, input.row(t), alpha, k); // eq. 9
-            rec.pre.row_mut(t).copy_from_slice(k);
-            self.weights.matvec_into(k, g); // eq. 7, dense product
-            if t > 0 {
-                // eq. 8: decay + last step's spikes charge h
-                kernels::decay_axpy(1.0, rec.o.row(t - 1), beta, h);
-            } else {
-                kernels::scale(beta, h); // eq. 8 decay (no spikes yet)
+        match drive {
+            // W·k[t] = d·(W·k[t−1]) + Σ active columns (eq. 7, factored),
+            // decay and accumulation fused in one blocked traversal
+            Drive::Events(mirror) => {
+                kernels::fused_decay_accumulate(decay, &mirror.cols, active, &mut s.drive)
             }
-            // eqs. 6 + 10 fused
-            kernels::fused_adaptive_membrane(
-                theta,
-                v_th,
-                g,
-                h,
-                Some(rec.v.row_mut(t)),
-                Some(rec.o.row_mut(t)),
-                None,
-            );
+            // eq. 7 as a full matrix–vector product over the trace
+            Drive::Dense => self.weights.matvec_into(&s.trace_in, &mut s.drive),
         }
-    }
-
-    fn forward_dense_hard_reset_into(
-        &self,
-        input: &Matrix,
-        rec: &mut LayerRecord,
-        scratch: &mut LayerScratch,
-    ) {
-        let t_steps = input.rows();
-        let lambda = self.params.synapse_decay();
-        let gain = self.kind.input_gain(&self.params);
-        let v_th = self.params.v_th;
-        let LayerScratch {
-            trace_out: vm,
-            drive: current,
-            ..
-        } = scratch;
-
-        for t in 0..t_steps {
-            rec.pre.row_mut(t).copy_from_slice(input.row(t));
-            self.weights.matvec_into(input.row(t), current);
-            // Membrane decay + threshold + hard reset (eq. 1b) + record
-            // writes in one sweep (vrow caches the pre-reset potential).
-            kernels::fused_hard_reset_membrane(
-                lambda,
-                gain,
-                v_th,
-                current,
-                vm,
-                Some(rec.v.row_mut(t)),
-                Some(rec.o.row_mut(t)),
-                None,
-            );
-        }
-    }
-
-    /// One event-driven timestep over **carried** state — the streaming
-    /// form of [`forward_steps`](Self::forward_steps).
-    ///
-    /// `active` lists this step's input spike channels (ascending),
-    /// `prev_fired` this layer's own output spikes from the previous
-    /// step (empty at stream start), and `scratch` carries the layer
-    /// state (`trace_out`, `drive`) across calls — the caller owns it,
-    /// sizes it for this layer before the first step, and never resizes
-    /// it mid-stream. `fired` is cleared and receives this step's output
-    /// spikes (ascending).
-    ///
-    /// The loop body is op-for-op identical to one iteration of the
-    /// [`forward_steps`](Self::forward_steps) rollout minus the BPTT
-    /// record writes (which feed no dynamics), so a step-at-a-time
-    /// rollout over a stream of chunks is **bitwise identical** to the
-    /// batch rollout over the concatenated raster. The input trace
-    /// `trace_in` is not maintained here: in the event-driven path it
-    /// exists only for the training record.
-    pub fn step_events(
-        &self,
-        active: &[usize],
-        prev_fired: &[usize],
-        scratch: &mut LayerScratch,
-        fired: &mut Vec<usize>,
-    ) {
-        let mirror = self.fresh_mirror();
+        std::mem::swap(&mut s.fired, &mut s.prev_fired);
         match self.kind {
             NeuronKind::Adaptive => {
-                let alpha = self.params.synapse_decay();
-                let beta = self.params.reset_decay();
-                let (theta, v_th) = (self.params.theta, self.params.v_th);
-                let LayerScratch {
-                    trace_out: h,
-                    drive: g,
-                    ..
-                } = scratch;
-                // g[t] = α·g[t−1] + Σ active columns  (eq. 7, factored)
-                kernels::fused_decay_accumulate(alpha, &mirror.cols, active, g);
                 // eq. 8: decay + last step's spikes charge h
-                kernels::decay_add_unit(beta, h, prev_fired);
-                // eqs. 6 + 10 (fused kernel clears `fired`)
-                kernels::fused_adaptive_membrane(theta, v_th, g, h, None, None, Some(fired));
-            }
-            NeuronKind::HardReset | NeuronKind::HardResetMatched => {
-                let lambda = self.params.synapse_decay();
-                let gain = self.kind.input_gain(&self.params);
-                let v_th = self.params.v_th;
-                let LayerScratch {
-                    trace_out: vm,
-                    drive: current,
-                    ..
-                } = scratch;
-                kernels::fused_decay_accumulate(0.0, &mirror.cols, active, current);
-                // eq. 1b fused (the kernel clears `fired`)
-                kernels::fused_hard_reset_membrane(
-                    lambda,
-                    gain,
-                    v_th,
-                    current,
-                    vm,
-                    None,
-                    None,
-                    Some(fired),
+                kernels::decay_add_unit(p.reset_decay(), &mut s.trace_out, &s.prev_fired);
+                // eqs. 6 + 10: membrane, threshold and record writes fused
+                kernels::fused_adaptive_membrane(
+                    p.theta,
+                    p.v_th,
+                    &s.drive,
+                    &s.trace_out,
+                    v,
+                    o,
+                    Some(&mut s.fired),
                 );
             }
-        }
-    }
-
-    /// One dense timestep over **carried** state — the streaming form of
-    /// [`forward_dense_into`](Self::forward_dense_into).
-    ///
-    /// `input` is this step's dense input row (length `n_in`),
-    /// `prev_out` this layer's own output row from the previous step
-    /// (all zeros at stream start), and `out` receives this step's 0/1
-    /// output row (length `n_out`). `scratch` carries the layer state
-    /// across calls under the same rules as
-    /// [`step_events`](Self::step_events).
-    ///
-    /// Bitwise identical to the batch rollout: the only divergence from
-    /// the [`forward_dense_into`](Self::forward_dense_into) loop body is
-    /// that the `t = 0` reset-trace charge is an add of an all-zero row
-    /// instead of a skip, and `x + 0.0 == x` bitwise for every value the
-    /// non-negative trace can hold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths do not match the layer shape.
-    pub fn step_dense(
-        &self,
-        input: &[f32],
-        prev_out: &[f32],
-        scratch: &mut LayerScratch,
-        out: &mut [f32],
-    ) {
-        let n_out = self.n_out();
-        assert_eq!(input.len(), self.n_in(), "input row width mismatch");
-        assert_eq!(prev_out.len(), n_out, "prev output row width mismatch");
-        assert_eq!(out.len(), n_out, "output row width mismatch");
-        match self.kind {
-            NeuronKind::Adaptive => {
-                let alpha = self.params.synapse_decay();
-                let beta = self.params.reset_decay();
-                let (theta, v_th) = (self.params.theta, self.params.v_th);
-                let LayerScratch {
-                    trace_in: k,
-                    trace_out: h,
-                    drive: g,
-                    ..
-                } = scratch;
-                kernels::decay_axpy(1.0, input, alpha, k); // eq. 9
-                self.weights.matvec_into(k, g); // eq. 7, dense product
-                                                // eq. 8: decay + last step's spikes charge h
-                kernels::decay_axpy(1.0, prev_out, beta, h);
-                // eqs. 6 + 10 fused, writing the 0/1 output row directly
-                kernels::fused_adaptive_membrane(theta, v_th, g, h, None, Some(out), None);
-            }
+            // eq. 1: decay + input gain + threshold + hard reset + record
+            // writes in one sweep (`v` caches the pre-reset potential)
             NeuronKind::HardReset | NeuronKind::HardResetMatched => {
-                let lambda = self.params.synapse_decay();
-                let gain = self.kind.input_gain(&self.params);
-                let v_th = self.params.v_th;
-                let LayerScratch {
-                    trace_out: vm,
-                    drive: current,
-                    ..
-                } = scratch;
-                self.weights.matvec_into(input, current);
-                // eq. 1b fused, writing the 0/1 output row directly
                 kernels::fused_hard_reset_membrane(
-                    lambda,
-                    gain,
-                    v_th,
-                    current,
-                    vm,
-                    None,
-                    Some(out),
-                    None,
-                );
+                    p.synapse_decay(),
+                    self.kind.input_gain(p),
+                    p.v_th,
+                    &s.drive,
+                    &mut s.trace_out,
+                    v,
+                    o,
+                    Some(&mut s.fired),
+                )
             }
         }
     }

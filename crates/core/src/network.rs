@@ -2,7 +2,7 @@
 //! time (the "unfolded network" of paper Fig. 2).
 
 use crate::scratch::ScratchSpace;
-use crate::{DenseLayer, LayerRecord, NeuronKind, SpikeRaster};
+use crate::{ActiveIndices, Compute, DenseLayer, LayerRecord, NeuronKind, SpikeRaster};
 use snn_neuron::NeuronParams;
 use snn_tensor::{stats, Matrix, Rng};
 
@@ -41,13 +41,10 @@ pub(crate) fn layer_span_name(l: usize, names: [&'static str; 8]) -> &'static st
 /// Records layer `l`'s output-spike density into the cross-crate obs
 /// gauges (scraped by serving's `/metrics`) and returns the packed span
 /// payload (`steps << 32 | density_ppm`).
-fn note_layer_density(l: usize, rec: &LayerRecord) -> u64 {
-    let o = &rec.o;
-    let cells = o.rows() * o.cols();
-    let nnz = o.as_slice().iter().filter(|&&x| x != 0.0).count();
-    let ppm = snn_obs::density_ppm(nnz, cells);
+fn note_layer_density(l: usize, fired: &ActiveIndices, n_out: usize) -> u64 {
+    let ppm = snn_obs::density_ppm(fired.nnz(), fired.steps() * n_out);
     snn_obs::record_layer_density(l, ppm);
-    snn_obs::pack_density_payload(o.rows(), ppm)
+    snn_obs::pack_density_payload(fired.steps(), ppm)
 }
 
 /// Forward pass result: one [`LayerRecord`] per layer, bottom to top.
@@ -244,32 +241,7 @@ impl Network {
     ///
     /// Panics if `input.channels() != n_in`.
     pub fn forward_into(&self, input: &SpikeRaster, fwd: &mut Forward, scratch: &mut ScratchSpace) {
-        assert_eq!(
-            input.channels(),
-            self.n_in(),
-            "input has {} channels, network expects {}",
-            input.channels(),
-            self.n_in()
-        );
-        scratch.ensure(self);
-        scratch.active[0].fill_from(input);
-        fwd.records
-            .resize_with(self.layers.len(), LayerRecord::empty);
-        for (l, layer) in self.layers.iter().enumerate() {
-            // Disarmed (one relaxed atomic load + a cell read) unless an
-            // ambient trace context was installed by the caller.
-            let mut span = snn_obs::span(layer_span_name(l, LAYER_FORWARD_NAMES));
-            let (head, tail) = scratch.active.split_at_mut(l + 1);
-            layer.forward_steps(
-                &head[l],
-                &mut fwd.records[l],
-                &mut scratch.layers[l],
-                &mut tail[0],
-            );
-            if span.is_armed() {
-                span.set_payload(note_layer_density(l, &fwd.records[l]));
-            }
-        }
+        self.rollout(Compute::Events, input, fwd, scratch);
     }
 
     /// Reference dense rollout (naive per-step matrix–vector products,
@@ -305,6 +277,19 @@ impl Network {
         fwd: &mut Forward,
         scratch: &mut ScratchSpace,
     ) {
+        self.rollout(Compute::Dense, input, fwd, scratch);
+    }
+
+    /// The record-writing rollout behind [`forward_into`](Self::forward_into)
+    /// and [`forward_dense_into`](Self::forward_dense_into): zeroes every
+    /// layer's state, then runs the layers over the input's event lists.
+    fn rollout(
+        &self,
+        compute: Compute,
+        input: &SpikeRaster,
+        fwd: &mut Forward,
+        scratch: &mut ScratchSpace,
+    ) {
         assert_eq!(
             input.channels(),
             self.n_in(),
@@ -312,27 +297,33 @@ impl Network {
             input.channels(),
             self.n_in()
         );
-        scratch.ensure(self);
-        scratch
-            .dense_input
-            .resize_zeroed(input.steps(), input.channels());
-        scratch
-            .dense_input
-            .as_mut_slice()
-            .copy_from_slice(input.as_slice());
+        scratch.ensure_forward(self);
+        scratch.active[0].fill_from(input);
         fwd.records
             .resize_with(self.layers.len(), LayerRecord::empty);
+        self.run_layers(compute, scratch, Some(&mut fwd.records));
+    }
+
+    /// Runs every layer over the event lists in `scratch.active[0]`, from
+    /// the state carried in `scratch.layers`, writing layer `l`'s output
+    /// spikes to `scratch.active[l + 1]` and, when `records` is given,
+    /// its BPTT record. Shared by the rollouts above and by
+    /// [`StreamSession::advance`](crate::stream::StreamSession::advance).
+    pub(crate) fn run_layers(
+        &self,
+        compute: Compute,
+        scratch: &mut ScratchSpace,
+        mut records: Option<&mut [LayerRecord]>,
+    ) {
         for (l, layer) in self.layers.iter().enumerate() {
+            // Disarmed (one relaxed atomic load + a cell read) unless an
+            // ambient trace context was installed by the caller.
             let mut span = snn_obs::span(layer_span_name(l, LAYER_FORWARD_NAMES));
-            let (head, tail) = fwd.records.split_at_mut(l);
-            let x = if l == 0 {
-                &scratch.dense_input
-            } else {
-                &head[l - 1].o
-            };
-            layer.forward_dense_into(x, &mut tail[0], &mut scratch.layers[l]);
+            let (head, tail) = scratch.active.split_at_mut(l + 1);
+            let rec = records.as_deref_mut().map(|records| &mut records[l]);
+            layer.run(compute, &head[l], rec, &mut scratch.layers[l], &mut tail[0]);
             if span.is_armed() {
-                span.set_payload(note_layer_density(l, &fwd.records[l]));
+                span.set_payload(note_layer_density(l, &tail[0], layer.n_out()));
             }
         }
     }

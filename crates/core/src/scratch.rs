@@ -26,7 +26,9 @@ use snn_tensor::{GradRaster, Matrix};
 /// potential, drive accumulator).
 #[derive(Debug, Clone, Default)]
 pub struct LayerScratch {
-    /// Input-side trace `k[t]` (adaptive) — length `n_in`.
+    /// Input-side trace `k[t]`: the synapse filter (adaptive) or the raw
+    /// input spikes (hard reset) — length `n_in`. Maintained only when
+    /// the dense drive or the `pre` record reads it.
     pub trace_in: Vec<f32>,
     /// Output-side state: reset trace `h[t]` (adaptive) or membrane
     /// potential (hard reset) — length `n_out`.
@@ -34,21 +36,21 @@ pub struct LayerScratch {
     /// Drive accumulator `g[t] = W·k[t]` (adaptive, maintained
     /// incrementally) or the per-step current `W·x[t]` — length `n_out`.
     pub drive: Vec<f32>,
-    /// Staging for the indices fired at the step being computed (filled
-    /// by the fused membrane kernels, then bulk-appended to the output
+    /// The output spikes of the latest step (filled by the fused
+    /// membrane kernels, then bulk-appended to the output
     /// `ActiveIndices`).
     pub fired: Vec<usize>,
-    /// The previous step's fired indices (swapped with
-    /// [`fired`](Self::fired) after each step; the eq. 8 reset-trace
-    /// charge reads it).
+    /// The previous step's output spikes (swapped with
+    /// [`fired`](Self::fired) at the start of each step; the eq. 8
+    /// reset-trace charge reads it).
     pub prev_fired: Vec<usize>,
 }
 
 impl LayerScratch {
     /// Sizes and zero-fills the three state buffers and clears the fired
     /// staging lists (the single home of the buffer-initialization
-    /// invariant — called by `ScratchSpace::ensure` and by
-    /// `DenseLayer::forward_steps`).
+    /// invariant — called by `ScratchSpace::ensure_forward` and by the
+    /// `DenseLayer` rollouts).
     pub(crate) fn ensure(&mut self, n_in: usize, n_out: usize) {
         self.trace_in.clear();
         self.trace_in.resize(n_in, 0.0);
@@ -105,9 +107,6 @@ pub struct ScratchSpace {
     pub(crate) grad_events: GradRaster,
     /// Scratch `d_output` the trainer hands to the losses.
     pub(crate) d_loss: Matrix,
-    /// Input raster staged as a dense matrix for
-    /// [`Network::forward_dense_into`](crate::Network::forward_dense_into).
-    pub(crate) dense_input: Matrix,
 }
 
 impl ScratchSpace {
@@ -116,17 +115,26 @@ impl ScratchSpace {
         Self::default()
     }
 
-    /// Sizes every buffer for `net` (idempotent, allocation-free once the
-    /// sizes have been seen).
-    pub(crate) fn ensure(&mut self, net: &Network) {
+    /// Sizes the forward buffers for `net` and zeroes every layer's
+    /// state (idempotent, allocation-free once the sizes have been seen).
+    pub(crate) fn ensure_forward(&mut self, net: &Network) {
         let n_layers = net.layers().len();
         self.active.resize_with(n_layers + 1, ActiveIndices::new);
         self.layers.resize_with(n_layers, LayerScratch::default);
-        let mut max_w = 0;
         for (layer, ls) in net.layers().iter().zip(&mut self.layers) {
             ls.ensure(layer.n_in(), layer.n_out());
-            max_w = max_w.max(layer.n_in()).max(layer.n_out());
         }
+    }
+
+    /// Sizes and zeroes the per-step adjoint buffers of the backward
+    /// pass for `net`.
+    pub(crate) fn ensure_backward(&mut self, net: &Network) {
+        let max_w = net
+            .layers()
+            .iter()
+            .map(|layer| layer.n_in().max(layer.n_out()))
+            .max()
+            .unwrap_or(0);
         for buf in [
             &mut self.dv,
             &mut self.dv_next,

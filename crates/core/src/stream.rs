@@ -12,10 +12,11 @@
 //!
 //! The contract is strict: a chunked rollout is **bitwise identical** to
 //! a single-shot [`Session::classify`](crate::engine::Session::classify)
-//! of the concatenated raster, for every backend. The per-step kernels
-//! (`DenseLayer::step_events` / `step_dense`) replicate the batch loop
-//! bodies op for op, and the readout accumulates spike counts in the
-//! same time-ascending order as `Forward::spike_counts_into`.
+//! of the concatenated raster, for every backend. Each `advance` is the
+//! batch rollout itself — the same per-layer loop over the same step
+//! function, minus the BPTT records, resumed from the carried state —
+//! and the readout accumulates spike counts in the same time-ascending
+//! order as `Forward::spike_counts_into`.
 //!
 //! # Examples
 //!
@@ -41,9 +42,10 @@
 //! assert_eq!(stream.readout(), session.classify(&raster));
 //! ```
 
-use crate::engine::{Engine, StreamMode};
-use crate::scratch::LayerScratch;
-use snn_tensor::{kernels, stats};
+use crate::engine::Engine;
+use crate::scratch::ScratchSpace;
+use crate::Compute;
+use snn_tensor::stats;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -52,6 +54,12 @@ use std::fmt;
 /// buffered (in timesteps). Bounds per-session memory no matter what a
 /// client sends; see [`StreamSession::with_max_pending`].
 pub const DEFAULT_MAX_PENDING: usize = 4096;
+
+/// Steps per layer-by-layer pass of [`StreamSession::advance`]: bounds the
+/// staged per-step event lists (and so a resident session's memory) for
+/// any advance length, while each layer's rollout setup is still paid
+/// once per many steps.
+const ADVANCE_CHUNK: usize = 256;
 
 /// A rejected event feed. Every variant is a *caller* error: the session
 /// state is untouched beyond the events already applied, and the stream
@@ -113,9 +121,8 @@ impl Error for StreamError {}
 /// Opened with [`Engine::stream_session`]; owns a cheap clone of the
 /// engine (the backend is shared) plus per-layer carried state, so it is
 /// `'static` and can live in a worker's resident-session map. All
-/// buffers are allocated up front and reused — the feed/advance hot path
-/// performs no allocation once the pending queue has grown to the
-/// stream's working depth.
+/// buffers are reused — the feed/advance hot path performs no allocation
+/// once the pending buffer has grown to the stream's working size.
 ///
 /// Lifecycle: [`feed_events`](Self::feed_events) buffers events at or
 /// past the committed frontier, [`advance`](Self::advance) commits
@@ -126,24 +133,12 @@ impl Error for StreamError {}
 #[derive(Debug)]
 pub struct StreamSession {
     engine: Engine,
-    mode: StreamMode,
+    compute: Compute,
     n_in: usize,
-    n_out: usize,
-    /// Per-layer carried state (`trace_out`, `drive`; `trace_in` for the
-    /// dense adaptive path).
-    layers: Vec<LayerScratch>,
-    /// Sparse mode: each layer's own output spikes from the previous
-    /// committed step.
-    prev_fired: Vec<Vec<usize>>,
-    /// Sparse mode: the current step's output spikes, swapped into
-    /// `prev_fired` at the end of each step.
-    new_fired: Vec<Vec<usize>>,
-    /// Dense mode: each layer's output row from the previous step.
-    rows_prev: Vec<Vec<f32>>,
-    /// Dense mode: the current step's output rows.
-    rows_new: Vec<Vec<f32>>,
-    /// Dense mode: staged 0/1 input row for the current step.
-    dense_in: Vec<f32>,
+    /// The carried state: each layer's `LayerScratch` (traces, drive and
+    /// last fired list) persists across calls; the per-step event lists
+    /// stage one chunk of an [`advance`](Self::advance).
+    scratch: ScratchSpace,
     /// Output spike counts accumulated over all committed steps, in the
     /// same order as `Forward::spike_counts_into`.
     counts: Vec<f32>,
@@ -151,11 +146,13 @@ pub struct StreamSession {
     /// Delta-decode base: absolute timestep of the last fed event, or
     /// the frontier if that is later.
     cursor: usize,
-    /// `pending[i]` holds the (unsorted, possibly duplicated) event
-    /// channels for step `committed + i`.
-    pending: VecDeque<Vec<usize>>,
-    /// Recycled channel lists for `pending`.
-    spare: Vec<Vec<usize>>,
+    /// Buffered `(step, channel)` events in feed order, possibly
+    /// duplicated. One flat queue: its capacity, and so whether a warm
+    /// session allocates, depends only on how many events are pending.
+    pending: VecDeque<(usize, usize)>,
+    /// Whether `pending` is also in `(step, channel)` order, as the
+    /// delta feed of a time-ordered raster keeps it.
+    sorted: bool,
     max_pending: usize,
 }
 
@@ -164,34 +161,18 @@ impl StreamSession {
     /// [`Engine::stream_session`].
     pub fn new(engine: &Engine) -> Self {
         let engine = engine.clone();
-        let mode = engine.backend().stream_mode();
         let net = engine.network();
-        let n_in = net.n_in();
-        let n_out = net.n_out();
-        let n_layers = net.layers().len();
-        let mut layers = Vec::with_capacity(n_layers);
-        let mut rows = Vec::with_capacity(n_layers);
-        for layer in net.layers() {
-            let mut scratch = LayerScratch::default();
-            scratch.ensure(layer.n_in(), layer.n_out());
-            layers.push(scratch);
-            rows.push(vec![0.0; layer.n_out()]);
-        }
+        let mut scratch = ScratchSpace::new();
+        scratch.ensure_forward(net);
         Self {
-            mode,
-            n_in,
-            n_out,
-            layers,
-            prev_fired: vec![Vec::new(); n_layers],
-            new_fired: vec![Vec::new(); n_layers],
-            rows_prev: rows.clone(),
-            rows_new: rows,
-            dense_in: vec![0.0; n_in],
-            counts: vec![0.0; n_out],
+            compute: engine.backend().compute(),
+            n_in: net.n_in(),
+            scratch,
+            counts: vec![0.0; net.n_out()],
             committed: 0,
             cursor: 0,
             pending: VecDeque::new(),
-            spare: Vec::new(),
+            sorted: true,
             max_pending: DEFAULT_MAX_PENDING,
             engine,
         }
@@ -212,7 +193,7 @@ impl StreamSession {
 
     /// Network output width (number of classes).
     pub fn n_out(&self) -> usize {
-        self.n_out
+        self.counts.len()
     }
 
     /// Number of committed timesteps since open or [`reset`](Self::reset).
@@ -222,7 +203,7 @@ impl StreamSession {
 
     /// Number of buffered (not yet committed) events.
     pub fn pending_events(&self) -> usize {
-        self.pending.iter().map(Vec::len).sum()
+        self.pending.len()
     }
 
     /// The pending-step horizon (see [`with_max_pending`](Self::with_max_pending)).
@@ -283,18 +264,16 @@ impl StreamSession {
                 committed: self.committed,
             });
         }
-        let idx = t - self.committed;
-        if idx >= self.max_pending {
+        if t - self.committed >= self.max_pending {
             return Err(StreamError::HorizonExceeded {
                 t,
                 committed: self.committed,
                 horizon: self.max_pending,
             });
         }
-        while self.pending.len() <= idx {
-            self.pending.push_back(self.spare.pop().unwrap_or_default());
-        }
-        self.pending[idx].push(channel);
+        let event = (t, channel);
+        self.sorted &= self.pending.back().is_none_or(|&last| last <= event);
+        self.pending.push_back(event);
         self.cursor = self.cursor.max(t);
         Ok(())
     }
@@ -304,23 +283,44 @@ impl StreamSession {
     /// events at the same `(t, channel)` collapse, exactly as raster
     /// cells are 0/1.
     pub fn advance(&mut self, steps: usize) {
-        let engine = self.engine.clone();
-        let net = engine.network();
-        for _ in 0..steps {
-            let mut chans = self.pending.pop_front().unwrap_or_default();
-            chans.sort_unstable();
-            chans.dedup();
-            match self.mode {
-                StreamMode::Sparse => self.step_sparse(net, &chans),
-                StreamMode::Dense => self.step_dense(net, &chans),
-            }
-            self.committed += 1;
-            chans.clear();
-            self.spare.push(chans);
+        let mut left = steps;
+        while left > 0 {
+            let chunk = left.min(ADVANCE_CHUNK);
+            self.advance_chunk(chunk);
+            left -= chunk;
         }
         // Delta base never trails the frontier: after a TICK, dt = 0
         // addresses the first uncommitted step.
         self.cursor = self.cursor.max(self.committed);
+    }
+
+    fn advance_chunk(&mut self, steps: usize) {
+        if !self.sorted {
+            self.pending.make_contiguous().sort_unstable();
+            self.sorted = true;
+        }
+        // This chunk's events as per-step ascending channel lists.
+        let input = &mut self.scratch.active[0];
+        input.clear();
+        for t in self.committed..self.committed + steps {
+            let mut last = None;
+            while let Some((_, c)) = self.pending.pop_front_if(|&mut (s, _)| s == t) {
+                if last != Some(c) {
+                    input.push(c);
+                }
+                last = Some(c);
+            }
+            input.end_step();
+        }
+        let net = self.engine.network();
+        net.run_layers(self.compute, &mut self.scratch, None);
+        let fired = self.scratch.active.last().expect("empty network");
+        for t in 0..steps {
+            for &c in fired.step(t) {
+                self.counts[c] += 1.0;
+            }
+        }
+        self.committed += steps;
     }
 
     /// Classifies from the accumulated output spike counts — identical
@@ -334,58 +334,12 @@ impl StreamSession {
     /// Returns the session to the freshly-opened state — state zeroed,
     /// counters cleared, buffered events dropped — without reallocating.
     pub fn reset(&mut self) {
-        let engine = self.engine.clone();
-        let net = engine.network();
-        for (scratch, layer) in self.layers.iter_mut().zip(net.layers()) {
-            scratch.ensure(layer.n_in(), layer.n_out());
-        }
-        for list in self.prev_fired.iter_mut().chain(self.new_fired.iter_mut()) {
-            list.clear();
-        }
-        for row in self.rows_prev.iter_mut().chain(self.rows_new.iter_mut()) {
-            row.fill(0.0);
-        }
-        self.dense_in.fill(0.0);
+        self.scratch.ensure_forward(self.engine.network());
         self.counts.fill(0.0);
         self.committed = 0;
         self.cursor = 0;
-        while let Some(mut chans) = self.pending.pop_front() {
-            chans.clear();
-            self.spare.push(chans);
-        }
-    }
-
-    fn step_sparse(&mut self, net: &crate::Network, chans: &[usize]) {
-        let n_layers = net.layers().len();
-        for (l, layer) in net.layers().iter().enumerate() {
-            let (head, tail) = self.new_fired.split_at_mut(l);
-            let input: &[usize] = if l == 0 { chans } else { &head[l - 1] };
-            layer.step_events(
-                input,
-                &self.prev_fired[l],
-                &mut self.layers[l],
-                &mut tail[0],
-            );
-        }
-        for &c in &self.new_fired[n_layers - 1] {
-            self.counts[c] += 1.0;
-        }
-        std::mem::swap(&mut self.prev_fired, &mut self.new_fired);
-    }
-
-    fn step_dense(&mut self, net: &crate::Network, chans: &[usize]) {
-        self.dense_in.fill(0.0);
-        for &c in chans {
-            self.dense_in[c] = 1.0;
-        }
-        let n_layers = net.layers().len();
-        for (l, layer) in net.layers().iter().enumerate() {
-            let (head, tail) = self.rows_new.split_at_mut(l);
-            let input: &[f32] = if l == 0 { &self.dense_in } else { &head[l - 1] };
-            layer.step_dense(input, &self.rows_prev[l], &mut self.layers[l], &mut tail[0]);
-        }
-        kernels::add_assign(&self.rows_new[n_layers - 1], &mut self.counts);
-        std::mem::swap(&mut self.rows_prev, &mut self.rows_new);
+        self.pending.clear();
+        self.sorted = true;
     }
 }
 
@@ -565,5 +519,27 @@ mod tests {
         let r = SpikeRaster::from_events(1, 6, &[(0, 2)]);
         assert!(stream.counts().iter().sum::<f32>() >= 0.0);
         assert_eq!(stream.readout(), session.classify(&r));
+    }
+
+    #[test]
+    fn out_of_order_feeds_match_single_shot_counts() {
+        for engine in engines() {
+            let r = raster(4);
+            let mut stream = engine.stream_session();
+            // Reversed and doubled: steps and channels both arrive out of
+            // order, and every event twice.
+            for &(t, c) in r.events().iter().rev() {
+                stream.feed_at(t, c).unwrap();
+                stream.feed_at(t, c).unwrap();
+            }
+            stream.advance(5);
+            stream.advance(r.steps() - 5);
+            let mut fwd = crate::Forward::default();
+            let mut scratch = crate::ScratchSpace::default();
+            engine.backend().forward_into(&r, &mut fwd, &mut scratch);
+            let mut counts = Vec::new();
+            fwd.spike_counts_into(&mut counts);
+            assert_eq!(stream.counts(), &counts[..], "{}", engine.backend().label());
+        }
     }
 }

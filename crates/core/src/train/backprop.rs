@@ -22,7 +22,7 @@
 use crate::scratch::ScratchSpace;
 use crate::{Forward, Network, NeuronKind};
 use snn_neuron::Surrogate;
-use snn_tensor::{kernels, Matrix};
+use snn_tensor::{kernels, GradRaster, Matrix};
 
 /// How the event-driven backward pass
 /// ([`backward_sparse_into`]) prunes the per-timestep membrane adjoint
@@ -221,135 +221,7 @@ pub fn backward_into(
     grads: &mut Gradients,
     scratch: &mut ScratchSpace,
 ) {
-    let layers = net.layers();
-    assert_eq!(
-        fwd.records.len(),
-        layers.len(),
-        "forward/record layer mismatch"
-    );
-    assert_eq!(
-        grads.per_layer.len(),
-        layers.len(),
-        "gradient/layer count mismatch"
-    );
-    let top = fwd.records.last().expect("empty network");
-    assert_eq!(
-        d_output.shape(),
-        top.o.shape(),
-        "d_output shape {:?} != output shape {:?}",
-        d_output.shape(),
-        top.o.shape()
-    );
-    for (g, layer) in grads.per_layer.iter().zip(layers) {
-        assert_eq!(
-            g.shape(),
-            (layer.n_out(), layer.n_in()),
-            "gradient shape mismatch"
-        );
-    }
-    scratch.ensure(net);
-    // The dense pass records no error events; clear the raster so
-    // [`ScratchSpace::backward_events`] never reports a *previous*
-    // sample's sparse pass as this one's diagnostic.
-    scratch.grad_events.clear();
-
-    let ScratchSpace {
-        d_o,
-        d_pre,
-        dv,
-        dv_next,
-        dh_next,
-        dk_next,
-        wt_dv,
-        active_tmp,
-        ..
-    } = scratch;
-
-    d_o.resize_zeroed(d_output.rows(), d_output.cols());
-    d_o.as_mut_slice().copy_from_slice(d_output.as_slice());
-
-    for l in (0..layers.len()).rev() {
-        // Disarmed unless the caller installed an ambient trace context
-        // (see `snn_obs::with_trace`); records on drop at loop end.
-        let mut span = snn_obs::span(crate::network::layer_span_name(
-            l,
-            crate::network::LAYER_BACKWARD_NAMES,
-        ));
-        let layer = &layers[l];
-        let rec = &fwd.records[l];
-        let t_steps = rec.steps();
-        if span.is_armed() {
-            span.set_payload(t_steps as u64);
-        }
-        let (n_in, n_out) = (layer.n_in(), layer.n_out());
-        let params = layer.params();
-        let v_th = params.v_th;
-        let dw = &mut grads.per_layer[l];
-        d_pre.resize_zeroed(t_steps, n_in);
-
-        match layer.kind() {
-            NeuronKind::Adaptive => {
-                let alpha = params.synapse_decay();
-                let beta = params.reset_decay();
-                let theta = params.theta;
-                let dh_next = &mut dh_next[..n_out];
-                let dk_next = &mut dk_next[..n_in];
-                let dv = &mut dv[..n_out];
-                let wt_dv = &mut wt_dv[..n_in];
-                dh_next.fill(0.0);
-                dk_next.fill(0.0);
-
-                for t in (0..t_steps).rev() {
-                    let vrow = rec.v.row(t);
-                    let ext = d_o.row(t);
-                    for i in 0..n_out {
-                        let d_o_total = ext[i] + dh_next[i];
-                        dv[i] = d_o_total * surrogate.grad(vrow[i] - v_th);
-                    }
-                    // dh[t] = −ϑ·dv[t] + β·dh[t+1], laned
-                    kernels::decay_axpy(-theta, dv, beta, dh_next);
-                    dw.add_outer(1.0, dv, rec.pre.row(t));
-                    layer.weights().matvec_t_into(dv, wt_dv);
-                    // dk[t] = Wᵀ·dv + α·dk[t+1], written through to the
-                    // downstream adjoint row (same fused helper as the
-                    // sparse path — that identity keeps Exact == dense)
-                    kernels::carry_decay_out(alpha, wt_dv, dk_next, d_pre.row_mut(t));
-                }
-            }
-            NeuronKind::HardReset | NeuronKind::HardResetMatched => {
-                let lambda = params.synapse_decay();
-                let gain = layer.kind().input_gain(&params);
-                let dv_next = &mut dv_next[..n_out];
-                let dv = &mut dv[..n_out];
-                let wt_dv = &mut wt_dv[..n_in];
-                dv_next.fill(0.0);
-
-                for t in (0..t_steps).rev() {
-                    let vrow = rec.v.row(t);
-                    let orow = rec.o.row(t);
-                    let ext = d_o.row(t);
-                    for i in 0..n_out {
-                        dv[i] = ext[i] * surrogate.grad(vrow[i] - v_th)
-                            + lambda * (1.0 - orow[i]) * dv_next[i];
-                    }
-                    // The presynaptic trace of a hard-reset layer is the
-                    // raw binary spike raster: use the index-list rank-1
-                    // update. The list is rebuilt from the record (an
-                    // O(n_in) scan, minor next to the O(nnz·n_out)
-                    // update) rather than read from scratch.active, so a
-                    // `Forward` from any source — including the dense
-                    // reference path — differentiates correctly.
-                    kernels::threshold_mask(rec.pre.row(t), 0.0, active_tmp);
-                    dw.add_outer_indexed(gain, dv, active_tmp);
-                    layer.weights().matvec_t_into(dv, wt_dv);
-                    // dx[t] = gain·(Wᵀ·dv), laned
-                    kernels::scale_copy(gain, wt_dv, d_pre.row_mut(t));
-                    dv_next.copy_from_slice(dv);
-                }
-            }
-        }
-        std::mem::swap(d_o, d_pre);
-    }
+    bptt(net, fwd, d_output, surrogate, None, grads, scratch);
 }
 
 /// Event-driven BPTT: like [`backward_into`], but each timestep's
@@ -386,6 +258,33 @@ pub fn backward_sparse_into(
     grads: &mut Gradients,
     scratch: &mut ScratchSpace,
 ) {
+    bptt(net, fwd, d_output, surrogate, Some(policy), grads, scratch);
+}
+
+/// Prunes `dv` in place into this step's error events and returns them,
+/// or `None` when the step runs the dense kernels: always without a
+/// policy, and past the dense-fallback density with one.
+fn error_events<'a>(
+    grad_events: &'a mut GradRaster,
+    dv: &mut [f32],
+    eps: Option<f32>,
+    dense_cutoff: usize,
+) -> Option<&'a [usize]> {
+    let active = grad_events.push_step_pruned(dv, eps?);
+    (active.len() <= dense_cutoff).then_some(active)
+}
+
+/// The one BPTT recursion behind [`backward_into`] (`policy = None`: no
+/// pruning, dense kernels at every step) and [`backward_sparse_into`].
+fn bptt(
+    net: &Network,
+    fwd: &Forward,
+    d_output: &Matrix,
+    surrogate: Surrogate,
+    policy: Option<SparsityPolicy>,
+    grads: &mut Gradients,
+    scratch: &mut ScratchSpace,
+) {
     let layers = net.layers();
     assert_eq!(
         fwd.records.len(),
@@ -412,7 +311,7 @@ pub fn backward_sparse_into(
             "gradient shape mismatch"
         );
     }
-    scratch.ensure(net);
+    scratch.ensure_backward(net);
 
     let ScratchSpace {
         d_o,
@@ -426,12 +325,17 @@ pub fn backward_sparse_into(
         grad_events,
         ..
     } = scratch;
+    // The dense pass records no error events; clearing here means
+    // [`ScratchSpace::backward_events`] never reports a *previous*
+    // sample's sparse pass as this one's diagnostic.
     grad_events.clear();
 
     d_o.resize_zeroed(d_output.rows(), d_output.cols());
     d_o.as_mut_slice().copy_from_slice(d_output.as_slice());
 
     for l in (0..layers.len()).rev() {
+        // Disarmed unless the caller installed an ambient trace context
+        // (see `snn_obs::with_trace`); records on drop at loop end.
         let mut span = snn_obs::span(crate::network::layer_span_name(
             l,
             crate::network::LAYER_BACKWARD_NAMES,
@@ -445,14 +349,17 @@ pub fn backward_sparse_into(
         let (n_in, n_out) = (layer.n_in(), layer.n_out());
         let params = layer.params();
         let v_th = params.v_th;
+        let weights = layer.weights();
         let dw = &mut grads.per_layer[l];
         let dense_cutoff = (DENSE_FALLBACK_DENSITY * n_out as f32) as usize;
         // Per-layer threshold: `d_o` holds this layer's upstream
         // adjoint ∂E/∂O_l (the loss gradient for the top layer), so
         // `Auto` tracks the adjoint scale as it attenuates down the
         // stack.
-        let eps = policy.resolve_eps(d_o);
+        let eps = policy.map(|policy| policy.resolve_eps(d_o));
         d_pre.resize_zeroed(t_steps, n_in);
+        let dv = &mut dv[..n_out];
+        let wt_dv = &mut wt_dv[..n_in];
 
         match layer.kind() {
             NeuronKind::Adaptive => {
@@ -461,8 +368,6 @@ pub fn backward_sparse_into(
                 let theta = params.theta;
                 let dh_next = &mut dh_next[..n_out];
                 let dk_next = &mut dk_next[..n_in];
-                let dv = &mut dv[..n_out];
-                let wt_dv = &mut wt_dv[..n_in];
                 dh_next.fill(0.0);
                 dk_next.fill(0.0);
 
@@ -473,24 +378,23 @@ pub fn backward_sparse_into(
                         let d_o_total = ext[i] + dh_next[i];
                         dv[i] = d_o_total * surrogate.grad(vrow[i] - v_th);
                     }
-                    let active = grad_events.push_step_pruned(dv, eps);
-                    // Decay every carry, then fold in the surviving
-                    // events; addition is commutative, so the surviving
-                    // entries match the dense update bitwise.
-                    kernels::scale(beta, dh_next);
-                    for &i in active {
-                        dh_next[i] += -theta * dv[i];
+                    let events = error_events(grad_events, dv, eps, dense_cutoff);
+                    // dh[t] = −ϑ·dv[t] + β·dh[t+1], laned. A pruned entry
+                    // adds −ϑ·0 = −0.0, which leaves its carry bitwise
+                    // unchanged.
+                    kernels::decay_axpy(-theta, dv, beta, dh_next);
+                    match events {
+                        Some(active) => {
+                            dw.add_outer_indexed_rows(1.0, dv, active, rec.pre.row(t));
+                            weights.matvec_t_into_indexed(dv, active, wt_dv);
+                        }
+                        None => {
+                            dw.add_outer(1.0, dv, rec.pre.row(t));
+                            weights.matvec_t_into(dv, wt_dv);
+                        }
                     }
-                    if active.len() > dense_cutoff {
-                        dw.add_outer(1.0, dv, rec.pre.row(t));
-                        layer.weights().matvec_t_into(dv, wt_dv);
-                    } else {
-                        dw.add_outer_indexed_rows(1.0, dv, active, rec.pre.row(t));
-                        layer.weights().matvec_t_into_indexed(dv, active, wt_dv);
-                    }
-                    // Same fused carry helper as `backward_into` — the
-                    // per-element ops are identical, which is what keeps
-                    // the Exact policy bitwise-equal to dense.
+                    // dk[t] = Wᵀ·dv + α·dk[t+1], written through to the
+                    // downstream adjoint row
                     kernels::carry_decay_out(alpha, wt_dv, dk_next, d_pre.row_mut(t));
                 }
             }
@@ -498,8 +402,6 @@ pub fn backward_sparse_into(
                 let lambda = params.synapse_decay();
                 let gain = layer.kind().input_gain(&params);
                 let dv_next = &mut dv_next[..n_out];
-                let dv = &mut dv[..n_out];
-                let wt_dv = &mut wt_dv[..n_in];
                 dv_next.fill(0.0);
 
                 for t in (0..t_steps).rev() {
@@ -510,20 +412,26 @@ pub fn backward_sparse_into(
                         dv[i] = ext[i] * surrogate.grad(vrow[i] - v_th)
                             + lambda * (1.0 - orow[i]) * dv_next[i];
                     }
-                    let active = grad_events.push_step_pruned(dv, eps);
-                    // Spike-column list rebuilt from the record, exactly
-                    // as in `backward_into` (works for a `Forward` from
-                    // any source).
+                    let events = error_events(grad_events, dv, eps, dense_cutoff);
+                    // The presynaptic trace of a hard-reset layer is the
+                    // raw binary spike raster: use the index-list rank-1
+                    // update. The list is rebuilt from the record (an
+                    // O(n_in) scan, minor next to the O(nnz·n_out)
+                    // update) rather than read from scratch.active, so a
+                    // `Forward` from any source — including the dense
+                    // reference path — differentiates correctly.
                     kernels::threshold_mask(rec.pre.row(t), 0.0, active_tmp);
-                    if active.len() > dense_cutoff {
-                        dw.add_outer_indexed(gain, dv, active_tmp);
-                        layer.weights().matvec_t_into(dv, wt_dv);
-                    } else {
-                        dw.add_outer_indexed_pairs(gain, dv, active, active_tmp);
-                        layer.weights().matvec_t_into_indexed(dv, active, wt_dv);
+                    match events {
+                        Some(active) => {
+                            dw.add_outer_indexed_pairs(gain, dv, active, active_tmp);
+                            weights.matvec_t_into_indexed(dv, active, wt_dv);
+                        }
+                        None => {
+                            dw.add_outer_indexed(gain, dv, active_tmp);
+                            weights.matvec_t_into(dv, wt_dv);
+                        }
                     }
-                    // dx[t] = gain·(Wᵀ·dv), same laned helper as the
-                    // dense path
+                    // dx[t] = gain·(Wᵀ·dv), laned
                     kernels::scale_copy(gain, wt_dv, d_pre.row_mut(t));
                     // Only surviving events propagate through the
                     // reset-gated carry (dv was pruned in place).

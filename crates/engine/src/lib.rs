@@ -55,9 +55,10 @@ pub use snn_core::checkpoint::{self, CheckpointError};
 pub use snn_core::engine::{
     classify_batch_with, evaluate_with, Backend, BackendFactory, DenseBackend, Engine,
     EngineBuilder, InferenceBackend, PooledSession, Session, SessionPool, SparseBackend,
-    StreamMode, BATCH_CHUNK,
+    BATCH_CHUNK,
 };
 pub use snn_core::stream::{StreamError, StreamSession};
+pub use snn_core::Compute;
 pub use snn_hardware::deploy::{deploy, DeployConfig, Deployment};
 
 use snn_core::{Forward, Network, ScratchSpace, SpikeRaster};

@@ -204,3 +204,64 @@ fn network_classify_is_allocation_free_after_warmup_except_probs() {
         "Network::classify allocated beyond the returned probs vector"
     );
 }
+
+/// Long silent `advance(65536)` calls per stream cycle. The unoptimised
+/// build runs two: 200 take minutes there, and two already outgrow a
+/// pool that keeps a list per silent step.
+const SILENT_ADVANCES: usize = if cfg!(debug_assertions) { 2 } else { 200 };
+
+/// One feed/advance/readout/reset cycle over every input, fed whole and
+/// in one-step chunks, then the long silent advances.
+fn stream_cycle(
+    stream: &mut snn_engine::StreamSession,
+    batch: &[SpikeRaster],
+    deltas: &[Vec<(usize, usize)>],
+) {
+    for (input, deltas) in batch.iter().zip(deltas) {
+        stream.feed_events(deltas).unwrap();
+        stream.advance(input.steps());
+        std::hint::black_box(stream.readout());
+        stream.reset();
+        for t in 0..input.steps() {
+            for (c, &x) in input.step(t).iter().enumerate() {
+                if x != 0.0 {
+                    stream.feed_at(t, c).unwrap();
+                }
+            }
+            stream.advance(1);
+        }
+        std::hint::black_box(stream.readout());
+        stream.reset();
+    }
+    for _ in 0..SILENT_ADVANCES {
+        stream.advance(65536);
+    }
+    std::hint::black_box(stream.readout());
+    stream.reset();
+}
+
+/// A resident stream session must stop allocating once warm: silent
+/// steps may not grow its recycled channel-list pool, and a warm feed
+/// must reuse recycled lists rather than allocate fresh ones.
+fn assert_stream_is_allocation_free(engine: &Engine, label: &str) {
+    let batch = inputs();
+    let deltas: Vec<_> = batch.iter().map(SpikeRaster::delta_events).collect();
+    let mut stream = engine.stream_session();
+    stream_cycle(&mut stream, &batch, &deltas);
+    let before = allocations();
+    stream_cycle(&mut stream, &batch, &deltas);
+    let after = allocations();
+    assert_eq!(after - before, 0, "{label}: stream hot path allocated");
+}
+
+#[test]
+fn stream_session_hot_path_is_allocation_free() {
+    for (backend, label) in [
+        (Backend::Sparse, "sparse"),
+        (Backend::Dense, "dense"),
+        (hardware(DeployConfig::five_bit(), 3), "hardware"),
+    ] {
+        let engine = Engine::from_network(net()).backend(backend).build();
+        assert_stream_is_allocation_free(&engine, label);
+    }
+}

@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -41,6 +41,15 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Serialises the tests that depend on the process-global
+/// `snn_obs::set_enabled` flag: a writer that warms up while another
+/// test has tracing disabled would allocate on its first armed span.
+static GLOBAL_FLAG: Mutex<()> = Mutex::new(());
+
+fn hold_global_flag() -> MutexGuard<'static, ()> {
+    GLOBAL_FLAG.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Warm this thread (ring registration + name interning), then record
@@ -80,11 +89,13 @@ fn record_spans_alloc_free(trace: u64, spans: usize) {
 
 #[test]
 fn single_thread_hot_path_is_allocation_free() {
+    let _flag = hold_global_flag();
     record_spans_alloc_free(snn_obs::next_trace_id(), 10_000);
 }
 
 #[test]
 fn concurrent_recording_is_allocation_free_and_never_blocks() {
+    let _flag = hold_global_flag();
     for threads in [1usize, 2, 4] {
         let trace = snn_obs::next_trace_id();
         // Waiters: `threads` writers, the reader, and this thread.
@@ -92,13 +103,15 @@ fn concurrent_recording_is_allocation_free_and_never_blocks() {
         let stop = AtomicBool::new(false);
         let recorded = AtomicU64::new(0);
         std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    barrier.wait();
-                    record_spans_alloc_free(trace, 20_000);
-                    recorded.fetch_add(20_000, Ordering::Relaxed);
-                });
-            }
+            let writers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        record_spans_alloc_free(trace, 20_000);
+                        recorded.fetch_add(20_000, Ordering::Relaxed);
+                    })
+                })
+                .collect();
             // A concurrent reader hammering snapshots must not stall
             // the writers (seqlock readers never block writers); it
             // stops once every writer is done.
@@ -113,12 +126,17 @@ fn concurrent_recording_is_allocation_free_and_never_blocks() {
             });
             barrier.wait();
             // Writers finish on their own; a deadlock would hang the
-            // test harness (CI timeout), which is the assertion.
-            while recorded.load(Ordering::Relaxed) < (threads as u64) * 20_000 {
-                std::thread::yield_now();
-            }
+            // test harness (CI timeout), which is the assertion. Joining
+            // them (rather than polling `recorded`) turns a writer panic
+            // into a test failure instead of a hang.
+            let outcomes: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
             stop.store(true, Ordering::Relaxed);
             assert!(reader.join().unwrap() > 0, "reader made progress");
+            for outcome in outcomes {
+                if let Err(panic) = outcome {
+                    std::panic::resume_unwind(panic);
+                }
+            }
         });
         // All writers progressed to completion under contention.
         assert_eq!(recorded.load(Ordering::Relaxed), (threads as u64) * 20_000);
@@ -130,6 +148,7 @@ fn concurrent_recording_is_allocation_free_and_never_blocks() {
 
 #[test]
 fn disabled_span_is_allocation_free_without_warmup() {
+    let _flag = hold_global_flag();
     snn_obs::set_enabled(false);
     let before = allocations();
     for _ in 0..10_000 {

@@ -143,7 +143,8 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     portable::axpy(alpha, x, y);
 }
 
-/// `y += x`, laned (the `alpha = 1` axpy without the multiply).
+/// `y += x`, laned: the `alpha = 1` axpy, kept separate so the hot
+/// column-accumulation loop has no multiply.
 ///
 /// # Panics
 ///
@@ -172,9 +173,8 @@ pub fn scale(alpha: f32, x: &mut [f32]) {
     portable::scale(alpha, x);
 }
 
-/// `y[i] = a·x[i] + b·y[i]`, laned — the shared decay-and-charge
-/// elementwise update of the state recursions (`h = β·h + O[t−1]`,
-/// `dh = −ϑ·dv + β·dh`, `k = α·k + x[t]`). Elementwise, so
+/// `y[i] = a·x[i] + b·y[i]`, laned — the decay-and-charge update of
+/// the BPTT reset-trace adjoint `dh = −ϑ·dv + β·dh`. Elementwise, so
 /// bit-identical to the scalar loop it replaces.
 ///
 /// # Panics
@@ -188,9 +188,7 @@ pub fn decay_axpy(a: f32, x: &[f32], b: f32, y: &mut [f32]) {
 
 /// `carry[i] = add[i] + alpha·carry[i]; out[i] = carry[i]`, laned — the
 /// BPTT synapse-trace adjoint recursion `dk[t] = Wᵀ·dv + α·dk[t+1]`
-/// with its write-through to the downstream adjoint row. Used
-/// identically by the dense and event-driven backward passes, which is
-/// part of what keeps `SparsityPolicy::Exact` bitwise-equal to dense.
+/// with its write-through to the downstream adjoint row.
 ///
 /// # Panics
 ///
@@ -215,8 +213,17 @@ pub fn scale_copy(alpha: f32, x: &[f32], out: &mut [f32]) {
 }
 
 /// Collects the indices with `|x[i]| > eps` into `out` (cleared first,
-/// ascending order). On AVX2 the compare runs 8 lanes at a time with a
-/// movemask scan; index sets are exact, so the paths agree bitwise.
+/// capacity reused, ascending order). On AVX2 the compare runs 8 lanes
+/// at a time with a movemask scan; index sets are exact, so the paths
+/// agree bitwise.
+///
+/// The BPTT uses it to rebuild spike-column lists from forward records
+/// without mutating them (the adjoint side goes through
+/// `GradRaster::push_step_pruned`, which also zeroes the losers). With
+/// `eps = 0.0` the surviving set is exactly the nonzero entries, which
+/// is why the `Exact` sparsity policy is bit-identical to the dense
+/// kernels: every dense gradient kernel already skips zero rows, so
+/// pruning precisely that set changes nothing.
 #[inline]
 pub fn threshold_mask(x: &[f32], eps: f32, out: &mut Vec<usize>) {
     out.clear();

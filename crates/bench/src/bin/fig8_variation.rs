@@ -15,7 +15,7 @@ use snn_core::config::Hyperparams;
 use snn_core::train::{Optimizer, RateCrossEntropy, Trainer, TrainerConfig};
 use snn_core::{Network, NeuronKind};
 use snn_data::nmnist::{generate, NmnistConfig};
-use snn_engine::{deploy, evaluate_with, hardware, Backend, DeployConfig, Engine};
+use snn_engine::{deploy, hardware, Backend, DeployConfig, Engine};
 use snn_hardware::faults::FaultModel;
 use snn_tensor::{stats, Rng};
 
@@ -87,9 +87,9 @@ fn main() {
     let sw_acc = sw_engine.evaluate(&split.test);
     println!("software test accuracy: {:.2}%\n", sw_acc * 100.0);
 
-    // --- Sweep quantization x variation: each operating point is one
-    // hardware-backend engine (deploy happens at build time, evaluation
-    // is the shared batched path) ---
+    // --- Sweep quantization x variation: each operating point is an
+    // engine over one deployment's effective network (evaluation is the
+    // shared batched path) ---
     println!("deviation |   4-bit acc (mean +/- std)   |   5-bit acc (mean +/- std)");
     let deviations: Vec<f32> = (0..=10).map(|i| i as f32 * 0.05).collect();
     let mut rows = Vec::new();
@@ -104,16 +104,12 @@ fn main() {
                     // into an already-odd seed, giving the 4- and 5-bit
                     // sweeps identical variation draws.
                     let dep_seed = seed ^ 0xF18 ^ (((s as u64) << 8) | bits as u64);
-                    let engine = Engine::from_network(net.clone())
-                        .backend(hardware(
-                            DeployConfig {
-                                bits,
-                                deviation: sigma,
-                                g_max: 1e-4,
-                            },
-                            dep_seed,
-                        ))
-                        .build();
+                    let cfg = DeployConfig {
+                        bits,
+                        deviation: sigma,
+                        g_max: 1e-4,
+                    };
+                    let engine = Engine::from_network(hardware(&net, cfg, dep_seed)).build();
                     engine.evaluate(&split.test)
                 })
                 .collect();
@@ -145,10 +141,11 @@ fn main() {
                     }
                     // No cache sync needed: the weight swap bumped the
                     // layers' cache epochs and the first forward pass
-                    // rebuilds lazily. The mutated deployment is itself
-                    // an InferenceBackend, so evaluation stays on the
-                    // one shared batched path.
-                    evaluate_with(&dep, &split.test, 0)
+                    // rebuilds lazily. The mutated effective network is
+                    // served by an ordinary engine, so evaluation stays
+                    // on the one shared batched path.
+                    let engine = Engine::from_network(dep.network).build();
+                    engine.evaluate(&split.test)
                 })
                 .collect();
             println!(

@@ -169,23 +169,28 @@ fn run_dataset(spec: &DatasetSpec, seed: u64, train_hr: bool, v_th: f32) -> Vec<
     // backend: event-driven sparse, dense reference, and an 8-bit
     // zero-deviation RRAM deployment. Sparse and dense must agree; the
     // hardware row shows what quantization alone costs.
-    let backends = [
-        ("This work (adaptive threshold)", Backend::Sparse),
-        ("  (dense reference backend)", Backend::Dense),
+    let rram = DeployConfig {
+        bits: 8,
+        deviation: 0.0,
+        g_max: 1e-4,
+    };
+    let engines = [
+        (
+            "This work (adaptive threshold)",
+            Engine::from_network(net.clone()).build(),
+        ),
+        (
+            "  (dense reference backend)",
+            Engine::from_network(net.clone())
+                .backend(Backend::Dense)
+                .build(),
+        ),
         (
             "  (RRAM 8-bit backend, sigma=0)",
-            hardware(
-                DeployConfig {
-                    bits: 8,
-                    deviation: 0.0,
-                    g_max: 1e-4,
-                },
-                seed,
-            ),
+            Engine::from_network(hardware(&net, rram, seed)).build(),
         ),
     ];
-    for (label, backend) in backends {
-        let engine = Engine::from_network(net.clone()).backend(backend).build();
+    for (label, engine) in engines {
         rows.push(Row {
             model: label.into(),
             accuracy: engine.evaluate(&spec.split.test),

@@ -1,27 +1,26 @@
-//! Backend-agnostic, batched inference: the serving surface of the
-//! workspace.
+//! Batched inference: the serving surface of the workspace.
 //!
 //! The paper is an algorithm–hardware *codesign*: the same trained
 //! network must run identically as an event-driven software model, as a
-//! dense reference, and as a quantized RRAM crossbar. This module
-//! unifies those run paths behind one [`InferenceBackend`] trait and a
-//! small serving stack:
+//! dense reference, and as a quantized RRAM crossbar. Only two of those
+//! are different arithmetic; a crossbar deployment is a weight transform
+//! (`snn_hardware::deploy` returns the crossbars' *effective* network),
+//! so it runs as an ordinary engine over that network. The serving stack
+//! is therefore closed:
 //!
-//! * [`Engine`] — owns a backend (built from a [`Network`] via
-//!   [`Engine::from_network`] or a checkpoint via [`Engine::load`]) and
-//!   a thread policy, and fans batched work across workers with the
+//! * [`Backend`] — how a rollout forms each step's synaptic drive:
+//!   event-driven [`Sparse`](Backend::Sparse) kernels or the
+//!   [`Dense`](Backend::Dense) reference.
+//! * [`Engine`] — a shared [`Network`], a [`Backend`] and a thread
+//!   policy (built via [`Engine::from_network`] or from a checkpoint via
+//!   [`Engine::load`]). It fans batched work across workers with the
 //!   same fixed-chunk discipline as the trainer, so results are
 //!   **deterministic for any thread count**.
-//! * [`Session`] — a single-worker handle owning the reusable
-//!   [`ScratchSpace`], [`Forward`], count/probability and raster
-//!   buffers; after the first call its [`infer`](Session::infer) /
-//!   [`classify`](Session::classify) hot path performs **zero
-//!   per-sample heap allocations**.
-//! * [`SparseBackend`] / [`DenseBackend`] — the event-driven kernels
-//!   and the dense reference. The hardware backend lives with the
-//!   crossbar model: `snn_hardware::Deployment` implements
-//!   [`InferenceBackend`], and the `snn-engine` crate packages it as a
-//!   [`Backend`] factory with quantization/variation config.
+//! * [`Session`] — a single-worker handle owning the reusable forward,
+//!   scratch, count/probability and raster buffers; after the first call
+//!   its [`infer`](Session::infer) / [`classify`](Session::classify) hot
+//!   path performs **zero per-sample heap allocations**. A
+//!   [`SessionPool`] hands out sessions whose buffers come back on drop.
 //!
 //! # Examples
 //!
@@ -53,11 +52,11 @@
 
 use crate::checkpoint::{self, CheckpointError};
 use crate::scratch::ScratchSpace;
-use crate::{Compute, Forward, Network, SpikeRaster};
+use crate::{Forward, Network, SpikeRaster};
 use snn_tensor::stats;
 use std::fmt;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Samples per evaluation chunk: the unit of parallel work distribution
 /// for [`Engine::classify_batch`] / [`Engine::evaluate`]. Fixed (never
@@ -66,145 +65,27 @@ use std::sync::Arc;
 /// same discipline as the trainer's `GRAD_CHUNK`.
 pub const BATCH_CHUNK: usize = 8;
 
-/// One way of running a trained network forward.
-///
-/// Implementations must be cheap to call repeatedly: `forward_into`
-/// reuses the caller's buffers and performs no per-sample allocations
-/// once they are warm. Backends are immutable after construction
-/// (`Sync`), which is what lets the engine share one across workers.
-pub trait InferenceBackend: Send + Sync {
-    /// The network this backend evaluates (for the hardware backend,
-    /// the crossbars' *effective* network).
-    fn network(&self) -> &Network;
-
-    /// Short human-readable backend name (`"sparse"`, `"dense"`,
-    /// `"hardware"`…), used in reports and benchmarks.
-    fn label(&self) -> &str;
-
-    /// Runs one input through the backend into reusable buffers.
-    fn forward_into(&self, input: &SpikeRaster, fwd: &mut Forward, scratch: &mut ScratchSpace);
-
-    /// Which arithmetic [`forward_into`](Self::forward_into) runs, so a
-    /// [`StreamSession`](crate::stream::StreamSession) can replay it
-    /// bitwise. The default, [`Compute::Events`], is right for any
-    /// backend whose `forward_into` bottoms out in
-    /// [`Network::forward_into`] (the bare network, the sparse backend,
-    /// and the hardware backend's *effective* network). The dense
-    /// reference overrides it: its matrix–vector products order the
-    /// floating-point reductions differently.
-    fn compute(&self) -> Compute {
-        Compute::Events
-    }
-}
-
-/// A bare [`Network`] is the sparse (event-driven) backend: this impl is
-/// what lets borrowing callers — e.g.
-/// [`evaluate_classification`](crate::train::evaluate_classification) —
-/// reuse the engine's batched evaluation machinery without cloning.
-impl InferenceBackend for Network {
-    fn network(&self) -> &Network {
-        self
-    }
-
-    fn label(&self) -> &str {
-        "sparse"
-    }
-
-    fn forward_into(&self, input: &SpikeRaster, fwd: &mut Forward, scratch: &mut ScratchSpace) {
-        Network::forward_into(self, input, fwd, scratch);
-    }
-}
-
-/// Event-driven backend: the sparsity-aware kernels (`g[t] = α·g[t−1] +
-/// Σ active columns`), the production path.
-#[derive(Debug, Clone)]
-pub struct SparseBackend {
-    net: Network,
-}
-
-impl SparseBackend {
-    /// Wraps a network.
-    pub fn new(net: Network) -> Self {
-        Self { net }
-    }
-}
-
-impl InferenceBackend for SparseBackend {
-    fn network(&self) -> &Network {
-        &self.net
-    }
-
-    fn label(&self) -> &str {
-        "sparse"
-    }
-
-    fn forward_into(&self, input: &SpikeRaster, fwd: &mut Forward, scratch: &mut ScratchSpace) {
-        self.net.forward_into(input, fwd, scratch);
-    }
-}
-
-/// Dense reference backend: naive per-step matrix–vector products, the
-/// correctness yardstick and benchmark baseline.
-#[derive(Debug, Clone)]
-pub struct DenseBackend {
-    net: Network,
-}
-
-impl DenseBackend {
-    /// Wraps a network.
-    pub fn new(net: Network) -> Self {
-        Self { net }
-    }
-}
-
-impl InferenceBackend for DenseBackend {
-    fn network(&self) -> &Network {
-        &self.net
-    }
-
-    fn label(&self) -> &str {
-        "dense"
-    }
-
-    fn forward_into(&self, input: &SpikeRaster, fwd: &mut Forward, scratch: &mut ScratchSpace) {
-        self.net.forward_dense_into(input, fwd, scratch);
-    }
-
-    fn compute(&self) -> Compute {
-        Compute::Dense
-    }
-}
-
-/// Builds a backend from the network an [`EngineBuilder`] holds — the
-/// extension point for backends this crate cannot know about (the
-/// `snn-engine` crate uses it to plug in the RRAM hardware backend).
-pub trait BackendFactory: Send + Sync {
-    /// Consumes the builder's network and produces the backend.
-    fn build(&self, net: Network) -> Arc<dyn InferenceBackend>;
-
-    /// Short name for debug output.
-    fn describe(&self) -> &str {
-        "custom"
-    }
-}
-
-/// Backend selection for [`EngineBuilder::backend`].
+/// How a rollout forms each step's synaptic drive `W·k[t]` — the only
+/// difference between the event-driven path and the dense reference.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Backend {
-    /// Event-driven sparse kernels (default).
+    /// Event-driven: decay the previous drive and add the weight columns
+    /// of this step's input spikes (the production path, default).
+    #[default]
     Sparse,
-    /// Dense per-step reference products.
+    /// Dense reference: a full matrix–vector product over the input
+    /// trace every step. It orders the floating-point reductions
+    /// differently, so potentials may differ from the event-driven path
+    /// by a few ULPs.
     Dense,
-    /// A custom backend built by a [`BackendFactory`] (e.g. the RRAM
-    /// hardware backend from `snn-engine`).
-    Custom(Box<dyn BackendFactory>),
 }
 
-impl fmt::Debug for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Backend {
+    /// Short name for reports: `"sparse"` or `"dense"`.
+    pub fn label(self) -> &'static str {
         match self {
-            Backend::Sparse => f.write_str("Sparse"),
-            Backend::Dense => f.write_str("Dense"),
-            Backend::Custom(factory) => write!(f, "Custom({})", factory.describe()),
+            Backend::Sparse => "sparse",
+            Backend::Dense => "dense",
         }
     }
 }
@@ -231,37 +112,35 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds the engine, consuming the network into the backend.
+    /// Builds the engine, moving the network behind a shared pointer.
     pub fn build(self) -> Engine {
-        let backend: Arc<dyn InferenceBackend> = match self.backend {
-            Backend::Sparse => Arc::new(SparseBackend::new(self.net)),
-            Backend::Dense => Arc::new(DenseBackend::new(self.net)),
-            Backend::Custom(factory) => factory.build(self.net),
-        };
         Engine {
-            backend,
+            net: Arc::new(self.net),
+            backend: self.backend,
             threads: self.threads,
         }
     }
 }
 
-/// A backend plus a thread policy: the long-lived serving object.
+/// A network, a [`Backend`] and a thread policy: the long-lived serving
+/// object.
 ///
-/// Cheap to clone (the backend is shared); create one per model and hand
+/// Cheap to clone (the network is shared); create one per model and hand
 /// out [`Session`]s to workers, or call the batched entry points
 /// directly.
 #[derive(Clone)]
 pub struct Engine {
-    backend: Arc<dyn InferenceBackend>,
+    net: Arc<Network>,
+    backend: Backend,
     threads: usize,
 }
 
 impl fmt::Debug for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
-            .field("backend", &self.backend.label())
+            .field("backend", &self.backend)
             .field("threads", &self.threads)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -270,7 +149,7 @@ impl Engine {
     pub fn from_network(net: Network) -> EngineBuilder {
         EngineBuilder {
             net,
-            backend: Backend::Sparse,
+            backend: Backend::default(),
             threads: 0,
         }
     }
@@ -286,24 +165,15 @@ impl Engine {
         Ok(Self::from_network(checkpoint::load(path)?))
     }
 
-    /// Wraps an already-built backend (e.g. a hand-constructed hardware
-    /// deployment) with the default thread policy.
-    pub fn from_backend(backend: Arc<dyn InferenceBackend>) -> Self {
-        Self {
-            backend,
-            threads: 0,
-        }
-    }
-
-    /// The backend's network (for the hardware backend, the effective
-    /// post-quantization weights).
+    /// The network the engine evaluates (for a crossbar deployment, the
+    /// effective post-quantization weights).
     pub fn network(&self) -> &Network {
-        self.backend.network()
+        &self.net
     }
 
-    /// The backend itself.
-    pub fn backend(&self) -> &dyn InferenceBackend {
-        &*self.backend
+    /// The arithmetic the engine runs.
+    pub fn backend(&self) -> Backend {
+        self.backend
     }
 
     /// The configured worker-thread count (`0` = one per core).
@@ -311,10 +181,20 @@ impl Engine {
         self.threads
     }
 
+    /// Runs one input through the backend into caller-owned buffers (the
+    /// rollout behind every [`Session`] call).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.channels()` differs from the network input width.
+    pub fn forward_into(&self, input: &SpikeRaster, fwd: &mut Forward, scratch: &mut ScratchSpace) {
+        self.net.rollout(self.backend, input, fwd, scratch);
+    }
+
     /// Opens a session: a single-worker handle with private reusable
     /// buffers. Sessions are independent; open one per worker.
     pub fn session(&self) -> Session<'_> {
-        Session::new(&*self.backend)
+        Session::new(&self.net, self.backend)
     }
 
     /// Opens a stateful streaming session: membrane and trace state stay
@@ -329,30 +209,38 @@ impl Engine {
     /// across the configured workers. Predictions come back in input
     /// order and are bitwise identical for any thread count.
     pub fn classify_batch(&self, inputs: &[SpikeRaster]) -> Vec<usize> {
-        classify_batch_with(&*self.backend, inputs, self.threads)
+        let mut out = vec![0usize; inputs.len()];
+        let input_at = |i| &inputs[i];
+        classify_indexed(&self.net, self.backend, &input_at, self.threads, &mut out);
+        out
     }
 
     /// Classification accuracy over labelled data (parallel, chunked,
     /// deterministic — see [`classify_batch`](Self::classify_batch)).
     pub fn evaluate(&self, data: &[(SpikeRaster, usize)]) -> f32 {
-        evaluate_with(&*self.backend, data, self.threads)
+        evaluate(&self.net, self.backend, data, self.threads)
     }
 }
 
-/// The reusable buffer set behind a [`Session`] / [`PooledSession`]:
-/// forward cache, scratch, count/probability and raster buffers. Keeping
-/// the buffers separate from the backend borrow is what lets a
-/// [`SessionPool`] recycle warm buffers across short-lived checkouts.
-#[derive(Debug)]
-struct SessionBuffers {
+/// Warm buffer sets a [`SessionPool`] parks between checkouts.
+type Idle = Arc<Mutex<Vec<Buffers>>>;
+
+/// A session's reusable buffers, and the pool they return to on drop.
+///
+/// The return trip lives here rather than on [`Session`], which keeps
+/// `Session` free of a destructor: a plain session's borrow of its
+/// engine ends at its last use, as a borrow does.
+struct Buffers {
     fwd: Forward,
     scratch: ScratchSpace,
     counts: Vec<f32>,
     probs: Vec<f32>,
     raster: SpikeRaster,
+    /// `Some` while checked out of a pool and not poisoned.
+    home: Option<Idle>,
 }
 
-impl SessionBuffers {
+impl Buffers {
     fn new() -> Self {
         Self {
             fwd: Forward::empty(),
@@ -360,38 +248,20 @@ impl SessionBuffers {
             counts: Vec::new(),
             probs: Vec::new(),
             raster: SpikeRaster::zeros(0, 0),
+            home: None,
         }
     }
+}
 
-    fn infer(&mut self, backend: &dyn InferenceBackend, input: &SpikeRaster) -> &Forward {
-        backend.forward_into(input, &mut self.fwd, &mut self.scratch);
-        &self.fwd
-    }
-
-    fn infer_raster(
-        &mut self,
-        backend: &dyn InferenceBackend,
-        input: &SpikeRaster,
-    ) -> &SpikeRaster {
-        backend.forward_into(input, &mut self.fwd, &mut self.scratch);
-        self.fwd.output_raster_into(&mut self.raster);
-        &self.raster
-    }
-
-    fn classify(&mut self, backend: &dyn InferenceBackend, input: &SpikeRaster) -> usize {
-        backend.forward_into(input, &mut self.fwd, &mut self.scratch);
-        self.fwd.spike_counts_into(&mut self.counts);
-        stats::argmax(&self.counts).unwrap_or(0)
-    }
-
-    fn classify_with_probs(
-        &mut self,
-        backend: &dyn InferenceBackend,
-        input: &SpikeRaster,
-    ) -> (usize, &[f32]) {
-        let class = self.classify(backend, input);
-        stats::softmax_into(&self.counts, &mut self.probs);
-        (class, &self.probs)
+impl Drop for Buffers {
+    fn drop(&mut self) {
+        if let Some(home) = self.home.take() {
+            // A poisoned mutex just drops the buffers: the next acquire
+            // would panic anyway, and Drop must not.
+            if let Ok(mut idle) = home.lock() {
+                idle.push(std::mem::replace(self, Buffers::new()));
+            }
+        }
     }
 }
 
@@ -402,63 +272,86 @@ impl SessionBuffers {
 ///
 /// One worker, one session: every hot-path method takes `&mut self`, so
 /// a session can never serve two inputs concurrently — workers each open
-/// their own. Sessions borrow their backend, so they are cheap to create
+/// their own. Sessions borrow their network, so they are cheap to create
 /// per batch; long-lived servers that open sessions per request should
-/// check warm buffers out of a [`SessionPool`] instead.
+/// check warm buffers out of a [`SessionPool`] instead: a session from
+/// [`SessionPool::acquire`] returns its buffers to the pool on drop,
+/// unless [`poison`](Self::poison) was called.
 pub struct Session<'e> {
-    backend: &'e dyn InferenceBackend,
-    buf: SessionBuffers,
+    net: &'e Network,
+    backend: Backend,
+    buf: Buffers,
 }
 
 impl fmt::Debug for Session<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
-            .field("backend", &self.backend.label())
+            .field("backend", &self.backend)
+            .field("pooled", &self.buf.home.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl<'e> Session<'e> {
-    /// Opens a session on a backend ([`Engine::session`] is the usual
-    /// entry point).
-    pub fn new(backend: &'e dyn InferenceBackend) -> Self {
+    /// A session over a borrowed network with fresh buffers.
+    pub(crate) fn new(net: &'e Network, backend: Backend) -> Self {
         Self {
+            net,
             backend,
-            buf: SessionBuffers::new(),
+            buf: Buffers::new(),
         }
-    }
-
-    /// The backend this session runs on.
-    pub fn backend(&self) -> &dyn InferenceBackend {
-        self.backend
     }
 
     /// Runs one input and returns the full per-layer forward cache
     /// (valid until the next call on this session).
     pub fn infer(&mut self, input: &SpikeRaster) -> &Forward {
-        self.buf.infer(self.backend, input)
+        self.net.rollout(
+            self.backend,
+            input,
+            &mut self.buf.fwd,
+            &mut self.buf.scratch,
+        );
+        &self.buf.fwd
     }
 
     /// Runs one input and returns the output spike raster, reusing the
     /// session's raster buffer.
     pub fn infer_raster(&mut self, input: &SpikeRaster) -> &SpikeRaster {
-        self.buf.infer_raster(self.backend, input)
+        self.infer(input);
+        self.buf.fwd.output_raster_into(&mut self.buf.raster);
+        &self.buf.raster
     }
 
     /// Predicted class (argmax of output spike counts).
     pub fn classify(&mut self, input: &SpikeRaster) -> usize {
-        self.buf.classify(self.backend, input)
+        self.infer(input);
+        self.buf.fwd.spike_counts_into(&mut self.buf.counts);
+        stats::argmax(&self.buf.counts).unwrap_or(0)
     }
 
     /// Predicted class plus softmax probabilities over the output spike
     /// counts (borrowed from the session's buffer).
     pub fn classify_with_probs(&mut self, input: &SpikeRaster) -> (usize, &[f32]) {
-        self.buf.classify_with_probs(self.backend, input)
+        let class = self.classify(input);
+        stats::softmax_into(&self.buf.counts, &mut self.buf.probs);
+        (class, &self.buf.probs)
     }
 
     /// The forward cache of the most recent call.
     pub fn last_output(&self) -> &Forward {
         &self.buf.fwd
+    }
+
+    /// Marks the session's buffers as unrecoverable: a pooled session
+    /// discards them on drop instead of returning them to the pool, which
+    /// lazily allocates a fresh set on the next
+    /// [`acquire`](SessionPool::acquire).
+    ///
+    /// Call this after catching a panic that unwound through an inference
+    /// call on this session — the buffers may be in a half-updated state,
+    /// and recycling them would leak the corruption into later requests.
+    pub fn poison(&mut self) {
+        self.buf.home = None;
     }
 }
 
@@ -466,7 +359,7 @@ impl<'e> Session<'e> {
 /// [`Engine`] — the serving-layer primitive behind `snn-serve`'s worker
 /// pool.
 ///
-/// [`acquire`](Self::acquire) checks out a [`PooledSession`]; dropping it
+/// [`acquire`](Self::acquire) checks out a [`Session`]; dropping it
 /// returns its buffers to the pool, so a server that serves requests from
 /// arbitrary worker threads still performs zero per-sample allocations
 /// once every checkout path is warm. The pool never blocks: if all
@@ -492,7 +385,7 @@ impl<'e> Session<'e> {
 /// ```
 pub struct SessionPool {
     engine: Engine,
-    idle: std::sync::Mutex<Vec<SessionBuffers>>,
+    idle: Idle,
 }
 
 impl fmt::Debug for SessionPool {
@@ -509,7 +402,7 @@ impl SessionPool {
     pub fn new(engine: Engine) -> Self {
         Self {
             engine,
-            idle: std::sync::Mutex::new(Vec::new()),
+            idle: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -524,134 +417,24 @@ impl SessionPool {
     }
 
     /// Checks out a session, reusing warm buffers when any are idle.
-    pub fn acquire(&self) -> PooledSession<'_> {
-        let buf = self
-            .idle
-            .lock()
-            .expect("session pool poisoned")
-            .pop()
-            .unwrap_or_else(SessionBuffers::new);
-        PooledSession {
-            pool: self,
-            buf: Some(buf),
-            poisoned: false,
+    pub fn acquire(&self) -> Session<'_> {
+        let idle = self.idle.lock().expect("session pool poisoned").pop();
+        let mut buf = idle.unwrap_or_else(Buffers::new);
+        buf.home = Some(Arc::clone(&self.idle));
+        Session {
+            net: &self.engine.net,
+            backend: self.engine.backend,
+            buf,
         }
     }
 }
 
-/// A session checked out of a [`SessionPool`]; its buffers return to the
-/// pool on drop. Same hot-path surface as [`Session`].
-///
-/// A supervisor that catches a panic mid-inference should call
-/// [`poison`](Self::poison) before dropping the session: the buffers may
-/// hold a half-updated state, so they are quarantined (discarded) instead
-/// of being recycled, and the pool lazily respawns a fresh set on the
-/// next [`acquire`](SessionPool::acquire).
-pub struct PooledSession<'p> {
-    pool: &'p SessionPool,
-    buf: Option<SessionBuffers>,
-    poisoned: bool,
-}
-
-impl fmt::Debug for PooledSession<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PooledSession")
-            .field("backend", &self.backend().label())
-            .finish_non_exhaustive()
-    }
-}
-
-impl PooledSession<'_> {
-    fn buffers(&mut self) -> &mut SessionBuffers {
-        self.buf.as_mut().expect("buffers present until drop")
-    }
-
-    /// The backend this session runs on.
-    pub fn backend(&self) -> &dyn InferenceBackend {
-        self.pool.engine.backend()
-    }
-
-    /// Runs one input and returns the full per-layer forward cache
-    /// (valid until the next call on this session).
-    pub fn infer(&mut self, input: &SpikeRaster) -> &Forward {
-        let backend = self.pool.engine.backend();
-        self.buffers().infer(backend, input)
-    }
-
-    /// Runs one input and returns the output spike raster, reusing the
-    /// session's raster buffer.
-    pub fn infer_raster(&mut self, input: &SpikeRaster) -> &SpikeRaster {
-        let backend = self.pool.engine.backend();
-        self.buffers().infer_raster(backend, input)
-    }
-
-    /// Predicted class (argmax of output spike counts).
-    pub fn classify(&mut self, input: &SpikeRaster) -> usize {
-        let backend = self.pool.engine.backend();
-        self.buffers().classify(backend, input)
-    }
-
-    /// Predicted class plus softmax probabilities over the output spike
-    /// counts (borrowed from the session's buffer).
-    pub fn classify_with_probs(&mut self, input: &SpikeRaster) -> (usize, &[f32]) {
-        let backend = self.pool.engine.backend();
-        self.buffers().classify_with_probs(backend, input)
-    }
-
-    /// Marks the session's buffers as unrecoverable: they are discarded
-    /// on drop instead of returning to the pool.
-    ///
-    /// Call this after catching a panic that unwound through an inference
-    /// call on this session — the buffers may be in a half-updated state,
-    /// and recycling them would leak the corruption into later requests.
-    pub fn poison(&mut self) {
-        self.poisoned = true;
-    }
-}
-
-impl Drop for PooledSession<'_> {
-    fn drop(&mut self) {
-        if let Some(buf) = self.buf.take() {
-            // Quarantine poisoned buffers: drop them on the floor and let
-            // the pool allocate a fresh set on the next acquire.
-            if self.poisoned {
-                return;
-            }
-            // A poisoned pool just drops the buffers: the next acquire
-            // would panic anyway, and Drop must not.
-            if let Ok(mut idle) = self.pool.idle.lock() {
-                idle.push(buf);
-            }
-        }
-    }
-}
-
-fn resolved_threads(threads: usize) -> usize {
-    match threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-}
-
-/// [`Engine::classify_batch`] against a borrowed backend — `threads = 0`
-/// means one worker per core.
-pub fn classify_batch_with(
-    backend: &dyn InferenceBackend,
-    inputs: &[SpikeRaster],
-    threads: usize,
-) -> Vec<usize> {
-    let mut out = vec![0usize; inputs.len()];
-    classify_indexed(backend, inputs.len(), &|i| &inputs[i], threads, &mut out);
-    out
-}
-
-/// [`Engine::evaluate`] against a borrowed backend: classification
-/// accuracy over labelled data. This free function is the **single
-/// evaluation code path** of the workspace —
-/// [`evaluate_classification`](crate::train::evaluate_classification)
-/// and the engine both delegate here.
-pub fn evaluate_with(
-    backend: &dyn InferenceBackend,
+/// [`Engine::evaluate`] over a borrowed network: the trainer evaluates
+/// through this, so the workspace has one evaluation code path and never
+/// clones a network to evaluate it.
+pub(crate) fn evaluate(
+    net: &Network,
+    backend: Backend,
     data: &[(SpikeRaster, usize)],
     threads: usize,
 ) -> f32 {
@@ -659,7 +442,7 @@ pub fn evaluate_with(
         return 0.0;
     }
     let mut preds = vec![0usize; data.len()];
-    classify_indexed(backend, data.len(), &|i| &data[i].0, threads, &mut preds);
+    classify_indexed(net, backend, &|i| &data[i].0, threads, &mut preds);
     let correct = preds
         .iter()
         .zip(data)
@@ -671,21 +454,26 @@ pub fn evaluate_with(
 /// Shared batched-classification core: fixed [`BATCH_CHUNK`] partition,
 /// static round-robin chunk ownership (chunk `c` belongs to worker
 /// `c % workers`), predictions written straight into disjoint slices of
-/// `out` — no per-sample allocation, results independent of `threads`.
+/// `out` — no per-sample allocation, results independent of `threads`
+/// (`0` means one worker per core).
 fn classify_indexed<'d, F>(
-    backend: &dyn InferenceBackend,
-    n: usize,
+    net: &Network,
+    backend: Backend,
     input_at: &F,
     threads: usize,
     out: &mut [usize],
 ) where
     F: Fn(usize) -> &'d SpikeRaster + Sync,
 {
-    debug_assert_eq!(out.len(), n);
+    let n = out.len();
     let n_chunks = n.div_ceil(BATCH_CHUNK).max(1);
-    let workers = resolved_threads(threads).clamp(1, n_chunks);
+    let workers = match threads {
+        0 => std::thread::available_parallelism().map_or(1, |cores| cores.get()),
+        t => t,
+    }
+    .clamp(1, n_chunks);
     if workers == 1 || n < 2 * BATCH_CHUNK {
-        let mut session = Session::new(backend);
+        let mut session = Session::new(net, backend);
         for (i, slot) in out.iter_mut().enumerate() {
             *slot = session.classify(input_at(i));
         }
@@ -699,7 +487,7 @@ fn classify_indexed<'d, F>(
     std::thread::scope(|scope| {
         for chunks in per_worker {
             scope.spawn(move || {
-                let mut session = Session::new(backend);
+                let mut session = Session::new(net, backend);
                 for (c, slice) in chunks {
                     let base = c * BATCH_CHUNK;
                     for (j, slot) in slice.iter_mut().enumerate() {
@@ -792,9 +580,10 @@ mod tests {
         let engine = Engine::from_network(net.clone()).build();
         let batched = engine.classify_batch(&inputs);
         let mut session = engine.session();
+        let mut borrowed = Session::new(&net, Backend::Sparse);
         for (input, &expected) in inputs.iter().zip(&batched) {
             assert_eq!(session.classify(input), expected);
-            assert_eq!(net.classify(input).0, expected);
+            assert_eq!(borrowed.classify(input), expected);
         }
         let (class, probs) = session.classify_with_probs(&inputs[0]);
         assert_eq!(class, batched[0]);
@@ -849,11 +638,23 @@ mod tests {
     }
 
     #[test]
+    fn plain_session_borrow_ends_at_last_use() {
+        // Compiles only while a session's drop never reads its borrow:
+        // callers may move the engine's owner before the session leaves
+        // scope.
+        let engine = Engine::from_network(small_net(23)).build();
+        let mut session = engine.session();
+        let class = session.classify(&random_inputs(1, 24)[0]);
+        drop(engine);
+        assert!(class < 4);
+    }
+
+    #[test]
     fn engine_and_pool_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Engine>();
         assert_send_sync::<SessionPool>();
-        assert_send_sync::<PooledSession<'_>>();
+        assert_send_sync::<Session<'_>>();
     }
 
     #[test]
@@ -880,7 +681,7 @@ mod tests {
         let mut warm = pool.acquire();
         assert_eq!(pool.idle(), 1);
         assert_eq!(warm.classify(&inputs[0]), expected[0]);
-        assert_eq!(warm.backend().label(), "sparse");
+        assert_eq!(pool.engine().backend().label(), "sparse");
     }
 
     #[test]
@@ -929,7 +730,8 @@ mod tests {
     fn borrowed_network_is_a_sparse_backend() {
         let net = small_net(14);
         let inputs = random_inputs(9, 15);
-        let via_trait = classify_batch_with(&net, &inputs, 2);
+        let mut via_trait = vec![0; inputs.len()];
+        classify_indexed(&net, Backend::Sparse, &|i| &inputs[i], 2, &mut via_trait);
         let via_engine = Engine::from_network(net).build().classify_batch(&inputs);
         assert_eq!(via_trait, via_engine);
     }

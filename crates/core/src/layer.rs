@@ -1,6 +1,7 @@
 //! Dense spiking layer: synapse filter bank + weight matrix + neuron
 //! nonlinearity, with full state caching for BPTT.
 
+use crate::engine::Backend;
 use crate::scratch::LayerScratch;
 use crate::spike::ActiveIndices;
 use snn_neuron::NeuronParams;
@@ -44,21 +45,9 @@ impl NeuronKind {
     }
 }
 
-/// How a rollout forms each step's synaptic drive `W·k[t]` — the only
-/// difference between the event-driven path and the dense reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Compute {
-    /// Event-driven: decay the previous drive and add the weight columns
-    /// of this step's input spikes (the production path).
-    Events,
-    /// Dense reference: a full matrix–vector product over the input
-    /// trace every step.
-    Dense,
-}
-
-/// [`Compute`] resolved for one rollout.
+/// A [`Backend`] resolved for one rollout.
 enum Drive<'a> {
-    Events(RwLockReadGuard<'a, Mirror>),
+    Sparse(RwLockReadGuard<'a, Mirror>),
     Dense,
 }
 
@@ -269,23 +258,6 @@ impl DenseLayer {
         self.params
     }
 
-    /// Rolls the layer over a `T × n_in` spike matrix, returning the full
-    /// cache. State starts from zero (independent sample) and is never
-    /// cleared mid-sequence.
-    ///
-    /// Allocating wrapper over
-    /// [`forward_dense_into`](Self::forward_dense_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.cols() != n_in`.
-    pub fn forward(&self, input: &Matrix) -> LayerRecord {
-        let mut rec = LayerRecord::empty();
-        let mut scratch = LayerScratch::default();
-        self.forward_dense_into(input, &mut rec, &mut scratch);
-        rec
-    }
-
     /// Event-driven rollout over per-step active-input lists — the hot
     /// path of training and inference.
     ///
@@ -295,8 +267,9 @@ impl DenseLayer {
     /// indices. Each timestep therefore costs
     /// `O(n_in + n_out + n_out·nnz(x[t]))` instead of the dense
     /// `O(n_out·n_in)`. The incremental recurrence is algebraically
-    /// identical to the dense rollout ([`forward`](Self::forward)); it
-    /// reassociates floating-point sums, so potentials may differ from
+    /// identical to the dense rollout
+    /// ([`Network::forward_dense_reference`](crate::Network::forward_dense_reference));
+    /// it reassociates floating-point sums, so potentials may differ from
     /// the dense reference by a few ULPs.
     ///
     /// `rec` and the buffers in `scratch` are resized and re-initialised
@@ -312,38 +285,7 @@ impl DenseLayer {
         active_out: &mut ActiveIndices,
     ) {
         scratch.ensure(self.n_in(), self.n_out());
-        self.run(Compute::Events, active_in, Some(rec), scratch, active_out);
-    }
-
-    /// Dense rollout into reusable buffers: per-step matrix–vector
-    /// products with no event-driven shortcuts, writing the same
-    /// [`LayerRecord`] layout as [`forward_steps`](Self::forward_steps).
-    /// `input` is a 0/1 spike matrix (any nonzero entry is a spike).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.cols() != n_in`.
-    pub fn forward_dense_into(
-        &self,
-        input: &Matrix,
-        rec: &mut LayerRecord,
-        scratch: &mut LayerScratch,
-    ) {
-        assert_eq!(
-            input.cols(),
-            self.n_in(),
-            "layer expects {} inputs, got {}",
-            self.n_in(),
-            input.cols()
-        );
-        rec.resize_zeroed(input.rows(), self.n_in(), self.n_out());
-        scratch.ensure(self.n_in(), self.n_out());
-        let drive = self.drive(Compute::Dense);
-        let mut active = Vec::new();
-        for t in 0..input.rows() {
-            kernels::threshold_mask(input.row(t), 0.0, &mut active);
-            self.step(&drive, &active, scratch, Some(rec.rows_mut(t)));
-        }
+        self.run(Backend::Sparse, active_in, Some(rec), scratch, active_out);
     }
 
     /// Rolls the layer over `active_in` from the state carried in
@@ -354,7 +296,7 @@ impl DenseLayer {
     /// `active_out` receives the output spike lists.
     pub(crate) fn run(
         &self,
-        compute: Compute,
+        backend: Backend,
         active_in: &ActiveIndices,
         mut rec: Option<&mut LayerRecord>,
         scratch: &mut LayerScratch,
@@ -365,7 +307,7 @@ impl DenseLayer {
             rec.resize_zeroed(t_steps, self.n_in(), self.n_out());
         }
         active_out.clear();
-        let drive = self.drive(compute);
+        let drive = self.drive(backend);
         for t in 0..t_steps {
             let rows = rec.as_deref_mut().map(|rec| rec.rows_mut(t));
             self.step(&drive, active_in.step(t), scratch, rows);
@@ -373,13 +315,13 @@ impl DenseLayer {
         }
     }
 
-    /// Resolves `compute` for one rollout: the event-driven drive holds
+    /// Resolves `backend` for one rollout: the event-driven drive holds
     /// the column mirror's read guard for the whole rollout, not per
     /// step.
-    fn drive(&self, compute: Compute) -> Drive<'_> {
-        match compute {
-            Compute::Events => Drive::Events(self.fresh_mirror()),
-            Compute::Dense => Drive::Dense,
+    fn drive(&self, backend: Backend) -> Drive<'_> {
+        match backend {
+            Backend::Sparse => Drive::Sparse(self.fresh_mirror()),
+            Backend::Dense => Drive::Dense,
         }
     }
 
@@ -416,7 +358,7 @@ impl DenseLayer {
         match drive {
             // W·k[t] = d·(W·k[t−1]) + Σ active columns (eq. 7, factored),
             // decay and accumulation fused in one blocked traversal
-            Drive::Events(mirror) => {
+            Drive::Sparse(mirror) => {
                 kernels::fused_decay_accumulate(decay, &mirror.cols, active, &mut s.drive)
             }
             // eq. 7 as a full matrix–vector product over the trace
@@ -465,6 +407,19 @@ mod tests {
         Matrix::from_rows(rows)
     }
 
+    /// The dense drive over a 0/1 spike matrix, through a one-layer
+    /// network.
+    fn dense_rollout(layer: &DenseLayer, input: &Matrix) -> LayerRecord {
+        let mut raster = crate::SpikeRaster::zeros(input.rows(), input.cols());
+        for t in 0..input.rows() {
+            for (c, &x) in input.row(t).iter().enumerate() {
+                raster.set(t, c, x != 0.0);
+            }
+        }
+        let net = crate::Network::from_layers(vec![layer.clone()]);
+        net.forward_dense_reference(&raster).records.remove(0)
+    }
+
     #[test]
     fn adaptive_layer_matches_neuron_crate_dynamics() {
         // The layer's fused rollout must agree with composing the
@@ -480,7 +435,7 @@ mod tests {
             &[0.0, 0.0, 0.0],
             &[1.0, 0.0, 0.0],
         ]);
-        let rec = layer.forward(&input);
+        let rec = dense_rollout(&layer, &input);
 
         let mut filt = ExpFilter::new(3, params.synapse_decay());
         let mut neuron = AdaptiveThresholdNeuron::new(2, params);
@@ -517,7 +472,7 @@ mod tests {
             &[1.0, 0.0, 0.0, 1.0],
             &[1.0, 1.0, 1.0, 1.0],
         ]);
-        let rec = layer.forward(&input);
+        let rec = dense_rollout(&layer, &input);
         let mut neuron = HardResetNeuron::new(3, params);
         for t in 0..input.rows() {
             let current = layer.weights().matvec(input.row(t));
@@ -538,7 +493,7 @@ mod tests {
         let mut rows: Vec<Vec<f32>> = vec![vec![0.0]; 12];
         rows[0][0] = 1.0;
         let input = Matrix::from_rows(&rows.iter().map(|r| r.as_slice()).collect::<Vec<_>>());
-        let rec = layer.forward(&input);
+        let rec = dense_rollout(&layer, &input);
         let total: f32 = (0..12).map(|t| rec.o.row(t)[0]).sum();
         assert!(total >= 1.0, "must fire at least once");
         assert!(
@@ -574,7 +529,7 @@ mod tests {
             &mut rng,
         );
         let input = Matrix::zeros(7, 5);
-        let rec = layer.forward(&input);
+        let rec = dense_rollout(&layer, &input);
         assert_eq!(rec.pre.shape(), (7, 5));
         assert_eq!(rec.v.shape(), (7, 4));
         assert_eq!(rec.o.shape(), (7, 4));
@@ -589,13 +544,13 @@ mod tests {
         let w = Matrix::from_rows(&[&[0.5]]);
         let layer = DenseLayer::from_weights(w, NeuronKind::HardReset, params);
         let input = Matrix::from_rows(&[&[1.0], &[0.0]]);
-        let rec = layer.forward(&input);
+        let rec = dense_rollout(&layer, &input);
         let expected = (1.0 - params.synapse_decay()) * 0.5;
         assert!((rec.v.row(0)[0] - expected).abs() < 1e-6);
         // Matched variant deposits the full weight.
         let w = Matrix::from_rows(&[&[0.5]]);
         let layer = DenseLayer::from_weights(w, NeuronKind::HardResetMatched, params);
-        let rec = layer.forward(&input);
+        let rec = dense_rollout(&layer, &input);
         assert!((rec.v.row(0)[0] - 0.5).abs() < 1e-6);
     }
 
@@ -608,36 +563,8 @@ mod tests {
             NeuronKind::HardResetMatched,
         ] {
             let layer = DenseLayer::new(3, 3, kind, NeuronParams::paper_defaults(), &mut rng);
-            let rec = layer.forward(&Matrix::zeros(10, 3));
+            let rec = dense_rollout(&layer, &Matrix::zeros(10, 3));
             assert_eq!(rec.o.as_slice().iter().filter(|&&x| x != 0.0).count(), 0);
-        }
-    }
-
-    #[test]
-    fn dense_into_matches_allocating_forward() {
-        let mut rng = Rng::seed_from(9);
-        let mut pattern = Rng::seed_from(31);
-        for kind in [
-            NeuronKind::Adaptive,
-            NeuronKind::HardReset,
-            NeuronKind::HardResetMatched,
-        ] {
-            let layer = DenseLayer::new(5, 4, kind, NeuronParams::paper_defaults(), &mut rng);
-            let mut input = Matrix::zeros(9, 5);
-            for t in 0..9 {
-                for c in 0..5 {
-                    if pattern.coin(0.3) {
-                        input.row_mut(t)[c] = 1.0;
-                    }
-                }
-            }
-            let reference = layer.forward(&input);
-            let mut rec = LayerRecord::empty();
-            let mut scratch = LayerScratch::default();
-            layer.forward_dense_into(&input, &mut rec, &mut scratch);
-            assert_eq!(reference.pre.as_slice(), rec.pre.as_slice(), "{kind:?}");
-            assert_eq!(reference.v.as_slice(), rec.v.as_slice(), "{kind:?}");
-            assert_eq!(reference.o.as_slice(), rec.o.as_slice(), "{kind:?}");
         }
     }
 
@@ -668,7 +595,7 @@ mod tests {
         // The event-driven pass must agree with the dense rollout over
         // the *mutated* weights (spikes are exact; a stale mirror would
         // produce the pre-mutation spike train).
-        let dense = layer.forward(&Matrix::from_vec(6, 4, raster.as_slice().to_vec()));
+        let dense = dense_rollout(&layer, &Matrix::from_vec(6, 4, raster.as_slice().to_vec()));
         assert_eq!(rec.o.as_slice(), dense.o.as_slice());
     }
 
@@ -689,7 +616,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "layer expects")]
+    #[should_panic(expected = "network expects")]
     fn wrong_input_width_panics() {
         let mut rng = Rng::seed_from(5);
         let layer = DenseLayer::new(
@@ -699,6 +626,6 @@ mod tests {
             NeuronParams::paper_defaults(),
             &mut rng,
         );
-        layer.forward(&Matrix::zeros(4, 2));
+        dense_rollout(&layer, &Matrix::zeros(4, 2));
     }
 }

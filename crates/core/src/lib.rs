@@ -18,10 +18,12 @@
 //!   surrogate gradients (paper eqs. 13–14), the two loss functions of
 //!   Section III (rate/softmax cross-entropy and the van Rossum kernel
 //!   distance of eqs. 15–16), and SGD/Adam/AdamW optimizers.
-//! * [`engine`] — the serving surface: the [`engine::InferenceBackend`]
-//!   trait unifying the sparse, dense and (via `snn-engine`) RRAM
-//!   hardware run paths, plus the batched, deterministic
-//!   [`engine::Engine`] and the zero-allocation [`engine::Session`].
+//! * [`engine`] — the serving surface: the batched, deterministic
+//!   [`engine::Engine`] (a shared network plus an
+//!   [`engine::Backend`], event-driven sparse or dense reference) and
+//!   the zero-allocation [`engine::Session`]. An RRAM crossbar
+//!   deployment (via `snn-hardware`) is an engine over the crossbars'
+//!   effective network.
 //! * [`config`] — the Table I hyper-parameter set.
 //! * [`baseline`] — a windowed rate-coding classifier used as a
 //!   comparison point in the evaluation harness.
@@ -72,7 +74,7 @@ pub mod spike;
 pub mod stream;
 pub mod train;
 
-pub use layer::{Compute, DenseLayer, LayerRecord, NeuronKind};
+pub use layer::{DenseLayer, LayerRecord, NeuronKind};
 pub use network::{Forward, Network};
 pub use scratch::{LayerScratch, ScratchSpace};
 pub use spike::{ActiveIndices, SpikeRaster};

@@ -1,6 +1,7 @@
 //! Classification metrics: confusion matrix, per-class accuracy, and the
 //! pair-confusion analysis used to diagnose the SHD ablation.
 
+use crate::engine::{Backend, Session};
 use crate::{Network, SpikeRaster};
 
 /// A confusion matrix over `n` classes (`rows = true label`,
@@ -158,8 +159,9 @@ impl ConfusionMatrix {
 /// matrix.
 pub fn confusion(net: &Network, data: &[(SpikeRaster, usize)], classes: usize) -> ConfusionMatrix {
     let mut cm = ConfusionMatrix::new(classes);
+    let mut session = Session::new(net, Backend::Sparse);
     for (input, label) in data {
-        cm.record(*label, net.classify(input).0);
+        cm.record(*label, session.classify(input));
     }
     cm
 }

@@ -1,10 +1,11 @@
 //! Feedforward spiking network: a stack of [`DenseLayer`]s rolled over
 //! time (the "unfolded network" of paper Fig. 2).
 
+use crate::engine::Backend;
 use crate::scratch::ScratchSpace;
-use crate::{ActiveIndices, Compute, DenseLayer, LayerRecord, NeuronKind, SpikeRaster};
+use crate::{ActiveIndices, DenseLayer, LayerRecord, NeuronKind, SpikeRaster};
 use snn_neuron::NeuronParams;
-use snn_tensor::{stats, Matrix, Rng};
+use snn_tensor::{Matrix, Rng};
 
 /// Span names for the per-layer forward tracing hooks. The flight
 /// recorder interns `&'static str` names only, so networks deeper than
@@ -241,15 +242,15 @@ impl Network {
     ///
     /// Panics if `input.channels() != n_in`.
     pub fn forward_into(&self, input: &SpikeRaster, fwd: &mut Forward, scratch: &mut ScratchSpace) {
-        self.rollout(Compute::Events, input, fwd, scratch);
+        self.rollout(Backend::Sparse, input, fwd, scratch);
     }
 
     /// Reference dense rollout (naive per-step matrix–vector products,
     /// no event-driven shortcuts): the correctness yardstick for the
     /// sparse kernels and the baseline for the kernel benchmarks.
     ///
-    /// Allocates fresh buffers per call; the engine's `DenseBackend`
-    /// uses [`forward_dense_into`](Self::forward_dense_into) instead.
+    /// Allocates fresh buffers per call; an engine built with
+    /// [`Backend::Dense`] runs the same rollout into reused buffers.
     ///
     /// # Panics
     ///
@@ -257,35 +258,17 @@ impl Network {
     pub fn forward_dense_reference(&self, input: &SpikeRaster) -> Forward {
         let mut fwd = Forward::empty();
         let mut scratch = ScratchSpace::new();
-        self.forward_dense_into(input, &mut fwd, &mut scratch);
+        self.rollout(Backend::Dense, input, &mut fwd, &mut scratch);
         fwd
     }
 
-    /// Allocation-free dense rollout: per-step matrix–vector products
-    /// (no event-driven shortcuts) into the reusable `fwd` records and
-    /// worker-owned `scratch`. Bit-identical to
-    /// [`forward_dense_reference`](Self::forward_dense_reference); this
-    /// is the hot path of the engine's
-    /// [`DenseBackend`](crate::engine::DenseBackend).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.channels() != n_in`.
-    pub fn forward_dense_into(
+    /// The record-writing rollout behind [`forward_into`](Self::forward_into),
+    /// [`forward_dense_reference`](Self::forward_dense_reference) and the
+    /// engine: zeroes every layer's state, then runs the layers over the
+    /// input's event lists.
+    pub(crate) fn rollout(
         &self,
-        input: &SpikeRaster,
-        fwd: &mut Forward,
-        scratch: &mut ScratchSpace,
-    ) {
-        self.rollout(Compute::Dense, input, fwd, scratch);
-    }
-
-    /// The record-writing rollout behind [`forward_into`](Self::forward_into)
-    /// and [`forward_dense_into`](Self::forward_dense_into): zeroes every
-    /// layer's state, then runs the layers over the input's event lists.
-    fn rollout(
-        &self,
-        compute: Compute,
+        backend: Backend,
         input: &SpikeRaster,
         fwd: &mut Forward,
         scratch: &mut ScratchSpace,
@@ -301,7 +284,7 @@ impl Network {
         scratch.active[0].fill_from(input);
         fwd.records
             .resize_with(self.layers.len(), LayerRecord::empty);
-        self.run_layers(compute, scratch, Some(&mut fwd.records));
+        self.run_layers(backend, scratch, Some(&mut fwd.records));
     }
 
     /// Runs every layer over the event lists in `scratch.active[0]`, from
@@ -311,7 +294,7 @@ impl Network {
     /// [`StreamSession::advance`](crate::stream::StreamSession::advance).
     pub(crate) fn run_layers(
         &self,
-        compute: Compute,
+        backend: Backend,
         scratch: &mut ScratchSpace,
         mut records: Option<&mut [LayerRecord]>,
     ) {
@@ -321,33 +304,11 @@ impl Network {
             let mut span = snn_obs::span(layer_span_name(l, LAYER_FORWARD_NAMES));
             let (head, tail) = scratch.active.split_at_mut(l + 1);
             let rec = records.as_deref_mut().map(|records| &mut records[l]);
-            layer.run(compute, &head[l], rec, &mut scratch.layers[l], &mut tail[0]);
+            layer.run(backend, &head[l], rec, &mut scratch.layers[l], &mut tail[0]);
             if span.is_armed() {
                 span.set_payload(note_layer_density(l, &tail[0], layer.n_out()));
             }
         }
-    }
-
-    /// Classifies an input by the highest output spike count, returning
-    /// `(class, softmax probabilities)`.
-    ///
-    /// Runs through a thread-local scratch, so repeated calls perform no
-    /// per-sample allocations beyond the returned probability vector.
-    /// Serving loops should prefer a
-    /// [`Session`](crate::engine::Session), which also reuses the
-    /// probability buffer.
-    pub fn classify(&self, input: &SpikeRaster) -> (usize, Vec<f32>) {
-        thread_local! {
-            static CLASSIFY_CTX: std::cell::RefCell<(Forward, ScratchSpace, Vec<f32>)> =
-                std::cell::RefCell::new((Forward::empty(), ScratchSpace::new(), Vec::new()));
-        }
-        CLASSIFY_CTX.with(|cell| {
-            let (fwd, scratch, counts) = &mut *cell.borrow_mut();
-            self.forward_into(input, fwd, scratch);
-            fwd.spike_counts_into(counts);
-            let probs = stats::softmax(counts);
-            (stats::argmax(counts).unwrap_or(0), probs)
-        })
     }
 
     /// Total number of trainable parameters.
@@ -416,7 +377,9 @@ mod tests {
     fn classify_returns_valid_distribution() {
         let net = small_net(NeuronKind::Adaptive);
         let input = SpikeRaster::from_events(8, 6, &[(0, 0), (1, 1), (2, 2)]);
-        let (class, probs) = net.classify(&input);
+        let engine = crate::engine::Engine::from_network(net).build();
+        let mut session = engine.session();
+        let (class, probs) = session.classify_with_probs(&input);
         assert!(class < 3);
         assert_eq!(probs.len(), 3);
         assert!((probs.iter().sum::<f32>() - 1.0).abs() < 1e-5);

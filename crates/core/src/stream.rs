@@ -44,7 +44,6 @@
 
 use crate::engine::Engine;
 use crate::scratch::ScratchSpace;
-use crate::Compute;
 use snn_tensor::stats;
 use std::collections::VecDeque;
 use std::error::Error;
@@ -133,7 +132,6 @@ impl Error for StreamError {}
 #[derive(Debug)]
 pub struct StreamSession {
     engine: Engine,
-    compute: Compute,
     n_in: usize,
     /// The carried state: each layer's `LayerScratch` (traces, drive and
     /// last fired list) persists across calls; the per-step event lists
@@ -165,7 +163,6 @@ impl StreamSession {
         let mut scratch = ScratchSpace::new();
         scratch.ensure_forward(net);
         Self {
-            compute: engine.backend().compute(),
             n_in: net.n_in(),
             scratch,
             counts: vec![0.0; net.n_out()],
@@ -313,7 +310,7 @@ impl StreamSession {
             input.end_step();
         }
         let net = self.engine.network();
-        net.run_layers(self.compute, &mut self.scratch, None);
+        net.run_layers(self.engine.backend(), &mut self.scratch, None);
         let fired = self.scratch.active.last().expect("empty network");
         for t in 0..steps {
             for &c in fired.step(t) {
@@ -425,7 +422,7 @@ mod tests {
                 let mut counts = vec![0.0f32; stream.n_out()];
                 let mut fwd = crate::Forward::default();
                 let mut scratch = crate::ScratchSpace::default();
-                engine.backend().forward_into(&r, &mut fwd, &mut scratch);
+                engine.forward_into(&r, &mut fwd, &mut scratch);
                 fwd.spike_counts_into(&mut counts);
                 assert_eq!(
                     stream.counts(),
@@ -536,7 +533,7 @@ mod tests {
             stream.advance(r.steps() - 5);
             let mut fwd = crate::Forward::default();
             let mut scratch = crate::ScratchSpace::default();
-            engine.backend().forward_into(&r, &mut fwd, &mut scratch);
+            engine.forward_into(&r, &mut fwd, &mut scratch);
             let mut counts = Vec::new();
             fwd.spike_counts_into(&mut counts);
             assert_eq!(stream.counts(), &counts[..], "{}", engine.backend().label());

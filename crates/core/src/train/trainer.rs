@@ -14,6 +14,7 @@
 //! therefore trained weights — **bitwise identical for any
 //! `num_threads`**, including 1.
 
+use crate::engine::Backend;
 use crate::scratch::ScratchSpace;
 use crate::train::{
     backward_into, backward_sparse_into, ClassificationLoss, Gradients, Optimizer, PatternLoss,
@@ -439,12 +440,11 @@ fn tree_reduce(mut grads: Vec<Gradients>) -> Option<Gradients> {
 /// Evaluates classification accuracy on held-out data (no updates),
 /// fanning samples across one thread per available core.
 ///
-/// Thin wrapper over the engine's batched evaluation
-/// ([`engine::evaluate_with`](crate::engine::evaluate_with)) — the
+/// Runs the engine's batched evaluation over the borrowed network — the
 /// workspace has exactly one evaluation code path, shared with
 /// [`Engine::evaluate`](crate::engine::Engine::evaluate).
 pub fn evaluate_classification(net: &Network, data: &[(SpikeRaster, usize)]) -> f32 {
-    crate::engine::evaluate_with(net, data, 0)
+    crate::engine::evaluate(net, Backend::Sparse, data, 0)
 }
 
 /// [`evaluate_classification`] with an explicit thread count (results do
@@ -454,7 +454,7 @@ pub fn evaluate_classification_with_threads(
     data: &[(SpikeRaster, usize)],
     threads: usize,
 ) -> f32 {
-    crate::engine::evaluate_with(net, data, threads.max(1))
+    crate::engine::evaluate(net, Backend::Sparse, data, threads.max(1))
 }
 
 #[cfg(test)]

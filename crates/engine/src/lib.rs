@@ -1,18 +1,17 @@
-//! **snn-engine** — the unified serving API of the neurosnn workspace:
-//! one trained network, three interchangeable execution backends, one
-//! batched, allocation-free, deterministic inference surface.
+//! **snn-engine** — the serving API of the neurosnn workspace: one
+//! trained network, two arithmetic paths, and crossbar deployment as a
+//! weight transform.
 //!
 //! The paper (Fang et al., DAC 2021) is an algorithm–hardware codesign,
 //! so the same model must answer queries from the event-driven software
 //! kernels, from the dense reference implementation, and from a
 //! simulated RRAM crossbar deployment. This crate re-exports the core
-//! engine ([`Engine`], [`Session`], [`InferenceBackend`],
-//! [`SparseBackend`], [`DenseBackend`]) and adds the third backend:
-//! [`HardwareBackend`], a quantized, variation-perturbed
-//! [`Deployment`] behind the same
-//! trait.
+//! engine ([`Engine`], [`Backend`], [`Session`], [`SessionPool`]) and the
+//! crossbar model's [`deploy`]; [`hardware`] is the seeded one-liner
+//! that turns a network into its quantized, variation-perturbed
+//! effective network, which an ordinary engine then serves.
 //!
-//! Every backend routes inference through the core forward kernels,
+//! Every engine routes inference through the core forward kernels,
 //! which carry `snn-obs` flight-recorder hooks: when a caller installs
 //! an ambient trace context (`snn_obs::with_trace`, as the serving
 //! scheduler's workers do per traced job), each layer's rollout records
@@ -21,7 +20,7 @@
 //!
 //! # Examples
 //!
-//! Serve one trained network from all three backends:
+//! Serve one trained network three ways:
 //!
 //! ```
 //! use snn_engine::{hardware, Backend, DeployConfig, Engine};
@@ -40,111 +39,32 @@
 //! let dense = Engine::from_network(net.clone())
 //!     .backend(Backend::Dense)
 //!     .build();
-//! let rram = Engine::from_network(net)
-//!     .backend(hardware(DeployConfig::four_bit(), 42))
-//!     .build();
+//! let rram = Engine::from_network(hardware(&net, DeployConfig::four_bit(), 42)).build();
 //!
 //! let input = SpikeRaster::from_events(20, 8, &[(0, 1), (3, 4), (9, 7)]);
 //! let mut session = sparse.session();
 //! let class = session.classify(&input);
 //! assert_eq!(dense.classify_batch(std::slice::from_ref(&input))[0], class);
-//! assert_eq!(rram.backend().label(), "hardware");
+//! assert_eq!(rram.backend(), Backend::Sparse);
 //! ```
 
 pub use snn_core::checkpoint::{self, CheckpointError};
-pub use snn_core::engine::{
-    classify_batch_with, evaluate_with, Backend, BackendFactory, DenseBackend, Engine,
-    EngineBuilder, InferenceBackend, PooledSession, Session, SessionPool, SparseBackend,
-    BATCH_CHUNK,
-};
+pub use snn_core::engine::{Backend, Engine, EngineBuilder, Session, SessionPool, BATCH_CHUNK};
 pub use snn_core::stream::{StreamError, StreamSession};
-pub use snn_core::Compute;
 pub use snn_hardware::deploy::{deploy, DeployConfig, Deployment};
 
-use snn_core::{Forward, Network, ScratchSpace, SpikeRaster};
+use snn_core::Network;
 use snn_tensor::Rng;
-use std::sync::Arc;
 
-/// The RRAM crossbar backend: a trained network deployed onto quantized,
-/// variation-perturbed crossbars ([`Deployment`]) and evaluated through
-/// the crossbars' *effective* weights.
+/// Deploys `net` onto quantized, variation-perturbed RRAM crossbars and
+/// returns the crossbars' *effective* network; the seed drives the
+/// device-variation draws (same seed, same devices).
 ///
-/// The deployment happens once at construction; inference afterwards is
-/// the same allocation-free event-driven path as [`SparseBackend`], so
-/// software/hardware accuracy comparisons measure the non-idealities,
-/// not a different compute path.
-#[derive(Debug, Clone)]
-pub struct HardwareBackend {
-    deployment: Deployment,
-    cfg: DeployConfig,
-    seed: u64,
-}
-
-impl HardwareBackend {
-    /// Deploys `net` with the given quantization/variation config; the
-    /// seed drives the device-variation draws (same seed, same devices).
-    pub fn deploy(net: &Network, cfg: DeployConfig, seed: u64) -> Self {
-        let mut rng = Rng::seed_from(seed);
-        Self {
-            deployment: deploy(net, cfg, &mut rng),
-            cfg,
-            seed,
-        }
-    }
-
-    /// The underlying deployment (crossbars, per-layer mapping reports).
-    pub fn deployment(&self) -> &Deployment {
-        &self.deployment
-    }
-
-    /// The deployment config used (bits, deviation, `g_max`).
-    pub fn config(&self) -> DeployConfig {
-        self.cfg
-    }
-
-    /// The variation seed used.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-}
-
-impl InferenceBackend for HardwareBackend {
-    fn network(&self) -> &Network {
-        self.deployment.network()
-    }
-
-    fn label(&self) -> &str {
-        "hardware"
-    }
-
-    fn forward_into(&self, input: &SpikeRaster, fwd: &mut Forward, scratch: &mut ScratchSpace) {
-        InferenceBackend::forward_into(&self.deployment, input, fwd, scratch);
-    }
-}
-
-/// [`BackendFactory`] deploying the engine's network onto RRAM crossbars
-/// at build time — construct via [`hardware`].
-#[derive(Debug, Clone, Copy)]
-pub struct HardwareFactory {
-    /// Quantization bits, relative deviation σ, full-on conductance.
-    pub cfg: DeployConfig,
-    /// Seed for the device-variation draws.
-    pub seed: u64,
-}
-
-impl BackendFactory for HardwareFactory {
-    fn build(&self, net: Network) -> Arc<dyn InferenceBackend> {
-        Arc::new(HardwareBackend::deploy(&net, self.cfg, self.seed))
-    }
-
-    fn describe(&self) -> &str {
-        "hardware"
-    }
-}
-
-/// The hardware [`Backend`] for [`EngineBuilder::backend`]: deploy onto
-/// crossbars with the given non-idealities, seeded for reproducible
-/// variation draws.
+/// Serve the result with an ordinary [`Engine`]: inference is the same
+/// allocation-free event-driven path as the software model, so
+/// software/hardware comparisons measure the non-idealities, not a
+/// different compute path. Call [`deploy`] directly for the crossbars
+/// and per-layer mapping reports.
 ///
 /// ```
 /// # use snn_engine::{hardware, DeployConfig, Engine};
@@ -154,19 +74,18 @@ impl BackendFactory for HardwareFactory {
 /// # let mut rng = Rng::seed_from(1);
 /// # let net = Network::mlp(&[3, 2], NeuronKind::Adaptive,
 /// #                        NeuronParams::paper_defaults(), &mut rng);
-/// let engine = Engine::from_network(net)
-///     .backend(hardware(DeployConfig::five_bit().with_deviation(0.2), 7))
-///     .build();
-/// assert_eq!(engine.backend().label(), "hardware");
+/// let cfg = DeployConfig::five_bit().with_deviation(0.2);
+/// let engine = Engine::from_network(hardware(&net, cfg, 7)).build();
+/// assert_eq!(engine.network().n_in(), 3);
 /// ```
-pub fn hardware(cfg: DeployConfig, seed: u64) -> Backend {
-    Backend::Custom(Box::new(HardwareFactory { cfg, seed }))
+pub fn hardware(net: &Network, cfg: DeployConfig, seed: u64) -> Network {
+    deploy(net, cfg, &mut Rng::seed_from(seed)).network
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snn_core::NeuronKind;
+    use snn_core::{NeuronKind, SpikeRaster};
     use snn_neuron::NeuronParams;
 
     fn net(seed: u64) -> Network {
@@ -200,38 +119,24 @@ mod tests {
     fn hardware_backend_matches_manual_deployment() {
         let net = net(1);
         let batch = inputs(8, 2);
-        let engine = Engine::from_network(net.clone())
-            .backend(hardware(DeployConfig::four_bit().with_deviation(0.2), 9))
-            .build();
-        let mut rng = Rng::seed_from(9);
-        let manual = deploy(&net, DeployConfig::four_bit().with_deviation(0.2), &mut rng);
-        assert_eq!(
-            engine.classify_batch(&batch),
-            classify_batch_with(&manual, &batch, 1)
-        );
+        let cfg = DeployConfig::four_bit().with_deviation(0.2);
+        let engine = Engine::from_network(hardware(&net, cfg, 9)).build();
+        let manual = deploy(&net, cfg, &mut Rng::seed_from(9));
         assert_eq!(
             engine.network().layers()[0].weights(),
-            manual.network().layers()[0].weights()
+            manual.network.layers()[0].weights()
         );
+        let manual = Engine::from_network(manual.network).threads(1).build();
+        assert_eq!(engine.classify_batch(&batch), manual.classify_batch(&batch));
     }
 
     #[test]
     fn hardware_backend_is_seed_deterministic() {
         let net = net(3);
-        let a = HardwareBackend::deploy(&net, DeployConfig::four_bit().with_deviation(0.3), 5);
-        let b = HardwareBackend::deploy(&net, DeployConfig::four_bit().with_deviation(0.3), 5);
-        let c = HardwareBackend::deploy(&net, DeployConfig::four_bit().with_deviation(0.3), 6);
-        assert_eq!(
-            a.network().layers()[0].weights(),
-            b.network().layers()[0].weights()
-        );
-        assert_ne!(
-            a.network().layers()[0].weights(),
-            c.network().layers()[0].weights()
-        );
-        assert_eq!(a.config(), DeployConfig::four_bit().with_deviation(0.3));
-        assert_eq!(a.seed(), 5);
-        assert!(a.deployment().total_devices() > 0);
+        let cfg = DeployConfig::four_bit().with_deviation(0.3);
+        let weights = |seed| hardware(&net, cfg, seed).layers()[0].weights().clone();
+        assert_eq!(weights(5), weights(5));
+        assert_ne!(weights(5), weights(6));
     }
 
     #[test]
@@ -244,7 +149,7 @@ mod tests {
             g_max: 1e-4,
         };
         let sparse = Engine::from_network(net.clone()).build();
-        let hw = Engine::from_network(net).backend(hardware(cfg, 1)).build();
+        let hw = Engine::from_network(hardware(&net, cfg, 1)).build();
         assert_eq!(sparse.classify_batch(&batch), hw.classify_batch(&batch));
     }
 }

@@ -1,6 +1,7 @@
 //! Checkpoint load-path parity: a trained network saved to JSON and
-//! restored through `Engine::load` must predict identically to the
-//! in-memory engine on all three backends — not just construct.
+//! restored through `checkpoint::load` (the loader behind `Engine::load`)
+//! must predict identically to the in-memory engine on the sparse, dense
+//! and deployed-hardware engines — not just construct.
 
 use snn_core::train::{Optimizer, RateCrossEntropy, Trainer, TrainerConfig};
 use snn_core::{checkpoint, Network, NeuronKind, SpikeRaster};
@@ -64,20 +65,22 @@ fn loaded_engine_matches_in_memory_engine_on_all_backends() {
     checkpoint::save(&net, &path).expect("save checkpoint");
     let inputs = eval_inputs(24, 22);
 
-    type BackendCtor = fn() -> Backend;
-    let backends: Vec<(&str, BackendCtor)> = vec![
-        ("sparse", || Backend::Sparse),
-        ("dense", || Backend::Dense),
-        ("hardware", || {
-            hardware(DeployConfig::five_bit().with_deviation(0.1), 77)
+    type EngineCtor = fn(Network) -> Engine;
+    let engines: Vec<(&str, EngineCtor)> = vec![
+        ("sparse", |net| {
+            Engine::from_network(net).backend(Backend::Sparse).build()
+        }),
+        ("dense", |net| {
+            Engine::from_network(net).backend(Backend::Dense).build()
+        }),
+        ("hardware", |net| {
+            let cfg = DeployConfig::five_bit().with_deviation(0.1);
+            Engine::from_network(hardware(&net, cfg, 77)).build()
         }),
     ];
-    for (label, backend) in backends {
-        let in_memory = Engine::from_network(net.clone()).backend(backend()).build();
-        let loaded = Engine::load(&path)
-            .expect("load checkpoint")
-            .backend(backend())
-            .build();
+    for (label, engine) in engines {
+        let in_memory = engine(net.clone());
+        let loaded = engine(checkpoint::load(&path).expect("load checkpoint"));
         assert_eq!(loaded.backend().label(), in_memory.backend().label());
         // Batched predictions match…
         assert_eq!(

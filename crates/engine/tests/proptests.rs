@@ -50,7 +50,7 @@ proptest! {
         };
         let sparse = Engine::from_network(net.clone()).backend(Backend::Sparse).build();
         let dense = Engine::from_network(net.clone()).backend(Backend::Dense).build();
-        let hw = Engine::from_network(net).backend(hardware(cfg, seed)).build();
+        let hw = Engine::from_network(hardware(&net, cfg, seed)).build();
 
         let mut s_sparse = sparse.session();
         let mut s_dense = dense.session();
@@ -79,7 +79,7 @@ proptest! {
             g_max: 1e-4,
         };
         let sparse = Engine::from_network(net.clone()).build();
-        let hw = Engine::from_network(net).backend(hardware(cfg, 0)).build();
+        let hw = Engine::from_network(hardware(&net, cfg, 0)).build();
         let mut s_sparse = sparse.session();
         let mut s_hw = hw.session();
         let a = s_sparse.infer_raster(&input).clone();

@@ -25,6 +25,7 @@ fn net(kind: NeuronKind) -> Network {
 }
 
 fn engines(kind: NeuronKind) -> Vec<Engine> {
+    let rram = DeployConfig::four_bit().with_deviation(0.2);
     vec![
         Engine::from_network(net(kind))
             .backend(Backend::Sparse)
@@ -32,9 +33,7 @@ fn engines(kind: NeuronKind) -> Vec<Engine> {
         Engine::from_network(net(kind))
             .backend(Backend::Dense)
             .build(),
-        Engine::from_network(net(kind))
-            .backend(hardware(DeployConfig::four_bit().with_deviation(0.2), 5))
-            .build(),
+        Engine::from_network(hardware(&net(kind), rram, 5)).build(),
     ]
 }
 
@@ -54,7 +53,7 @@ fn raster_strategy() -> impl Strategy<Value = SpikeRaster> {
 fn reference_counts(engine: &Engine, r: &SpikeRaster) -> Vec<f32> {
     let mut fwd = Forward::default();
     let mut scratch = ScratchSpace::default();
-    engine.backend().forward_into(r, &mut fwd, &mut scratch);
+    engine.forward_into(r, &mut fwd, &mut scratch);
     let mut counts = Vec::new();
     fwd.spike_counts_into(&mut counts);
     counts

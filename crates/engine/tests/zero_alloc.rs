@@ -117,9 +117,7 @@ fn dense_session_hot_path_is_allocation_free() {
 
 #[test]
 fn hardware_session_hot_path_is_allocation_free() {
-    let engine = Engine::from_network(net())
-        .backend(hardware(DeployConfig::five_bit(), 3))
-        .build();
+    let engine = Engine::from_network(hardware(&net(), DeployConfig::five_bit(), 3)).build();
     assert_hot_path_is_allocation_free(engine.session(), "hardware");
 }
 
@@ -184,27 +182,6 @@ fn fused_forward_and_sparse_backward_are_allocation_free() {
     );
 }
 
-#[test]
-fn network_classify_is_allocation_free_after_warmup_except_probs() {
-    let net = net();
-    let batch = inputs();
-    for input in &batch {
-        let _ = net.classify(input);
-    }
-    let before = allocations();
-    for input in &batch {
-        std::hint::black_box(net.classify(input));
-    }
-    let after = allocations();
-    // classify returns a fresh probability Vec (its signature demands
-    // it); the thread-local forward/scratch path must add nothing else.
-    assert_eq!(
-        after - before,
-        batch.len() as u64,
-        "Network::classify allocated beyond the returned probs vector"
-    );
-}
-
 /// Long silent `advance(65536)` calls per stream cycle. The unoptimised
 /// build runs two: 200 take minutes there, and two already outgrow a
 /// pool that keeps a list per silent step.
@@ -256,12 +233,16 @@ fn assert_stream_is_allocation_free(engine: &Engine, label: &str) {
 
 #[test]
 fn stream_session_hot_path_is_allocation_free() {
-    for (backend, label) in [
-        (Backend::Sparse, "sparse"),
-        (Backend::Dense, "dense"),
-        (hardware(DeployConfig::five_bit(), 3), "hardware"),
+    for (network, backend, label) in [
+        (net(), Backend::Sparse, "sparse"),
+        (net(), Backend::Dense, "dense"),
+        (
+            hardware(&net(), DeployConfig::five_bit(), 3),
+            Backend::Sparse,
+            "hardware",
+        ),
     ] {
-        let engine = Engine::from_network(net()).backend(backend).build();
+        let engine = Engine::from_network(network).backend(backend).build();
         assert_stream_is_allocation_free(&engine, label);
     }
 }

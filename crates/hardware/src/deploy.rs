@@ -6,11 +6,12 @@
 //! measure the resulting test accuracy. This module performs exactly
 //! that mapping and hands back a functionally-equivalent
 //! [`snn_core::Network`] whose weights are the crossbars' *effective*
-//! weights, so evaluation reuses the core forward pass.
+//! weights, so evaluation reuses the core forward pass: an
+//! `Engine::from_network(deployment.network)` serves the hardware model
+//! through the same event-driven kernels as the software one.
 
 use crate::{Crossbar, Quantizer, VariationModel};
-use snn_core::engine::InferenceBackend;
-use snn_core::{Forward, Network, ScratchSpace, SpikeRaster};
+use snn_core::Network;
 use snn_tensor::Rng;
 
 /// Deployment settings.
@@ -80,26 +81,6 @@ impl Deployment {
     /// Total RRAM devices across all layers.
     pub fn total_devices(&self) -> usize {
         self.crossbars.iter().map(Crossbar::device_count).sum()
-    }
-}
-
-/// A deployment is an inference backend: it evaluates the crossbars'
-/// effective network with the event-driven kernels, so the engine's
-/// batched/serving machinery (`Engine`, `Session`,
-/// [`evaluate_with`](snn_core::engine::evaluate_with)) runs unchanged on
-/// quantized, variation-perturbed hardware. The `snn-engine` crate
-/// packages this as a `Backend` factory with deployment config.
-impl InferenceBackend for Deployment {
-    fn network(&self) -> &Network {
-        &self.network
-    }
-
-    fn label(&self) -> &str {
-        "hardware"
-    }
-
-    fn forward_into(&self, input: &SpikeRaster, fwd: &mut Forward, scratch: &mut ScratchSpace) {
-        self.network.forward_into(input, fwd, scratch);
     }
 }
 

@@ -334,6 +334,19 @@ pub mod prelude {
     };
 }
 
+/// The message of a caught panic payload (`panic!` with a literal or a
+/// format string), for `proptest!`'s failure report.
+#[doc(hidden)]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s.to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with a non-string payload".to_string()
+    }
+}
+
 /// Asserts a condition inside a `proptest!` body.
 #[macro_export]
 macro_rules! prop_assert {
@@ -418,17 +431,24 @@ macro_rules! __proptest_items {
             let mut rng = $crate::ShimRng::new(seed);
             for case in 0..config.cases {
                 $(let $arg = $crate::Strategy::generate(&$strat, &mut rng);)*
-                let result: ::std::result::Result<(), $crate::TestCaseError> = (|| {
-                    $body
-                    #[allow(unreachable_code)]
-                    ::std::result::Result::Ok(())
-                })();
-                if let ::std::result::Result::Err(e) = result {
-                    panic!(
-                        "property {} failed at case {}/{}: {}",
-                        stringify!($name), case + 1, config.cases, e
-                    );
-                }
+                // A panicking body (an `unwrap`, an `assert!` in the code
+                // under test) is reported like a `prop_assert` failure.
+                let outcome = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(
+                    || -> ::std::result::Result<(), $crate::TestCaseError> {
+                        $body
+                        #[allow(unreachable_code)]
+                        ::std::result::Result::Ok(())
+                    },
+                ));
+                let message = match outcome {
+                    ::std::result::Result::Ok(::std::result::Result::Ok(())) => continue,
+                    ::std::result::Result::Ok(::std::result::Result::Err(e)) => e.to_string(),
+                    ::std::result::Result::Err(payload) => $crate::panic_message(&*payload),
+                };
+                panic!(
+                    "property {} failed at case {}/{}: {}",
+                    stringify!($name), case + 1, config.cases, message
+                );
             }
         }
         $crate::__proptest_items! { cfg = $cfg; $($rest)* }
@@ -487,5 +507,17 @@ mod tests {
             }
         }
         always_fails();
+    }
+
+    #[test]
+    #[should_panic(expected = "property always_panics failed at case 1/64: x was small")]
+    fn panicking_property_reports_name_and_case() {
+        proptest! {
+            #[allow(dead_code)]
+            fn always_panics(x in 0usize..10) {
+                assert!(x > 100, "x was small");
+            }
+        }
+        always_panics();
     }
 }

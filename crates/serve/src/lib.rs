@@ -4,9 +4,8 @@
 //! [`Engine`](snn_engine::Engine).
 //!
 //! Real traffic arrives one request at a time, but the engine's
-//! throughput lives in batches (`BENCH_engine.json` records ~9× batched
-//! vs dense). This crate closes that gap the way production model
-//! servers do:
+//! throughput lives in batches. This crate closes that gap the way
+//! production model servers do:
 //!
 //! * **Acceptors** parse JSON spike rasters (the
 //!   [`SpikeRaster::to_json`](snn_core::SpikeRaster::to_json) wire
@@ -19,8 +18,9 @@
 //!   low-latency; loaded servers batch up automatically.
 //! * **Workers** execute batches on
 //!   [`SessionPool`](snn_engine::SessionPool)-checked-out sessions —
-//!   warm, allocation-free buffers on any [`Backend`](snn_engine::Backend)
-//!   (sparse, dense, or RRAM hardware).
+//!   warm, allocation-free buffers on either
+//!   [`Backend`](snn_engine::Backend) (sparse or dense), over a software
+//!   network or a deployed crossbar's effective one.
 //! * `/healthz` (+ `/healthz/live`, `/healthz/ready`) and `/metrics`
 //!   expose liveness, readiness (`degraded` during reloads and after
 //!   worker panics), and the counters and latency/batch-size histograms

@@ -33,7 +33,7 @@
 //! * **Worker supervision** — each job executes inside
 //!   [`catch_unwind`]. A panic poisons the
 //!   session (its buffers are quarantined, not recycled — see
-//!   [`PooledSession::poison`](snn_engine::PooledSession::poison)), the
+//!   [`Session::poison`](snn_engine::Session::poison)), the
 //!   worker respawns a fresh session from the pool and retries the job
 //!   once; a second panic surfaces as [`TicketError::Failed`] (HTTP 503)
 //!   for that one request while the worker, the batch, and the process

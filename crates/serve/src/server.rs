@@ -789,8 +789,8 @@ fn count_response(metrics: &ServeMetrics, status: u16) {
 /// Dispatches one parsed request to its route handler.
 fn route(request: &Request, ctx: &Ctx) -> Response {
     match (request.method.as_str(), request.path()) {
-        ("POST", "/classify") => classify_one(request, ctx),
-        ("POST", "/classify_batch") => classify_batch(request, ctx),
+        ("POST", "/classify") => classify(request, ctx, false),
+        ("POST", "/classify_batch") => classify(request, ctx, true),
         ("POST", "/admin/reload") => admin_reload(&request.body, ctx),
         ("GET", "/healthz" | "/healthz/live") => liveness(ctx),
         ("GET", "/healthz/ready") => readiness(ctx),
@@ -1019,87 +1019,49 @@ impl RequestTrace {
     }
 }
 
-/// `POST /classify` — one raster in, one class out.
-fn classify_one(request: &Request, ctx: &Ctx) -> Response {
+/// `POST /classify` (the body is one raster, answered `{"class": k}`) and
+/// `POST /classify_batch` (a `rasters` array, answered `{"classes":
+/// [...]}`). Each sample flows through the scheduler, so a batch shares
+/// admission control and may be collated with other requests' samples.
+fn classify(request: &Request, ctx: &Ctx, batch: bool) -> Response {
     let trace = RequestTrace::begin();
-    let response = classify_one_traced(request, ctx, trace.as_ref());
+    let response = classify_traced(request, ctx, batch, trace.as_ref());
     match trace {
         Some(t) => t.finish(ctx, response),
         None => response,
     }
 }
 
-fn classify_one_traced(request: &Request, ctx: &Ctx, trace: Option<&RequestTrace>) -> Response {
+fn classify_traced(
+    request: &Request,
+    ctx: &Ctx,
+    batch: bool,
+    trace: Option<&RequestTrace>,
+) -> Response {
     let metrics = ctx.scheduler.metrics();
     let parse_start = trace.map_or(0, |t| t.start_ns);
     let doc = match parse_json_body(&request.body) {
         Ok(doc) => doc,
         Err(resp) => return resp,
     };
-    let raster = match parse_raster(&doc, ctx) {
-        Ok(r) => r,
-        Err(resp) => return resp,
-    };
-    if let Some(t) = trace {
-        t.stage(metrics, Stage::Parse, "parse", parse_start);
-    }
-    let deadline = match request_deadline(request, ctx) {
-        Ok(d) => d,
-        Err(resp) => return resp,
-    };
-    let (trace_id, root) = trace.map_or((0, 0), |t| (t.trace, t.root));
-    let ticket = match ctx
-        .scheduler
-        .submit_traced(raster, deadline, trace_id, root)
-    {
-        Ok(t) => t,
-        Err(e) => return submit_error_response(e),
-    };
-    match ticket.wait() {
-        Ok(class) => {
-            let serialize_start = trace.map_or(0, |_| snn_obs::now_ns());
-            let resp = Response::json(200, format!("{{\"class\": {class}}}"));
-            if let Some(t) = trace {
-                t.stage(metrics, Stage::Serialize, "serialize", serialize_start);
-            }
-            resp
+    let rasters = if batch {
+        let Some(rasters) = doc.get("rasters").and_then(Json::as_array) else {
+            return Response::error(400, "missing \"rasters\" array");
+        };
+        if rasters.len() > ctx.config.max_batch_request {
+            return Response::error(
+                400,
+                &format!(
+                    "batch of {} samples exceeds limit of {}",
+                    rasters.len(),
+                    ctx.config.max_batch_request
+                ),
+            );
         }
-        Err(e) => ticket_error_response(e),
-    }
-}
-
-/// `POST /classify_batch` — a caller-assembled batch; each sample still
-/// flows through the scheduler, so it shares admission control and may be
-/// collated with other requests' samples.
-fn classify_batch(request: &Request, ctx: &Ctx) -> Response {
-    let trace = RequestTrace::begin();
-    let response = classify_batch_traced(request, ctx, trace.as_ref());
-    match trace {
-        Some(t) => t.finish(ctx, response),
-        None => response,
-    }
-}
-
-fn classify_batch_traced(request: &Request, ctx: &Ctx, trace: Option<&RequestTrace>) -> Response {
-    let metrics = ctx.scheduler.metrics();
-    let parse_start = trace.map_or(0, |t| t.start_ns);
-    let doc = match parse_json_body(&request.body) {
-        Ok(doc) => doc,
-        Err(resp) => return resp,
+        rasters
+    } else {
+        std::slice::from_ref(&doc)
     };
-    let Some(rasters) = doc.get("rasters").and_then(Json::as_array) else {
-        return Response::error(400, "missing \"rasters\" array");
-    };
-    if rasters.len() > ctx.config.max_batch_request {
-        return Response::error(
-            400,
-            &format!(
-                "batch of {} samples exceeds limit of {}",
-                rasters.len(),
-                ctx.config.max_batch_request
-            ),
-        );
-    }
     let mut parsed = Vec::with_capacity(rasters.len());
     for v in rasters {
         match parse_raster(v, ctx) {
@@ -1142,8 +1104,13 @@ fn classify_batch_traced(request: &Request, ctx: &Ctx, trace: Option<&RequestTra
         }
     }
     let serialize_start = trace.map_or(0, |_| snn_obs::now_ns());
-    let body: Vec<String> = classes.iter().map(|c| c.to_string()).collect();
-    let resp = Response::json(200, format!("{{\"classes\": [{}]}}", body.join(", ")));
+    let body = if batch {
+        let classes: Vec<String> = classes.iter().map(|c| c.to_string()).collect();
+        format!("{{\"classes\": [{}]}}", classes.join(", "))
+    } else {
+        format!("{{\"class\": {}}}", classes[0])
+    };
+    let resp = Response::json(200, body);
     if let Some(t) = trace {
         t.stage(metrics, Stage::Serialize, "serialize", serialize_start);
     }

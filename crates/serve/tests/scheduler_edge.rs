@@ -2,11 +2,10 @@
 //! dispatch, graceful shutdown with a non-empty queue, and admission
 //! backpressure.
 
-use snn_core::engine::InferenceBackend;
-use snn_core::{Forward, Network, NeuronKind, ScratchSpace, SpikeRaster};
+use snn_core::{Network, NeuronKind, SpikeRaster};
 use snn_engine::Engine;
 use snn_neuron::NeuronParams;
-use snn_serve::{BatchPolicy, Scheduler, SubmitError};
+use snn_serve::{BatchPolicy, FaultPlan, Scheduler, ServeMetrics, SubmitError};
 use snn_tensor::Rng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -145,46 +144,14 @@ fn shutdown_with_non_empty_queue_answers_everything() {
     );
 }
 
-/// A backend that sleeps per sample, to hold workers busy while the
-/// admission queue fills.
-#[derive(Debug)]
-struct SlowBackend {
-    inner: Network,
-    delay: Duration,
-}
-
-impl InferenceBackend for SlowBackend {
-    fn network(&self) -> &Network {
-        &self.inner
-    }
-
-    fn label(&self) -> &str {
-        "slow"
-    }
-
-    fn forward_into(&self, input: &SpikeRaster, fwd: &mut Forward, scratch: &mut ScratchSpace) {
-        std::thread::sleep(self.delay);
-        self.inner.forward_into(input, fwd, scratch);
-    }
-}
-
 /// When workers cannot keep up, the bounded queue fills and `submit`
-/// fails fast with `QueueFull` instead of buffering without bound.
+/// fails fast with `QueueFull` instead of buffering without bound. The
+/// fault plan sleeps 50 ms before every job, inside the worker's
+/// supervision loop, to hold the one worker busy while the queue fills.
 #[test]
 fn full_queue_applies_backpressure() {
-    let mut rng = Rng::seed_from(7);
-    let net = Network::mlp(
-        &[6, 12, 4],
-        NeuronKind::Adaptive,
-        NeuronParams::paper_defaults().with_v_th(0.4),
-        &mut rng,
-    );
-    let engine = Engine::from_backend(Arc::new(SlowBackend {
-        inner: net,
-        delay: Duration::from_millis(50),
-    }));
-    let scheduler = Scheduler::start(
-        engine,
+    let scheduler = Scheduler::start_with_faults(
+        engine(7),
         BatchPolicy {
             max_batch: 1,
             max_wait: Duration::from_millis(1),
@@ -192,6 +159,10 @@ fn full_queue_applies_backpressure() {
             workers: 1,
             ..BatchPolicy::default()
         },
+        Arc::new(ServeMetrics::new()),
+        Some(Arc::new(
+            FaultPlan::seeded(7).with_latency(1.0, Duration::from_millis(50)),
+        )),
     );
     let batch = inputs(64, 8);
     let mut accepted = Vec::new();

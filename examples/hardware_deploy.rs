@@ -8,7 +8,7 @@
 use neurosnn::core::train::{Optimizer, RateCrossEntropy, Trainer, TrainerConfig};
 use neurosnn::core::{Network, NeuronKind};
 use neurosnn::data::nmnist::{generate, NmnistConfig};
-use neurosnn::engine::{hardware, Backend, DeployConfig, Engine, HardwareBackend};
+use neurosnn::engine::{deploy, Backend, DeployConfig, Engine};
 use neurosnn::hardware::{power, transient, CircuitParams};
 use neurosnn::neuron::NeuronParams;
 use neurosnn::tensor::Rng;
@@ -45,31 +45,24 @@ fn main() {
     println!("software accuracy: {:.1}%", sw_acc * 100.0);
 
     // --- Deploy at 4 and 5 bits with and without variation: the same
-    // Engine API, hardware backend (quantized crossbars + variation) ---
+    // Engine API over the crossbars' effective network (quantized
+    // conductances + variation) ---
     for (bits, sigma) in [(4u8, 0.0f32), (4, 0.2), (5, 0.2), (4, 0.5)] {
-        let backend = HardwareBackend::deploy(
-            &net,
-            DeployConfig {
-                bits,
-                deviation: sigma,
-                g_max: 1e-4,
-            },
-            99,
-        );
-        let dep = backend.deployment();
+        let cfg = DeployConfig {
+            bits,
+            deviation: sigma,
+            g_max: 1e-4,
+        };
+        let dep = deploy(&net, cfg, &mut Rng::seed_from(99));
         let devices = dep.total_devices();
         let mean_err = dep.reports[0].mean_abs_error;
-        let hw_acc = Engine::from_backend(std::sync::Arc::new(backend)).evaluate(&split.test);
+        let engine = Engine::from_network(dep.network).build();
+        let hw_acc = engine.evaluate(&split.test);
         println!(
             "hardware {bits}-bit, deviation {sigma:.1}: accuracy {:.1}%  ({devices} RRAM devices, mean |Δw| {mean_err:.4})",
             hw_acc * 100.0,
         );
     }
-    // The builder route does the same deployment in one line:
-    let four_bit = Engine::from_network(net.clone())
-        .backend(hardware(DeployConfig::four_bit(), 99))
-        .build();
-    assert_eq!(four_bit.backend().label(), "hardware");
 
     // --- Analog transient simulation of one neuron (Fig. 7) ---
     let params = CircuitParams::paper();

@@ -3,12 +3,12 @@
 //! Trains the paper's neuron model on a miniature temporal task —
 //! classifying which of two channels spikes *first* — which is
 //! impossible for a pure rate model (both classes have identical spike
-//! counts), then runs the **same trained network** through every
-//! inference backend the workspace offers:
+//! counts), then serves the **same trained network** three ways:
 //!
 //! * `sparse`   — the event-driven production kernels,
 //! * `dense`    — the per-step matrix–vector reference,
-//! * `hardware` — a quantized RRAM crossbar deployment.
+//! * `hardware` — the event-driven kernels over a quantized RRAM
+//!   crossbar deployment's effective weights.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -74,29 +74,36 @@ fn main() {
         }
     }
 
-    // --- Serve the unmodified trained network from all three backends ---
+    // --- Serve the unmodified trained network: both backends, and a
+    // 5-bit crossbar deployment of it ---
     println!("\nserving the trained network through Engine:");
     let engines = [
-        Engine::from_network(net.clone())
-            .backend(Backend::Sparse)
-            .build(),
-        Engine::from_network(net.clone())
-            .backend(Backend::Dense)
-            .build(),
-        Engine::from_network(net.clone())
-            .backend(hardware(DeployConfig::five_bit(), 7))
-            .build(),
+        (
+            "sparse",
+            Engine::from_network(net.clone())
+                .backend(Backend::Sparse)
+                .build(),
+        ),
+        (
+            "dense",
+            Engine::from_network(net.clone())
+                .backend(Backend::Dense)
+                .build(),
+        ),
+        (
+            "hardware",
+            Engine::from_network(hardware(&net, DeployConfig::five_bit(), 7)).build(),
+        ),
     ];
-    for engine in &engines {
+    for (label, engine) in &engines {
         println!(
-            "  {:<8} backend: accuracy {:.1}%",
-            engine.backend().label(),
+            "  {label:<8} backend: accuracy {:.1}%",
             engine.evaluate(&data) * 100.0
         );
     }
 
     // Low-latency path: one session, every buffer reused across calls.
-    let mut session = engines[0].session();
+    let mut session = engines[0].1.session();
     for class in 0..2 {
         let sample = make_sample(class, steps, &mut rng);
         let (pred, probs) = session.classify_with_probs(&sample);

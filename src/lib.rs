@@ -11,7 +11,7 @@
 //! | [`core`] | `snn-core` | feedforward SNN, BPTT training, losses, optimizers, spike utilities |
 //! | [`data`] | `snn-data` | synthetic N-MNIST / SHD / pattern-association datasets |
 //! | [`hardware`] | `snn-hardware` | RRAM crossbar, analog neuron circuit, transient sim, power/area model |
-//! | [`engine`] | `snn-engine` | unified serving API: sparse / dense / RRAM backends, batched `Engine`, zero-alloc `Session` |
+//! | [`engine`] | `snn-engine` | serving API: batched `Engine` over a sparse or dense `Backend`, zero-alloc `Session`, seeded RRAM `hardware` deployment |
 //! | [`serve`] | `snn-serve` | network serving: HTTP/1.1 on `std::net`, dynamic micro-batching scheduler, metrics |
 //!
 //! # Quickstart
@@ -20,7 +20,7 @@
 //! with identical spike counts that differ only in temporal order),
 //! then serve it through the batched [`Engine`](engine::Engine) — the
 //! same trained weights answer from the event-driven software kernels,
-//! the dense reference, and a simulated 8-bit RRAM deployment:
+//! the dense reference, and a simulated 5-bit RRAM deployment:
 //!
 //! ```
 //! use neurosnn::core::{Network, NeuronKind, SpikeRaster};
@@ -55,13 +55,13 @@
 //!     trainer.epoch_classification(&mut net, &data, &RateCrossEntropy);
 //! }
 //!
-//! // Serve the trained model: every backend must separate the classes.
-//! for backend in [
-//!     Backend::Sparse,
-//!     Backend::Dense,
-//!     hardware(DeployConfig::five_bit(), 42),
+//! // Serve the trained model: the sparse and dense backends, and the
+//! // 5-bit crossbar deployment, must all separate the classes.
+//! for engine in [
+//!     Engine::from_network(net.clone()).backend(Backend::Sparse).build(),
+//!     Engine::from_network(net.clone()).backend(Backend::Dense).build(),
+//!     Engine::from_network(hardware(&net, DeployConfig::five_bit(), 42)).build(),
 //! ] {
-//!     let engine = Engine::from_network(net.clone()).backend(backend).build();
 //!     assert_eq!(engine.evaluate(&data), 1.0, "{:?}", engine);
 //! }
 //!

@@ -4,7 +4,7 @@
 use neurosnn::core::train::{Optimizer, RateCrossEntropy, Trainer, TrainerConfig};
 use neurosnn::core::{Network, NeuronKind};
 use neurosnn::data::nmnist::{generate, NmnistConfig};
-use neurosnn::engine::{evaluate_with, hardware, Backend, DeployConfig, Engine};
+use neurosnn::engine::{hardware, Backend, DeployConfig, Engine};
 use neurosnn::hardware::deploy::deploy;
 use neurosnn::hardware::faults::FaultModel;
 use neurosnn::hardware::{transient, CircuitParams, Quantizer};
@@ -45,10 +45,8 @@ fn fig8_pipeline_quantization_and_variation_degrade_gracefully() {
     assert!(sw > 0.5, "software model must work first: {sw}");
 
     // 5-bit clean deployment should track the software model closely
-    // (hardware backend: deploy at build time, shared batched eval).
-    let five = Engine::from_network(net.clone())
-        .backend(hardware(DeployConfig::five_bit(), 1))
-        .build();
+    // (an engine over the effective network, shared batched eval).
+    let five = Engine::from_network(hardware(&net, DeployConfig::five_bit(), 1)).build();
     let acc5 = five.evaluate(&test);
     assert!(
         sw - acc5 < 0.15,
@@ -60,11 +58,8 @@ fn fig8_pipeline_quantization_and_variation_degrade_gracefully() {
     let mean_acc = |sigma: f32| {
         let accs: Vec<f32> = (0..4)
             .map(|s| {
-                Engine::from_network(net.clone())
-                    .backend(hardware(
-                        DeployConfig::four_bit().with_deviation(sigma),
-                        100 + s,
-                    ))
+                let cfg = DeployConfig::four_bit().with_deviation(sigma);
+                Engine::from_network(hardware(&net, cfg, 100 + s))
                     .build()
                     .evaluate(&test)
             })
@@ -91,9 +86,10 @@ fn stuck_at_faults_reduce_accuracy_monotonically_in_expectation() {
                 FaultModel::stuck_off(p).inject(xbar, &mut rng);
                 *layer.weights_mut() = xbar.effective_weights();
             }
-            // The mutated deployment is itself an InferenceBackend; its
-            // kernel caches re-sync lazily after the weight swap above.
-            total += evaluate_with(&dep, &test, 0);
+            // The mutated effective network serves as an ordinary
+            // engine; its kernel caches re-sync lazily after the weight
+            // swap above.
+            total += Engine::from_network(dep.network).build().evaluate(&test);
         }
         total / 3.0
     };

@@ -16,6 +16,9 @@
 //! * dense vs. **event-driven BPTT backward** at the same densities
 //!   (the training headline: ≥2× at 5% density), plus a loss-vs-ε
 //!   accuracy sweep across every [`SparsityPolicy`],
+//! * the two BPTT weight products at paper width (400×700 and 400×400,
+//!   T = 100, ~0.8 event density), per-step loop vs one sparse product
+//!   per sequence (gated: the sequence product must never lose),
 //! * epoch wall-clock scaling at 1/2/4 trainer threads.
 //!
 //! Usage: `cargo run --release --bin bench_kernels
@@ -27,7 +30,8 @@ use snn_core::train::{backward_into, backward_sparse_into, ClassificationLoss, S
 use snn_core::train::{Gradients, Optimizer, RateCrossEntropy, Trainer, TrainerConfig};
 use snn_core::{Forward, Network, NeuronKind, ScratchSpace, SpikeRaster};
 use snn_neuron::NeuronParams;
-use snn_tensor::{kernels, Matrix, Rng};
+use snn_tensor::lanes::{self, SparseRows};
+use snn_tensor::{kernels, GradRaster, Matrix, Rng};
 use std::hint::black_box;
 
 fn random_raster(steps: usize, channels: usize, density: f32, seed: u64) -> SpikeRaster {
@@ -266,6 +270,118 @@ fn main() {
         }
     }
 
+    // --- BPTT weight products: per step vs once per sequence ----------
+    // The two products of an adaptive layer's event-driven backward at
+    // paper width (T = 100, 400 neurons over 700 or 400 inputs), on
+    // synthetic adjoints at the ~0.8 event density `Auto` keeps on SHD:
+    // `dW += DVᵀ·K` and `P = DV·W`, first as the per-step rank-1 /
+    // `Wᵀ·dv` loop of the dense reference, then as one sparse product
+    // over the recorded events. Both give the same bits (asserted
+    // here); the sparse product must never lose (gated after the report
+    // is written, floor 1.0 like the fused kernel).
+    let mut product_ratios = Vec::new();
+    for (n_out, n_in) in [(400usize, 700usize), (400, 400)] {
+        let mut rng = Rng::seed_from(31 + n_in as u64);
+        let w = Matrix::xavier_uniform(n_out, n_in, &mut rng);
+        let k = Matrix::from_vec(
+            t_steps,
+            n_in,
+            (0..t_steps * n_in).map(|_| rng.uniform(0.0, 2.0)).collect(),
+        );
+        // Events recorded as BPTT records them: t descending.
+        let mut dv = Matrix::zeros(t_steps, n_out);
+        let mut events = GradRaster::new();
+        for t in (0..t_steps).rev() {
+            for x in dv.row_mut(t) {
+                *x = if rng.coin(0.8) {
+                    rng.uniform(-1.0, 1.0)
+                } else {
+                    0.0
+                };
+            }
+            events.push_step_pruned(dv.row_mut(t), 0.0);
+        }
+        let steps = events.rows(0..t_steps);
+        let (mut offsets, mut times, mut values) = (vec![0usize], Vec::new(), Vec::new());
+        for r in 0..n_out {
+            for t in (0..t_steps).rev() {
+                if dv.row(t)[r] != 0.0 {
+                    times.push(t);
+                    values.push(dv.row(t)[r]);
+                }
+            }
+            offsets.push(times.len());
+        }
+        let by_neuron = SparseRows {
+            offsets: &offsets,
+            idx: &times,
+            coef: &values,
+        };
+        let label = format!("bptt_products_{n_out}x{n_in}_T{t_steps}");
+        let (mut dw_step, mut dw_seq) = (Matrix::zeros(n_out, n_in), Matrix::zeros(n_out, n_in));
+        let (mut p_step, mut p_seq) = (Matrix::zeros(t_steps, n_in), Matrix::zeros(t_steps, n_in));
+        let mut pack = Vec::new();
+        let dw_step_ns = report
+            .run(&format!("{label}/dw_per_step"), || {
+                dw_step.fill_zero();
+                for t in (0..t_steps).rev() {
+                    dw_step.add_outer(1.0, dv.row(t), k.row(t));
+                }
+                black_box(&dw_step);
+            })
+            .ns_per_iter;
+        let dw_seq_ns = report
+            .run(&format!("{label}/dw_sequence"), || {
+                dw_seq.fill_zero();
+                lanes::sparse_matmul_add(
+                    dw_seq.as_mut_slice(),
+                    n_in,
+                    &by_neuron,
+                    k.as_slice(),
+                    &mut pack,
+                );
+                black_box(&dw_seq);
+            })
+            .ns_per_iter;
+        let p_step_ns = report
+            .run(&format!("{label}/p_per_step"), || {
+                for t in 0..t_steps {
+                    w.matvec_t_into(dv.row(t), p_step.row_mut(t));
+                }
+                black_box(&p_step);
+            })
+            .ns_per_iter;
+        let p_seq_ns = report
+            .run(&format!("{label}/p_sequence"), || {
+                p_seq.fill_zero();
+                lanes::sparse_matmul_add(
+                    p_seq.as_mut_slice(),
+                    n_in,
+                    &steps,
+                    w.as_slice(),
+                    &mut pack,
+                );
+                black_box(&p_seq);
+            })
+            .ns_per_iter;
+        assert_eq!(dw_step, dw_seq, "{label}: dW products differ");
+        for t in 0..t_steps {
+            // The raster's row k is timestep T−1−k.
+            assert_eq!(
+                p_step.row(t),
+                p_seq.row(t_steps - 1 - t),
+                "{label}: P row {t}"
+            );
+        }
+        for (name, ratio) in [("dw", dw_step_ns / dw_seq_ns), ("p", p_step_ns / p_seq_ns)] {
+            report.metric(
+                &format!("sequence_vs_step_speedup_{name}_{n_out}x{n_in}"),
+                ratio,
+            );
+            product_ratios.push((format!("{name} {n_out}x{n_in}"), ratio));
+        }
+    }
+
     // --- Loss-vs-ε sweep: end-task accuracy under every policy ---------
     // A noisy 10-class rate-pattern task trained for two epochs only, so
     // exact accuracy lands *below* saturation and thresholding-induced
@@ -396,6 +512,25 @@ fn main() {
         fused_ratios
             .iter()
             .map(|(d, r)| format!("{r:.2}x@{d}%"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+
+    // Product acceptance: each sequence-blocked BPTT product must never
+    // lose to its per-step loop (same arithmetic, so a loss would be a
+    // pure blocking regression).
+    for (name, ratio) in &product_ratios {
+        assert!(
+            *ratio >= 1.0,
+            "sequence-blocked BPTT product {name} must be >=1.0x the per-step loop, \
+             measured {ratio:.2}x"
+        );
+    }
+    println!(
+        "OK: sequence vs per-step BPTT products = {} (target >=1.0x)",
+        product_ratios
+            .iter()
+            .map(|(n, r)| format!("{r:.2}x {n}"))
             .collect::<Vec<_>>()
             .join(", ")
     );

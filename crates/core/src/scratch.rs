@@ -96,7 +96,8 @@ pub struct ScratchSpace {
     pub(crate) dh_next: Vec<f32>,
     /// Synapse-trace adjoint carry `dk[t + 1]` — length ≥ widest layer.
     pub(crate) dk_next: Vec<f32>,
-    /// `Wᵀ·dv` staging buffer — length ≥ widest layer.
+    /// `Wᵀ·dv` staging buffer of the per-step dense pass — length ≥
+    /// widest layer.
     pub(crate) wt_dv: Vec<f32>,
     /// Active-index staging for sparse rank-1 gradient updates.
     pub(crate) active_tmp: Vec<usize>,
@@ -105,6 +106,14 @@ pub struct ScratchSpace {
     /// (cleared at the start of each backward pass; steps are recorded
     /// in reverse-time order, all layers concatenated).
     pub(crate) grad_events: GradRaster,
+    /// The current layer's error events regrouped by neuron for the
+    /// sparse pass's `dW` product (`DVᵀ` in compressed rows): offsets,
+    /// timesteps (descending within a neuron) and adjoint values.
+    pub(crate) dvt_offsets: Vec<usize>,
+    pub(crate) dvt_steps: Vec<usize>,
+    pub(crate) dvt_values: Vec<f32>,
+    /// Packed-tile buffer of the sparse weight products.
+    pub(crate) pack: Vec<f32>,
     /// Scratch `d_output` the trainer hands to the losses.
     pub(crate) d_loss: Matrix,
 }

@@ -18,11 +18,22 @@
 //! which is exactly eq. 13 with the synapse-filter chain made explicit.
 //! The hard-reset model uses the standard stop-gradient-through-reset
 //! convention: `dv[t] = dOᵉˣᵗ[t]·ε[t] + λ(1−O[t])·dv[t+1]`.
+//!
+//! The input layer's `dx` would feed no parameter, so neither entry
+//! point forms it; at the widest layer it is the costliest product of
+//! the pass.
+//!
+//! Two entry points run these recursions: [`backward_into`], the plain
+//! per-step reference (one rank-1 `dW` update and one `Wᵀ·dv` pass at
+//! every step), and [`backward_sparse_into`], which prunes `dv` into
+//! error events and forms both weight products once per sequence over
+//! them — three phases per layer, described on the function.
 
 use crate::scratch::ScratchSpace;
 use crate::{Forward, Network, NeuronKind};
 use snn_neuron::Surrogate;
-use snn_tensor::{kernels, GradRaster, Matrix};
+use snn_tensor::lanes::{self, SparseRows};
+use snn_tensor::{kernels, Matrix};
 
 /// How the event-driven backward pass
 /// ([`backward_sparse_into`]) prunes the per-timestep membrane adjoint
@@ -41,7 +52,7 @@ pub enum SparsityPolicy {
     /// `ε = 0`: only exact zeros are skipped, which the dense kernels
     /// do anyway — gradients are **bit-identical** to
     /// [`backward_into`] (property-tested), the pass just routes the
-    /// surviving rows through the indexed kernels.
+    /// surviving entries through the sparse weight products.
     Exact,
     /// Fixed absolute threshold on `|dv|`. The gradient error it
     /// introduces is bounded by `ε` times the pruned volume (see the
@@ -89,13 +100,6 @@ impl Default for SparsityPolicy {
         SparsityPolicy::Exact
     }
 }
-
-/// Event-density fraction above which a timestep falls back to the
-/// dense kernels: per-row bookkeeping stops paying for itself when most
-/// rows survive, and because `dv` is pruned *in place* the dense and
-/// indexed kernels see the same nonzero set — the fallback can never
-/// change results, it only caps the constant-factor overhead.
-const DENSE_FALLBACK_DENSITY: f32 = 0.5;
 
 /// Weight gradients, one matrix per layer (same shapes as the weights).
 #[derive(Debug, Clone)]
@@ -203,6 +207,12 @@ pub fn backward(
 /// intermediate adjoint. See [`ScratchSpace`](crate::ScratchSpace) for
 /// the ownership rules.
 ///
+/// This is the plain per-step dense pass: at every timestep one rank-1
+/// update over `dW` and one `Wᵀ·dv` projection over `W`. It is the
+/// reference the event-driven [`backward_sparse_into`] is pinned to
+/// (bit for bit under [`SparsityPolicy::Exact`]) and the dense baseline
+/// the kernel bench measures against.
+///
 /// Accumulating here (rather than returning fresh gradients that the
 /// caller adds up) is what removes the two per-sample matrix allocations
 /// the original trainer paid per sample, and it keeps the floating-point
@@ -227,17 +237,23 @@ pub fn backward_into(
 /// Event-driven BPTT: like [`backward_into`], but each timestep's
 /// membrane adjoint `dv` is pruned to the entries with `|dv| > ε`
 /// (per [`SparsityPolicy`]) and only those **error events** drive the
-/// expensive kernels — the `Wᵀ·dv` projection runs over active rows
-/// ([`Matrix::matvec_t_into_indexed`]) and the weight-gradient rank-1
-/// update runs over (active error row × active spike column) pairs
-/// ([`Matrix::add_outer_indexed_pairs`], or
-/// [`Matrix::add_outer_indexed_rows`] against the adaptive model's
-/// dense presynaptic trace). A timestep whose surviving density exceeds
-/// a crossover fraction falls back to the dense kernels; the fallback
-/// is invisible in the results because `dv` is pruned in place.
+/// weight products. Each layer runs in three phases:
+///
+/// 1. the `dv` recursion, which involves no weights, over all `T` steps,
+///    recording each step's surviving events (index and value);
+/// 2. `dW += DVᵀ·K` and `P = DV·W` once per sequence, as sparse-times-
+///    dense products over those events
+///    ([`lanes::sparse_matmul_add`]): pruned entries cost nothing, and
+///    every element keeps the per-step order of its sum (`t` descending
+///    for `dW`, rows ascending for `P`), so the bits do not change.
+///    Hard-reset layers keep their per-step `dW` update over (error row
+///    × spike column) index pairs, as their presynaptic trace is binary;
+/// 3. the `dk` carry (adaptive) or input-gain scale (hard reset) over
+///    `P`, giving the adjoint handed to the layer below — skipped at
+///    the input layer, like every write of its adjoint.
 ///
 /// With [`SparsityPolicy::Exact`] the gradients are bit-identical to
-/// [`backward_into`] (the dense kernels already skip exact zeros); the
+/// [`backward_into`] (the dense kernels skip exact zeros); the
 /// thresholded policies trade a bounded gradient perturbation for
 /// skipping most of the backward work. Like `backward_into`, this
 /// **accumulates** into `grads` and performs no per-sample heap
@@ -261,21 +277,10 @@ pub fn backward_sparse_into(
     bptt(net, fwd, d_output, surrogate, Some(policy), grads, scratch);
 }
 
-/// Prunes `dv` in place into this step's error events and returns them,
-/// or `None` when the step runs the dense kernels: always without a
-/// policy, and past the dense-fallback density with one.
-fn error_events<'a>(
-    grad_events: &'a mut GradRaster,
-    dv: &mut [f32],
-    eps: Option<f32>,
-    dense_cutoff: usize,
-) -> Option<&'a [usize]> {
-    let active = grad_events.push_step_pruned(dv, eps?);
-    (active.len() <= dense_cutoff).then_some(active)
-}
-
-/// The one BPTT recursion behind [`backward_into`] (`policy = None`: no
-/// pruning, dense kernels at every step) and [`backward_sparse_into`].
+/// The one BPTT recursion behind [`backward_into`] (`policy = None`:
+/// no pruning, both weight products at every step) and
+/// [`backward_sparse_into`] (pruning, then the products once per
+/// sequence over the recorded events).
 fn bptt(
     net: &Network,
     fwd: &Forward,
@@ -323,6 +328,10 @@ fn bptt(
         wt_dv,
         active_tmp,
         grad_events,
+        dvt_offsets,
+        dvt_steps,
+        dvt_values,
+        pack,
         ..
     } = scratch;
     // The dense pass records no error events; clearing here means
@@ -351,13 +360,17 @@ fn bptt(
         let v_th = params.v_th;
         let weights = layer.weights();
         let dw = &mut grads.per_layer[l];
-        let dense_cutoff = (DENSE_FALLBACK_DENSITY * n_out as f32) as usize;
         // Per-layer threshold: `d_o` holds this layer's upstream
         // adjoint ∂E/∂O_l (the loss gradient for the top layer), so
         // `Auto` tracks the adjoint scale as it attenuates down the
         // stack.
         let eps = policy.map(|policy| policy.resolve_eps(d_o));
-        d_pre.resize_zeroed(t_steps, n_in);
+        // Nothing reads the input layer's adjoint.
+        let input_adjoint = l > 0;
+        let steps = grad_events.steps()..grad_events.steps() + t_steps;
+        if input_adjoint {
+            d_pre.resize_zeroed(t_steps, n_in);
+        }
         let dv = &mut dv[..n_out];
         let wt_dv = &mut wt_dv[..n_in];
 
@@ -378,24 +391,46 @@ fn bptt(
                         let d_o_total = ext[i] + dh_next[i];
                         dv[i] = d_o_total * surrogate.grad(vrow[i] - v_th);
                     }
-                    let events = error_events(grad_events, dv, eps, dense_cutoff);
+                    if let Some(eps) = eps {
+                        grad_events.push_step_pruned(dv, eps);
+                    }
                     // dh[t] = −ϑ·dv[t] + β·dh[t+1], laned. A pruned entry
                     // adds −ϑ·0 = −0.0, which leaves its carry bitwise
                     // unchanged.
                     kernels::decay_axpy(-theta, dv, beta, dh_next);
-                    match events {
-                        Some(active) => {
-                            dw.add_outer_indexed_rows(1.0, dv, active, rec.pre.row(t));
-                            weights.matvec_t_into_indexed(dv, active, wt_dv);
-                        }
-                        None => {
-                            dw.add_outer(1.0, dv, rec.pre.row(t));
+                    if eps.is_none() {
+                        dw.add_outer(1.0, dv, rec.pre.row(t));
+                        if input_adjoint {
                             weights.matvec_t_into(dv, wt_dv);
+                            // dk[t] = Wᵀ·dv + α·dk[t+1], written through
+                            // to the downstream adjoint row
+                            kernels::carry_decay_out(alpha, wt_dv, dk_next, d_pre.row_mut(t));
                         }
                     }
-                    // dk[t] = Wᵀ·dv + α·dk[t+1], written through to the
-                    // downstream adjoint row
-                    kernels::carry_decay_out(alpha, wt_dv, dk_next, d_pre.row_mut(t));
+                }
+                if eps.is_some() {
+                    let dvt = events_by_neuron(
+                        &grad_events.rows(steps.clone()),
+                        n_out,
+                        dvt_offsets,
+                        dvt_steps,
+                        dvt_values,
+                    );
+                    lanes::sparse_matmul_add(
+                        dw.as_mut_slice(),
+                        n_in,
+                        &dvt,
+                        rec.pre.as_slice(),
+                        pack,
+                    );
+                    if input_adjoint {
+                        // The upstream adjoint is dead after phase 1: its
+                        // buffer takes `P`.
+                        let p = events_times_weights(d_o, &grad_events.rows(steps), weights, pack);
+                        for (k, t) in (0..t_steps).rev().enumerate() {
+                            kernels::carry_decay_out(alpha, p.row(k), dk_next, d_pre.row_mut(t));
+                        }
+                    }
                 }
             }
             NeuronKind::HardReset | NeuronKind::HardResetMatched => {
@@ -412,7 +447,6 @@ fn bptt(
                         dv[i] = ext[i] * surrogate.grad(vrow[i] - v_th)
                             + lambda * (1.0 - orow[i]) * dv_next[i];
                     }
-                    let events = error_events(grad_events, dv, eps, dense_cutoff);
                     // The presynaptic trace of a hard-reset layer is the
                     // raw binary spike raster: use the index-list rank-1
                     // update. The list is rebuilt from the record (an
@@ -421,26 +455,104 @@ fn bptt(
                     // `Forward` from any source — including the dense
                     // reference path — differentiates correctly.
                     kernels::threshold_mask(rec.pre.row(t), 0.0, active_tmp);
-                    match events {
-                        Some(active) => {
-                            dw.add_outer_indexed_pairs(gain, dv, active, active_tmp);
-                            weights.matvec_t_into_indexed(dv, active, wt_dv);
+                    match eps {
+                        Some(eps) => {
+                            let events = grad_events.push_step_pruned(dv, eps);
+                            dw.add_outer_indexed_pairs(gain, dv, events, active_tmp);
                         }
                         None => {
                             dw.add_outer_indexed(gain, dv, active_tmp);
-                            weights.matvec_t_into(dv, wt_dv);
+                            if input_adjoint {
+                                weights.matvec_t_into(dv, wt_dv);
+                                // dx[t] = gain·(Wᵀ·dv), laned
+                                kernels::scale_copy(gain, wt_dv, d_pre.row_mut(t));
+                            }
                         }
                     }
-                    // dx[t] = gain·(Wᵀ·dv), laned
-                    kernels::scale_copy(gain, wt_dv, d_pre.row_mut(t));
                     // Only surviving events propagate through the
                     // reset-gated carry (dv was pruned in place).
                     dv_next.copy_from_slice(dv);
+                }
+                if eps.is_some() && input_adjoint {
+                    let p = events_times_weights(d_o, &grad_events.rows(steps), weights, pack);
+                    for (k, t) in (0..t_steps).rev().enumerate() {
+                        kernels::scale_copy(gain, p.row(k), d_pre.row_mut(t));
+                    }
                 }
             }
         }
         std::mem::swap(d_o, d_pre);
     }
+}
+
+/// Regroups a layer's error events by neuron. `steps` holds them one row
+/// per step in push order (row `k` is timestep `T−1−k`); the result's
+/// row `r` lists the timesteps at which neuron `r` carried an event,
+/// descending, with its adjoint values — `DVᵀ` as a sparse matrix over
+/// the rows of the presynaptic trace `K`. A counting sort, `O(nnz +
+/// n_out)`. The term buffers grow to the largest layer's candidate
+/// count, so their capacity depends only on the network's shape.
+fn events_by_neuron<'a>(
+    steps: &SparseRows,
+    n_out: usize,
+    offsets: &'a mut Vec<usize>,
+    times: &'a mut Vec<usize>,
+    values: &'a mut Vec<f32>,
+) -> SparseRows<'a> {
+    let t_steps = steps.rows();
+    offsets.clear();
+    offsets.resize(n_out + 1, 0);
+    for k in 0..t_steps {
+        for &r in steps.row(k).0 {
+            offsets[r + 1] += 1;
+        }
+    }
+    for r in 0..n_out {
+        offsets[r + 1] += offsets[r];
+    }
+    // Grow only: layers of different widths alternate every pass.
+    let candidates = t_steps * n_out;
+    if times.len() < candidates {
+        times.resize(candidates, 0);
+        values.resize(candidates, 0.0);
+    }
+    // `offsets[r]` serves as row r's write cursor, ending at the start
+    // of row r + 1; the shift afterwards restores the starts.
+    for k in 0..t_steps {
+        let (rows, dv) = steps.row(k);
+        for (&r, &v) in rows.iter().zip(dv) {
+            times[offsets[r]] = t_steps - 1 - k;
+            values[offsets[r]] = v;
+            offsets[r] += 1;
+        }
+    }
+    offsets.copy_within(0..n_out, 1);
+    offsets[0] = 0;
+    SparseRows {
+        offsets,
+        idx: times,
+        coef: values,
+    }
+}
+
+/// `P = DV·W` over a layer's error events, written into `p`: row `k`
+/// (timestep `T−1−k`) sums `dv[r]·W[r]` over the step's event rows `r`,
+/// ascending — the input adjoint before its carry or gain.
+fn events_times_weights<'a>(
+    p: &'a mut Matrix,
+    steps: &SparseRows,
+    weights: &Matrix,
+    pack: &mut Vec<f32>,
+) -> &'a Matrix {
+    p.resize_zeroed(steps.rows(), weights.cols());
+    lanes::sparse_matmul_add(
+        p.as_mut_slice(),
+        weights.cols(),
+        steps,
+        weights.as_slice(),
+        pack,
+    );
+    p
 }
 
 /// Allocating convenience wrapper over [`backward_sparse_into`].

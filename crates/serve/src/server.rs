@@ -1171,10 +1171,11 @@ fn reload_path(body: &[u8], ctx: &Ctx) -> Result<String, Response> {
 }
 
 fn load_and_swap(path: &str, ctx: &Ctx) -> Result<(), Response> {
-    let threads = ctx.scheduler.engine().threads();
+    let running = ctx.scheduler.engine();
     let engine = Engine::load(path)
         .map_err(|e: CheckpointError| Response::error(400, &format!("checkpoint rejected: {e}")))?
-        .threads(threads)
+        .backend(running.backend())
+        .threads(running.threads())
         .build();
     ctx.scheduler.swap_engine(engine).map_err(|e| match e {
         EngineSwapError::ShapeMismatch { .. } => Response::error(409, &format!("{e}")),

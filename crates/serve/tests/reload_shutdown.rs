@@ -8,7 +8,7 @@
 //! corrupts a single answered request.
 
 use snn_core::{checkpoint, Network, NeuronKind, SpikeRaster};
-use snn_engine::Engine;
+use snn_engine::{Backend, Engine};
 use snn_json::integrity;
 use snn_neuron::NeuronParams;
 use snn_serve::{serve, BatchPolicy, Client, ServerConfig};
@@ -97,6 +97,35 @@ fn hot_reload_swaps_the_serving_weights() {
     let m = server.metrics();
     assert_eq!(m.reloads_total.get(), 1);
     assert_eq!(m.reload_failures_total.get(), 0);
+    server.shutdown();
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
+fn hot_reload_keeps_the_running_backend() {
+    let ckpt = temp_path("backend");
+    checkpoint::save(&network(43), &ckpt).unwrap();
+    let engine = Engine::from_network(network(44))
+        .backend(Backend::Dense)
+        .build();
+    let server = serve(engine, ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    let backend = |client: &mut Client| {
+        let resp = client.request("GET", "/healthz", b"").unwrap();
+        assert_eq!(resp.status, 200);
+        resp.body_str().to_string()
+    };
+    assert!(backend(&mut client).contains("\"backend\": \"dense\""));
+    let resp = client
+        .request("POST", "/admin/reload", reload_body(&ckpt).as_bytes())
+        .unwrap();
+    assert_eq!(resp.status, 200, "reload failed: {}", resp.body_str());
+    let after = backend(&mut client);
+    assert!(
+        after.contains("\"backend\": \"dense\""),
+        "a reload must keep the running backend: {after}"
+    );
     server.shutdown();
     let _ = std::fs::remove_file(&ckpt);
 }

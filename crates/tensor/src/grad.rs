@@ -7,27 +7,31 @@
 //! so almost all of the backward pass's work multiplies negligible
 //! values. [`GradRaster`] is the CSR-style mirror of the forward pass's
 //! spike event lists (`SpikeRaster::active_indices` in `snn-core`): each
-//! recorded step holds the sorted indices of entries with `|dv| > ε`,
-//! and the sparsity-aware gradient kernels
-//! ([`Matrix::add_outer_indexed_rows`](crate::Matrix::add_outer_indexed_rows),
-//! [`Matrix::matvec_t_into_indexed`](crate::Matrix::matvec_t_into_indexed))
-//! consume those lists so a backward timestep costs `O(nnz · width)`
-//! instead of `O(n_out · n_in)`.
+//! recorded step holds the sorted indices and the values of the entries
+//! with `|dv| > ε`, and the BPTT weight products
+//! ([`lanes::sparse_matmul_add`](crate::lanes::sparse_matmul_add)) walk
+//! those lists so a backward timestep costs `O(nnz · width)` instead of
+//! `O(n_out · n_in)`.
 //!
 //! Steps are recorded in **push order**; the backward pass iterates time
 //! in reverse, so step `0` of a raster filled during BPTT is the *last*
 //! simulated timestep (of the topmost layer — a multi-layer pass
 //! concatenates the layers' trajectories).
 
-/// Per-step surviving-index lists in CSR layout (offsets + concatenated
-/// indices), with backing buffers reused across refills so a training
-/// loop performs no per-sample allocation once warmed up.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+use crate::lanes::SparseRows;
+use std::ops::Range;
+
+/// Per-step surviving entries in CSR layout (offsets + concatenated
+/// indices and values), with backing buffers reused across refills so a
+/// training loop performs no per-sample allocation once warmed up.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GradRaster {
     /// `offsets[t]..offsets[t + 1]` indexes `indices` for step `t`.
     offsets: Vec<usize>,
     /// Concatenated surviving-entry index lists (sorted within a step).
     indices: Vec<usize>,
+    /// The surviving entries' values, parallel to `indices`.
+    values: Vec<f32>,
     /// Total entries examined (`Σ` step widths) — the denominator of
     /// [`density`](Self::density).
     candidates: usize,
@@ -39,6 +43,7 @@ impl GradRaster {
         Self {
             offsets: vec![0],
             indices: Vec::new(),
+            values: Vec::new(),
             candidates: 0,
         }
     }
@@ -85,32 +90,43 @@ impl GradRaster {
         &self.indices[self.offsets[t]..self.offsets[t + 1]]
     }
 
+    /// Steps `steps` as a sparse matrix, one row per step: the indices
+    /// and values of its surviving entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past `steps()`.
+    pub fn rows(&self, steps: Range<usize>) -> SparseRows<'_> {
+        SparseRows {
+            offsets: &self.offsets[steps.start..=steps.end],
+            idx: &self.indices,
+            coef: &self.values,
+        }
+    }
+
     /// Clears all recorded steps (buffers retain capacity).
     pub fn clear(&mut self) {
         self.offsets.clear();
         self.offsets.push(0);
         self.indices.clear();
+        self.values.clear();
         self.candidates = 0;
     }
 
     /// Records one step from `x`, **zeroing** every entry with
-    /// `|x[i]| <= eps` in place and appending the survivors' indices.
-    /// Returns the newly recorded list.
+    /// `|x[i]| <= eps` in place and appending the survivors' indices
+    /// ([`lanes::prune_indices`](crate::lanes::prune_indices)) and
+    /// values. Returns the newly recorded index list.
     ///
-    /// Pruning (rather than just masking) is what lets the caller fall
-    /// back to the dense kernels mid-pass: after this call the dense and
-    /// indexed kernels see exactly the same nonzero set, so the two
-    /// paths are bit-identical and the crossover heuristic can never
-    /// change results.
+    /// Pruning (rather than just masking) keeps `x` and its list in
+    /// agreement: a pruned entry is an exact zero, so any kernel that
+    /// reads `x` directly (the recurrent carries) sees the same nonzero
+    /// set as one that walks the list.
     pub fn push_step_pruned(&mut self, x: &mut [f32], eps: f32) -> &[usize] {
         let start = self.indices.len();
-        for (i, v) in x.iter_mut().enumerate() {
-            if v.abs() > eps {
-                self.indices.push(i);
-            } else {
-                *v = 0.0;
-            }
-        }
+        crate::lanes::prune_indices(x, eps, &mut self.indices);
+        let kept = &self.indices[start..];
+        self.values.extend(kept.iter().map(|&i| x[i]));
         self.offsets.push(self.indices.len());
         self.candidates += x.len();
         &self.indices[start..]

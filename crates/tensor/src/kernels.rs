@@ -22,11 +22,11 @@
 //!   streaming and the dense reference alike — is built from these, and
 //!   the BPTT recursion from [`decay_axpy`], [`carry_decay_out`] and
 //!   [`scale_copy`].
-
 //!
-//! Index-list variants of the transposed product and the rank-1 update
-//! live on [`Matrix`] itself ([`Matrix::matvec_t_into_indexed`],
-//! [`Matrix::add_outer_indexed`]).
+//! The event-driven BPTT's weight products run through
+//! [`lanes::sparse_matmul_add`]; the binary-trace rank-1 updates of the
+//! hard-reset layers live on [`Matrix`] itself
+//! ([`Matrix::add_outer_indexed`], [`Matrix::add_outer_indexed_pairs`]).
 //!
 //! Numerical note: the lane kernels reassociate floating-point sums, so
 //! results may differ from a naive loop by a few ULPs; the lane

@@ -29,7 +29,9 @@
 //! Elementwise kernels ([`axpy`], [`scale`], [`add_assign`], …) do not
 //! reassociate anything, so laning them is bitwise-neutral by
 //! construction; only the [`dot`] reduction defines new canonical
-//! semantics (8 lanes instead of the previous 4-way unroll).
+//! semantics (8 lanes instead of the previous 4-way unroll). The sparse
+//! product [`sparse_matmul_add`] does not reassociate either: it only
+//! keeps partial sums in registers across terms, in term order.
 //!
 //! # Forcing the scalar fallback
 //!
@@ -236,6 +238,131 @@ pub fn threshold_mask(x: &[f32], eps: f32, out: &mut Vec<usize>) {
     portable::threshold_indices(x, eps, out);
 }
 
+/// Appends to `out` the indices with `|x[i]| > eps` (ascending) and
+/// zeroes every other entry in place — the pruning step behind
+/// `GradRaster::push_step_pruned`. On AVX2 one compare per 8 lanes
+/// yields a mask that both zeroes the losers (`+0.0`, like the scalar
+/// `*v = 0.0`) and, through a movemask scan, lists the survivors, so no
+/// entry takes a branch of its own. Index sets and values are exact,
+/// so the paths agree bitwise.
+#[inline]
+pub fn prune_indices(x: &mut [f32], eps: f32, out: &mut Vec<usize>) {
+    #[cfg(target_arch = "x86_64")]
+    if simd_enabled() {
+        // SAFETY: gated on AVX2 detection.
+        unsafe { avx2::prune_indices(x, eps, out) };
+        return;
+    }
+    portable::prune_indices(x, eps, 0, out);
+}
+
+/// Columns per register tile of [`sparse_matmul_add`]: eight `f32x8`
+/// accumulators.
+const TILE: usize = 8 * LANES;
+
+/// A sparse matrix in compressed-row form: row `i` holds the terms
+/// `(idx[k], coef[k])` for `k` in `offsets[i]..offsets[i + 1]`, in that
+/// order. Offsets may start past 0, so a row range of a larger matrix
+/// is a `SparseRows` too.
+#[derive(Debug, Clone, Copy)]
+pub struct SparseRows<'a> {
+    /// Row boundaries into `idx` and `coef`; one more entry than rows.
+    pub offsets: &'a [usize],
+    /// Column index of each term.
+    pub idx: &'a [usize],
+    /// Value of each term.
+    pub coef: &'a [f32],
+}
+
+impl SparseRows<'_> {
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// The column indices and values of row `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= rows()` or the offsets overrun the terms.
+    pub fn row(&self, i: usize) -> (&[usize], &[f32]) {
+        let (start, end) = (self.offsets[i], self.offsets[i + 1]);
+        (&self.idx[start..end], &self.coef[start..end])
+    }
+}
+
+/// `out += A·B` for a sparse `A` ([`SparseRows`]) and a dense row-major
+/// `B` with `cols` columns: for each row `i` of `A` and each column `c`,
+///
+/// ```text
+/// out[i][c] += coef[k]·b[idx[k]][c]   for each term k of row i, in order
+/// ```
+///
+/// one multiply then one add per term and no FMA, so every element is
+/// bit-identical to one [`axpy`] per term — the per-step loop this
+/// replaces in the BPTT weight products `dW += DVᵀ·K` and `P = DV·W`.
+/// Only the listed terms are touched, so a pruned entry costs nothing.
+///
+/// The speed comes from register blocking: the product runs over
+/// 64-column tiles of `B`, each first copied into `pack` (a reusable
+/// buffer, grown on first use) with every row 32-byte aligned, and each
+/// row's 64-column slice of `out` stays in eight `f32x8` registers
+/// across all its terms instead of making a memory round trip per term.
+///
+/// # Panics
+///
+/// Panics if `out` is not `A.rows() × cols`, if `b.len()` is not a
+/// multiple of `cols`, if the offsets decrease or overrun the terms, or
+/// if a term's index is not a row of `B`.
+pub fn sparse_matmul_add(
+    out: &mut [f32],
+    cols: usize,
+    a: &SparseRows,
+    b: &[f32],
+    pack: &mut Vec<f32>,
+) {
+    let rows = a.rows();
+    assert_eq!(out.len(), rows * cols, "sparse_matmul_add: bad out");
+    assert_eq!(a.idx.len(), a.coef.len(), "sparse_matmul_add: idx/coef");
+    let b_rows = b.len().checked_div(cols).unwrap_or(0);
+    assert_eq!(b.len(), b_rows * cols, "sparse_matmul_add: bad b");
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    assert!(
+        a.offsets.windows(2).all(|w| w[0] <= w[1]) && a.offsets[rows] <= a.idx.len(),
+        "sparse_matmul_add: bad offsets"
+    );
+    let terms = a.offsets[0]..a.offsets[rows];
+    assert!(
+        a.idx[terms].iter().all(|&j| j < b_rows),
+        "sparse_matmul_add: index out of bounds"
+    );
+
+    // Room for every row of one tile plus the slack to align the start.
+    pack.resize(b_rows * TILE + LANES, 0.0);
+    let start = pack.as_ptr().align_offset(4 * LANES).min(LANES);
+    let packed = &mut pack[start..start + b_rows * TILE];
+    for c0 in (0..cols).step_by(TILE) {
+        let w = TILE.min(cols - c0);
+        for (dst, src) in packed.chunks_exact_mut(TILE).zip(b.chunks_exact(cols)) {
+            dst[..w].copy_from_slice(&src[c0..c0 + w]);
+        }
+        for (i, out_row) in out.chunks_exact_mut(cols).enumerate() {
+            let (idx, coef) = a.row(i);
+            let acc = &mut out_row[c0..c0 + w];
+            #[cfg(target_arch = "x86_64")]
+            if simd_enabled() {
+                // SAFETY: gated on AVX2 detection; every index was checked
+                // to be a row of `B`, hence of `packed`.
+                unsafe { avx2::sparse_tile(acc, packed, idx, coef) };
+                continue;
+            }
+            portable::sparse_tile(acc, 0, packed, idx, coef);
+        }
+    }
+}
+
 /// Maximum over a slice, laned. Returns `f32::NEG_INFINITY` for an
 /// empty slice. `max` is associative and commutative, so the lane
 /// reduction is exact; NaN entries are skipped (`f32::max` semantics).
@@ -264,7 +391,7 @@ pub fn reduce_max(x: &[f32]) -> f32 {
 /// Portable chunk loops — the always-correct fallback and the canonical
 /// definition of every kernel's float semantics.
 mod portable {
-    use super::LANES;
+    use super::{LANES, TILE};
 
     #[inline]
     pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -388,6 +515,36 @@ mod portable {
             }
         }
     }
+
+    /// [`super::prune_indices`] with the recorded indices offset by
+    /// `first`, so the AVX2 path can hand it its tail.
+    #[inline]
+    pub fn prune_indices(x: &mut [f32], eps: f32, first: usize, out: &mut Vec<usize>) {
+        for (i, v) in x.iter_mut().enumerate() {
+            if v.abs() > eps {
+                out.push(first + i);
+            } else {
+                *v = 0.0;
+            }
+        }
+    }
+
+    /// Columns `c0..c0 + acc.len()` of one tile of
+    /// [`super::sparse_matmul_add`] (`acc.len() <= TILE - c0`), through
+    /// a stack accumulator; `packed` holds the tile's rows of `B` at
+    /// stride `TILE`.
+    pub fn sparse_tile(acc: &mut [f32], c0: usize, packed: &[f32], idx: &[usize], coef: &[f32]) {
+        let w = acc.len();
+        let mut tile = [0.0f32; TILE];
+        tile[..w].copy_from_slice(acc);
+        for (&j, &s) in idx.iter().zip(coef) {
+            let at = j * TILE + c0;
+            for (a, &x) in tile[..w].iter_mut().zip(&packed[at..at + w]) {
+                *a += s * x;
+            }
+        }
+        acc.copy_from_slice(&tile[..w]);
+    }
 }
 
 /// AVX2 intrinsics paths. Separate multiply + add throughout (no FMA)
@@ -395,7 +552,7 @@ mod portable {
 /// function here is bit-identical to its portable counterpart.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{portable, LANES};
+    use super::{portable, LANES, TILE};
     use std::arch::x86_64::*;
 
     /// # Safety
@@ -509,6 +666,101 @@ mod avx2 {
         for (i, &v) in x[chunks * LANES..].iter().enumerate() {
             if v.abs() > eps {
                 out.push(chunks * LANES + i);
+            }
+        }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX2 (callers gate on `simd_enabled`).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn prune_indices(x: &mut [f32], eps: f32, out: &mut Vec<usize>) {
+        let chunks = x.len() / LANES;
+        let veps = _mm256_set1_ps(eps);
+        // Sign-bit clear = `abs`; NaN compares false and is zeroed, as
+        // in the scalar loop.
+        let abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
+        for i in 0..chunks {
+            // SAFETY: i * LANES + LANES <= len by construction.
+            unsafe {
+                let p = x.as_mut_ptr().add(i * LANES);
+                let v = _mm256_loadu_ps(p);
+                let keep = _mm256_cmp_ps::<_CMP_GT_OQ>(_mm256_and_ps(v, abs_mask), veps);
+                _mm256_storeu_ps(p, _mm256_and_ps(v, keep));
+                let mut bits = _mm256_movemask_ps(keep) as u32;
+                while bits != 0 {
+                    out.push(i * LANES + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        portable::prune_indices(&mut x[chunks * LANES..], eps, chunks * LANES, out);
+    }
+
+    /// One row tile of [`super::sparse_matmul_add`]: `acc.len() <= TILE`
+    /// columns, whole `f32x8` chunks in registers, the rest scalar.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, and every index of `idx` must be a row of `packed`
+    /// (stride `TILE`); `coef` must be as long as `idx`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sparse_tile(acc: &mut [f32], packed: &[f32], idx: &[usize], coef: &[f32]) {
+        let chunks = acc.len() / LANES;
+        // SAFETY: each arm covers chunks·8 <= acc.len() columns, and the
+        // caller's contract covers the rows of `packed`.
+        unsafe {
+            match chunks {
+                0 => {}
+                1 => sparse_tile_regs::<1>(acc, packed, idx, coef),
+                2 => sparse_tile_regs::<2>(acc, packed, idx, coef),
+                3 => sparse_tile_regs::<3>(acc, packed, idx, coef),
+                4 => sparse_tile_regs::<4>(acc, packed, idx, coef),
+                5 => sparse_tile_regs::<5>(acc, packed, idx, coef),
+                6 => sparse_tile_regs::<6>(acc, packed, idx, coef),
+                7 => sparse_tile_regs::<7>(acc, packed, idx, coef),
+                _ => sparse_tile_regs::<8>(acc, packed, idx, coef),
+            }
+        }
+        let c0 = chunks * LANES;
+        if c0 < acc.len() {
+            portable::sparse_tile(&mut acc[c0..], c0, packed, idx, coef);
+        }
+    }
+
+    /// `R` accumulator registers over the first `8·R` columns of `acc`,
+    /// held across the whole term list.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `8·R <= acc.len()`, and the contract of
+    /// [`sparse_tile`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn sparse_tile_regs<const R: usize>(
+        acc: &mut [f32],
+        packed: &[f32],
+        idx: &[usize],
+        coef: &[f32],
+    ) {
+        // SAFETY: the caller guarantees every pointer below stays inside
+        // `acc` and `packed`.
+        unsafe {
+            let out = acc.as_mut_ptr();
+            let mut regs = [_mm256_setzero_ps(); R];
+            for (k, r) in regs.iter_mut().enumerate() {
+                *r = _mm256_loadu_ps(out.add(k * LANES));
+            }
+            for (&j, &c) in idx.iter().zip(coef) {
+                let s = _mm256_set1_ps(c);
+                let row = packed.as_ptr().add(j * TILE);
+                for (k, r) in regs.iter_mut().enumerate() {
+                    // mul + add, not FMA, as in `axpy`.
+                    *r = _mm256_add_ps(*r, _mm256_mul_ps(s, _mm256_loadu_ps(row.add(k * LANES))));
+                }
+            }
+            for (k, r) in regs.iter().enumerate() {
+                _mm256_storeu_ps(out.add(k * LANES), *r);
             }
         }
     }
@@ -655,6 +907,111 @@ mod tests {
             assert_eq!(reduce_max(&x), want, "len {len}");
         }
         assert_eq!(reduce_max(&[]), f32::NEG_INFINITY);
+    }
+
+    #[test]
+    fn prune_indices_matches_scalar_loop_bitwise() {
+        let mut rng = Rng::seed_from(8);
+        for len in LENS {
+            let mut x = vec_rng(len, &mut rng);
+            for (i, v) in x.iter_mut().enumerate() {
+                match i % 7 {
+                    0 => *v = 0.0,
+                    1 => *v = -0.0,
+                    2 => *v = 0.25, // == eps: pruned
+                    3 => *v = f32::NAN,
+                    _ => {}
+                }
+            }
+            let (mut want_x, mut want) = (x.clone(), vec![3usize]);
+            for (i, v) in want_x.iter_mut().enumerate() {
+                if v.abs() > 0.25 {
+                    want.push(i);
+                } else {
+                    *v = 0.0;
+                }
+            }
+            for force in [false, true] {
+                set_force_scalar(force);
+                let (mut got_x, mut got) = (x.clone(), vec![3usize]);
+                prune_indices(&mut got_x, 0.25, &mut got);
+                set_force_scalar(false);
+                assert_eq!(got, want, "indices, len {len}, scalar {force}");
+                let same = got_x
+                    .iter()
+                    .zip(&want_x)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "values, len {len}, scalar {force}");
+            }
+        }
+    }
+
+    /// [`sparse_matmul_add`] as its docs define it: each term in row
+    /// order, one multiply and one add per element.
+    fn sparse_matmul_reference(out: &mut [f32], cols: usize, a: &SparseRows, b: &[f32]) {
+        for i in 0..a.rows() {
+            let (idx, coef) = a.row(i);
+            for (&j, &s) in idx.iter().zip(coef) {
+                for c in 0..cols {
+                    out[i * cols + c] += s * b[j * cols + c];
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_matmul_add_matches_scalar_loop_bitwise() {
+        let (rows, b_rows) = (5usize, 11usize);
+        let mut rng = Rng::seed_from(9);
+        let mut pack = Vec::new();
+        for cols in [0usize, 1, 7, 8, 9, 63, 64, 65, 130] {
+            for fill in ["empty", "full", "random"] {
+                // Row i's terms; the offsets start past 0 (a row range
+                // of a larger matrix) and every row's list is unsorted.
+                let mut offsets = vec![2usize];
+                let (mut idx, mut coef) = (vec![9usize, 9], vec![f32::NAN; 2]);
+                for _ in 0..rows {
+                    for j in (0..b_rows).rev() {
+                        if fill == "full" || (fill == "random" && rng.coin(0.5)) {
+                            idx.push(j);
+                            coef.push(rng.uniform(-2.0, 2.0));
+                        }
+                    }
+                    offsets.push(idx.len());
+                }
+                let a = SparseRows {
+                    offsets: &offsets,
+                    idx: &idx,
+                    coef: &coef,
+                };
+                let b = vec_rng(b_rows * cols, &mut rng);
+                let out0 = vec_rng(rows * cols, &mut rng);
+                let mut want = out0.clone();
+                sparse_matmul_reference(&mut want, cols, &a, &b);
+                for force in [false, true] {
+                    set_force_scalar(force);
+                    let mut got = out0.clone();
+                    sparse_matmul_add(&mut got, cols, &a, &b, &mut pack);
+                    set_force_scalar(false);
+                    let same = got
+                        .iter()
+                        .zip(&want)
+                        .all(|(x, y)| x.to_bits() == y.to_bits());
+                    assert!(same, "cols {cols}, {fill} lists, scalar {force}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn sparse_matmul_add_rejects_a_row_outside_b() {
+        let a = SparseRows {
+            offsets: &[0, 1],
+            idx: &[2],
+            coef: &[1.0],
+        };
+        sparse_matmul_add(&mut [0.0; 3], 3, &a, &[0.0; 6], &mut Vec::new());
     }
 
     #[test]

@@ -255,33 +255,6 @@ impl Matrix {
         }
     }
 
-    /// Transposed product `y = Aᵀ x` where only the rows listed in
-    /// `active` carry nonzero `x` entries (a precomputed active-index
-    /// list, e.g. the spiking channels of a timestep). `O(cols · nnz)`.
-    ///
-    /// The in-tree BPTT keeps its adjoints dense (surrogate gradients
-    /// are rarely exactly zero), so this variant is provided for
-    /// event-driven consumers — spike-vector projections, pruned
-    /// adjoints — and is pinned to [`matvec_t_into`](Self::matvec_t_into)
-    /// by property tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes disagree or an index is out of range.
-    pub fn matvec_t_into_indexed(&self, x: &[f32], active: &[usize], y: &mut [f32]) {
-        assert_eq!(x.len(), self.rows, "matvec_t_into_indexed: bad x");
-        assert_eq!(y.len(), self.cols, "matvec_t_into_indexed: bad y");
-        y.fill(0.0);
-        for &r in active {
-            assert!(
-                r < self.rows,
-                "matvec_t_into_indexed: row {r} out of bounds"
-            );
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            kernels::axpy(x[r], row, y);
-        }
-    }
-
     /// Rank-1 update `A += alpha * u vᵀ` (weight-gradient accumulation).
     ///
     /// # Panics
@@ -326,34 +299,6 @@ impl Matrix {
             for &c in active {
                 row[c] += scale;
             }
-        }
-    }
-
-    /// Rank-1 update `A += alpha · u vᵀ` where only the rows listed in
-    /// `active` carry nonzero `u` entries (a precomputed error-event
-    /// list). `O(nnz(u) · cols)` with no scan over silent rows — the
-    /// weight-gradient update of the event-driven backward pass for
-    /// layers whose presynaptic trace `v` is dense (the adaptive model's
-    /// filtered trace).
-    ///
-    /// For an `active` list holding exactly `u`'s nonzero indices this
-    /// is bit-identical to [`add_outer`](Self::add_outer), which skips
-    /// those same rows by scanning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u.len() != rows`, `v.len() != cols`, or an index is
-    /// out of range.
-    pub fn add_outer_indexed_rows(&mut self, alpha: f32, u: &[f32], active: &[usize], v: &[f32]) {
-        assert_eq!(u.len(), self.rows, "add_outer_indexed_rows: bad u");
-        assert_eq!(v.len(), self.cols, "add_outer_indexed_rows: bad v");
-        for &r in active {
-            assert!(
-                r < self.rows,
-                "add_outer_indexed_rows: row {r} out of bounds"
-            );
-            let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            kernels::axpy(alpha * u[r], v, row);
         }
     }
 
@@ -577,28 +522,12 @@ mod tests {
     }
 
     #[test]
-    fn add_outer_indexed_rows_matches_definition() {
-        let mut m = Matrix::zeros(3, 2);
-        let u = [2.0, 0.0, -1.0];
-        m.add_outer_indexed_rows(0.5, &u, &[0, 2], &[1.0, 4.0]);
-        assert_eq!(m.row(0), &[1.0, 4.0]);
-        assert_eq!(m.row(1), &[0.0, 0.0]);
-        assert_eq!(m.row(2), &[-0.5, -2.0]);
-    }
-
-    #[test]
     fn add_outer_indexed_pairs_matches_definition() {
         let mut m = Matrix::zeros(2, 3);
         let u = [3.0, -2.0];
         m.add_outer_indexed_pairs(2.0, &u, &[1], &[0, 2]);
         assert_eq!(m.row(0), &[0.0, 0.0, 0.0]);
         assert_eq!(m.row(1), &[-4.0, 0.0, -4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "row 5 out of bounds")]
-    fn add_outer_indexed_rows_bad_index_panics() {
-        Matrix::zeros(2, 2).add_outer_indexed_rows(1.0, &[1.0, 1.0], &[5], &[1.0, 1.0]);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use snn_tensor::kernels::{self, ColMajor};
+use snn_tensor::lanes::{self, SparseRows};
 use snn_tensor::{stats, Matrix, Rng};
 
 fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -122,6 +123,28 @@ fn density_strategy() -> impl Strategy<Value = f32> {
     prop_oneof![Just(0.0f32), Just(1.0f32), 0.01f32..0.99]
 }
 
+fn bits(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Compressed-row offsets and values of a `rows`-row sparse matrix with
+/// one term, `value(r)`, in each row `r` of `active` and none elsewhere.
+fn one_term_per_row(
+    rows: usize,
+    active: &[usize],
+    value: impl Fn(usize) -> f32,
+) -> (Vec<usize>, Vec<f32>) {
+    let mut offsets = vec![0usize];
+    let mut coef = Vec::new();
+    for r in 0..rows {
+        if active.contains(&r) {
+            coef.push(value(r));
+        }
+        offsets.push(coef.len());
+    }
+    (offsets, coef)
+}
+
 proptest! {
     #[test]
     fn unrolled_dot_matches_naive(v in vector_strategy(37), split in 0usize..37) {
@@ -183,18 +206,20 @@ proptest! {
     fn indexed_matvec_t_matches_dense(
         m in matrix_strategy(12), density in density_strategy(), seed in 0u64..1000
     ) {
+        // Wᵀ·x over x's active rows, through the sparse product (one
+        // sparse row), against the dense transposed product: bitwise.
         let (mut x, active) = binary_vector(m.rows(), density, seed);
         let mut rng = Rng::seed_from(seed ^ 0xF00D);
         for &r in &active {
             x[r] = rng.uniform(-2.0, 2.0);
         }
+        let coef: Vec<f32> = active.iter().map(|&r| x[r]).collect();
+        let row = SparseRows { offsets: &[0, active.len()], idx: &active, coef: &coef };
         let mut fast = vec![0.0f32; m.cols()];
-        m.matvec_t_into_indexed(&x, &active, &mut fast);
+        lanes::sparse_matmul_add(&mut fast, m.cols(), &row, m.as_slice(), &mut Vec::new());
         let mut dense = vec![0.0f32; m.cols()];
         m.matvec_t_into(&x, &mut dense);
-        for (a, b) in fast.iter().zip(&dense) {
-            prop_assert!((a - b).abs() < 1e-3 * (1.0 + b.abs()));
-        }
+        prop_assert_eq!(bits(&fast), bits(&dense));
     }
 
     #[test]
@@ -232,19 +257,24 @@ proptest! {
         m in matrix_strategy(12), density in density_strategy(), seed in 0u64..1000
     ) {
         // `u` sparse with its exact nonzero list, `v` dense: the
-        // error-event update of the adaptive backward pass. Bitwise
-        // equality is the property the Exact sparsity policy relies on.
+        // error-event update of the adaptive backward pass, through the
+        // sparse product (one term per active row over the 1-row `v`).
+        // Bitwise equality is the property the Exact sparsity policy
+        // relies on.
         let (mut u, active) = binary_vector(m.rows(), density, seed);
         let mut rng = Rng::seed_from(seed ^ 0xABCD);
         for &r in &active {
             u[r] = rng.uniform(-2.0, 2.0).max(1e-3); // keep nonzero
         }
         let v: Vec<f32> = (0..m.cols()).map(|i| (i as f32 * 0.3).cos()).collect();
+        let (offsets, coef) = one_term_per_row(m.rows(), &active, |r| 0.9 * u[r]);
+        let idx = vec![0usize; coef.len()];
+        let rows = SparseRows { offsets: &offsets, idx: &idx, coef: &coef };
         let mut fast = m.clone();
         let mut dense = m.clone();
-        fast.add_outer_indexed_rows(0.9, &u, &active, &v);
+        lanes::sparse_matmul_add(fast.as_mut_slice(), m.cols(), &rows, &v, &mut Vec::new());
         dense.add_outer(0.9, &u, &v);
-        prop_assert_eq!(fast.as_slice(), dense.as_slice());
+        prop_assert_eq!(bits(fast.as_slice()), bits(dense.as_slice()));
     }
 
     #[test]
@@ -274,27 +304,32 @@ proptest! {
     fn grad_raster_prune_then_kernels_match_dense(
         m in matrix_strategy(12), seed in 0u64..1000, eps in 0.0f32..0.5
     ) {
-        // Prune a dense adjoint with GradRaster, then check the indexed
-        // kernels over the survivors are bitwise the dense kernels over
-        // the pruned vector — the crossover-fallback invariant.
+        // Prune a dense adjoint with GradRaster, then check the sparse
+        // products over the recorded events are bitwise the dense
+        // kernels over the pruned vector — the invariant that makes the
+        // sparse backward under `Exact` equal the dense one.
         let mut rng = Rng::seed_from(seed);
         let mut dv: Vec<f32> = (0..m.rows()).map(|_| rng.uniform(-1.0, 1.0)).collect();
         let mut raster = snn_tensor::GradRaster::new();
         let active: Vec<usize> = raster.push_step_pruned(&mut dv, eps).to_vec();
         prop_assert!(dv.iter().all(|x| x.abs() > eps || *x == 0.0));
+        let mut pack = Vec::new();
 
         let mut fast = vec![0.0f32; m.cols()];
         let mut dense = vec![0.0f32; m.cols()];
-        m.matvec_t_into_indexed(&dv, &active, &mut fast);
+        lanes::sparse_matmul_add(&mut fast, m.cols(), &raster.rows(0..1), m.as_slice(), &mut pack);
         m.matvec_t_into(&dv, &mut dense);
-        prop_assert_eq!(&fast, &dense);
+        prop_assert_eq!(bits(&fast), bits(&dense));
 
         let v: Vec<f32> = (0..m.cols()).map(|i| (i as f32 * 0.8).sin()).collect();
+        let (offsets, coef) = one_term_per_row(m.rows(), &active, |r| dv[r]);
+        let idx = vec![0usize; coef.len()];
+        let rows = SparseRows { offsets: &offsets, idx: &idx, coef: &coef };
         let mut a = m.clone();
         let mut b = m.clone();
-        a.add_outer_indexed_rows(1.0, &dv, &active, &v);
+        lanes::sparse_matmul_add(a.as_mut_slice(), m.cols(), &rows, &v, &mut pack);
         b.add_outer(1.0, &dv, &v);
-        prop_assert_eq!(a.as_slice(), b.as_slice());
+        prop_assert_eq!(bits(a.as_slice()), bits(b.as_slice()));
     }
 
     #[test]

@@ -72,8 +72,8 @@ impl RateClassifier {
         let w_len = steps.div_ceil(self.windows);
         for t in 0..raster.steps() {
             let w = (t / w_len).min(self.windows - 1);
-            for (c, &x) in raster.step(t).iter().enumerate() {
-                feats[w * self.channels + c] += x;
+            for &c in raster.step(t) {
+                feats[w * self.channels + c] += 1.0;
             }
         }
         let norm = 1.0 / w_len as f32;

@@ -17,7 +17,7 @@
 //!   same fixed-chunk discipline as the trainer, so results are
 //!   **deterministic for any thread count**.
 //! * [`Session`] — a single-worker handle owning the reusable forward,
-//!   scratch, count/probability and raster buffers; after the first call
+//!   scratch and count/probability buffers; after the first call
 //!   its [`infer`](Session::infer) / [`classify`](Session::classify) hot
 //!   path performs **zero per-sample heap allocations**. A
 //!   [`SessionPool`] hands out sessions whose buffers come back on drop.
@@ -235,7 +235,6 @@ struct Buffers {
     scratch: ScratchSpace,
     counts: Vec<f32>,
     probs: Vec<f32>,
-    raster: SpikeRaster,
     /// `Some` while checked out of a pool and not poisoned.
     home: Option<Idle>,
 }
@@ -247,7 +246,6 @@ impl Buffers {
             scratch: ScratchSpace::new(),
             counts: Vec::new(),
             probs: Vec::new(),
-            raster: SpikeRaster::zeros(0, 0),
             home: None,
         }
     }
@@ -314,12 +312,11 @@ impl<'e> Session<'e> {
         &self.buf.fwd
     }
 
-    /// Runs one input and returns the output spike raster, reusing the
-    /// session's raster buffer.
+    /// Runs one input and returns the output spike raster the rollout
+    /// wrote (valid until the next call on this session).
     pub fn infer_raster(&mut self, input: &SpikeRaster) -> &SpikeRaster {
         self.infer(input);
-        self.buf.fwd.output_raster_into(&mut self.buf.raster);
-        &self.buf.raster
+        self.buf.scratch.spikes.last().expect("empty network")
     }
 
     /// Predicted class (argmax of output spike counts).

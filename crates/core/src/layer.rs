@@ -3,7 +3,7 @@
 
 use crate::engine::Backend;
 use crate::scratch::LayerScratch;
-use crate::spike::ActiveIndices;
+use crate::SpikeRaster;
 use snn_neuron::NeuronParams;
 use snn_tensor::kernels::{self, ColMajor};
 use snn_tensor::{Matrix, Rng};
@@ -258,8 +258,8 @@ impl DenseLayer {
         self.params
     }
 
-    /// Event-driven rollout over per-step active-input lists — the hot
-    /// path of training and inference.
+    /// Event-driven rollout over an input raster's per-step event lists
+    /// — the hot path of training and inference.
     ///
     /// Because layer inputs are **binary** spike vectors, the weighted
     /// drive factors as `W·k[t] = α·(W·k[t−1]) + W·x[t]`, and `W·x[t]`
@@ -273,45 +273,45 @@ impl DenseLayer {
     /// the dense reference by a few ULPs.
     ///
     /// `rec` and the buffers in `scratch` are resized and re-initialised
-    /// here; `active_out` receives the output spike lists (consumable as
-    /// the next layer's `active_in`). If a weight mutation left the
+    /// here; `output` receives the output spikes (consumable as the next
+    /// layer's `input`). If a weight mutation left the
     /// kernel cache stale (see [`weights_mut`](Self::weights_mut)) it is
     /// rebuilt here, once, before the rollout starts.
     pub fn forward_steps(
         &self,
-        active_in: &ActiveIndices,
+        input: &SpikeRaster,
         rec: &mut LayerRecord,
         scratch: &mut LayerScratch,
-        active_out: &mut ActiveIndices,
+        output: &mut SpikeRaster,
     ) {
         scratch.ensure(self.n_in(), self.n_out());
-        self.run(Backend::Sparse, active_in, Some(rec), scratch, active_out);
+        self.run(Backend::Sparse, input, Some(rec), scratch, output);
     }
 
-    /// Rolls the layer over `active_in` from the state carried in
+    /// Rolls the layer over `input` from the state carried in
     /// `scratch`: zeroed by `LayerScratch::ensure` for an independent
     /// sample, or left as the previous call left it for a stream, which
     /// is what makes a chunked rollout bitwise identical to a single
     /// one. `rec`, when given, is resized and receives the BPTT record;
-    /// `active_out` receives the output spike lists.
+    /// `output` receives the output spikes.
     pub(crate) fn run(
         &self,
         backend: Backend,
-        active_in: &ActiveIndices,
+        input: &SpikeRaster,
         mut rec: Option<&mut LayerRecord>,
         scratch: &mut LayerScratch,
-        active_out: &mut ActiveIndices,
+        output: &mut SpikeRaster,
     ) {
-        let t_steps = active_in.steps();
+        let t_steps = input.steps();
         if let Some(rec) = rec.as_deref_mut() {
             rec.resize_zeroed(t_steps, self.n_in(), self.n_out());
         }
-        active_out.clear();
+        output.restart(self.n_out());
         let drive = self.drive(backend);
         for t in 0..t_steps {
             let rows = rec.as_deref_mut().map(|rec| rec.rows_mut(t));
-            self.step(&drive, active_in.step(t), scratch, rows);
-            active_out.push_step(&scratch.fired);
+            self.step(&drive, input.step(t), scratch, rows);
+            output.push_step(&scratch.fired);
         }
     }
 
@@ -583,19 +583,21 @@ mod tests {
         layer.weights_mut().scale(5.0);
         assert!(!layer.cache_is_fresh());
 
-        let raster = crate::SpikeRaster::from_events(6, 4, &[(0, 0), (1, 2), (3, 3), (4, 1)]);
-        let mut active_in = ActiveIndices::new();
-        active_in.fill_from(&raster);
+        let raster = SpikeRaster::from_events(6, 4, &[(0, 0), (1, 2), (3, 3), (4, 1)]);
         let mut rec = LayerRecord::empty();
         let mut scratch = LayerScratch::default();
-        let mut active_out = ActiveIndices::new();
-        layer.forward_steps(&active_in, &mut rec, &mut scratch, &mut active_out);
+        let mut output = SpikeRaster::default();
+        layer.forward_steps(&raster, &mut rec, &mut scratch, &mut output);
         assert!(layer.cache_is_fresh(), "forward must rebuild the mirror");
 
         // The event-driven pass must agree with the dense rollout over
         // the *mutated* weights (spikes are exact; a stale mirror would
         // produce the pre-mutation spike train).
-        let dense = dense_rollout(&layer, &Matrix::from_vec(6, 4, raster.as_slice().to_vec()));
+        let mut input = Matrix::zeros(6, 4);
+        for (t, c) in raster.events() {
+            input[(t, c)] = 1.0;
+        }
+        let dense = dense_rollout(&layer, &input);
         assert_eq!(rec.o.as_slice(), dense.o.as_slice());
     }
 

@@ -4,10 +4,10 @@
 //!
 //! The crate provides:
 //!
-//! * [`SpikeRaster`] — the dense `T × channels` binary spike tensor used
-//!   as network input, output and pattern-association target, together
-//!   with kernel-smoothing and van Rossum distance utilities
-//!   ([`spike`]).
+//! * [`SpikeRaster`] — the `T × channels` binary spike tensor, stored as
+//!   per-step channel-id lists, used as network input, output and
+//!   pattern-association target, together with kernel-smoothing and van
+//!   Rossum distance utilities ([`spike`]).
 //! * [`Network`] — a feedforward MLP of dense layers whose nonlinearity
 //!   is either the paper's filter-based adaptive-threshold LIF neuron or
 //!   the conventional hard-reset LIF baseline ([`NeuronKind`]). Because
@@ -77,4 +77,4 @@ pub mod train;
 pub use layer::{DenseLayer, LayerRecord, NeuronKind};
 pub use network::{Forward, Network};
 pub use scratch::{LayerScratch, ScratchSpace};
-pub use spike::{ActiveIndices, SpikeRaster};
+pub use spike::SpikeRaster;

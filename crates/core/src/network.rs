@@ -3,7 +3,7 @@
 
 use crate::engine::Backend;
 use crate::scratch::ScratchSpace;
-use crate::{ActiveIndices, DenseLayer, LayerRecord, NeuronKind, SpikeRaster};
+use crate::{DenseLayer, LayerRecord, NeuronKind, SpikeRaster};
 use snn_neuron::NeuronParams;
 use snn_tensor::{Matrix, Rng};
 
@@ -42,8 +42,8 @@ pub(crate) fn layer_span_name(l: usize, names: [&'static str; 8]) -> &'static st
 /// Records layer `l`'s output-spike density into the cross-crate obs
 /// gauges (scraped by serving's `/metrics`) and returns the packed span
 /// payload (`steps << 32 | density_ppm`).
-fn note_layer_density(l: usize, fired: &ActiveIndices, n_out: usize) -> u64 {
-    let ppm = snn_obs::density_ppm(fired.nnz(), fired.steps() * n_out);
+fn note_layer_density(l: usize, fired: &SpikeRaster) -> u64 {
+    let ppm = snn_obs::density_ppm(fired.spike_count(), fired.steps() * fired.channels());
     snn_obs::record_layer_density(l, ppm);
     snn_obs::pack_density_payload(fired.steps(), ppm)
 }
@@ -73,26 +73,18 @@ impl Forward {
         &self.records.last().expect("empty network").o
     }
 
-    /// Output spikes as a [`SpikeRaster`].
+    /// Output spikes as a [`SpikeRaster`] (a session's
+    /// [`infer_raster`](crate::engine::Session::infer_raster) returns the
+    /// one its rollout wrote instead).
     pub fn output_raster(&self) -> SpikeRaster {
-        let mut r = SpikeRaster::zeros(0, 0);
-        self.output_raster_into(&mut r);
-        r
-    }
-
-    /// Fills `raster` with the output spikes, reusing its backing buffer
-    /// — the allocation-free form of [`output_raster`](Self::output_raster)
-    /// used by [`Session::infer_raster`](crate::engine::Session::infer_raster).
-    pub fn output_raster_into(&self, raster: &mut SpikeRaster) {
         let o = self.output();
-        raster.resize_zeroed(o.rows(), o.cols());
-        for t in 0..o.rows() {
-            for (c, &x) in o.row(t).iter().enumerate() {
-                if x != 0.0 {
-                    raster.set(t, c, true);
-                }
-            }
-        }
+        let mut raster = SpikeRaster::default();
+        let events = (0..o.rows())
+            .flat_map(|t| o.row(t).iter().enumerate().map(move |(c, &x)| (t, c, x)))
+            .filter(|&(_, _, x)| x != 0.0)
+            .map(|(t, c, _)| (t, c));
+        raster.refill(o.rows(), o.cols(), events);
+        raster
     }
 
     /// Per-output-channel spike counts (the rate readout).
@@ -230,11 +222,7 @@ impl Network {
     }
 
     /// Allocation-free forward rollout: fills `fwd` (reusing its record
-    /// matrices) using the worker-owned `scratch`. The per-layer active
-    /// spike lists recorded during the pass remain readable afterwards
-    /// via [`ScratchSpace::active_lists`] (the backward pass itself is
-    /// deliberately self-contained — it rebuilds index lists from the
-    /// records so it accepts a `Forward` from any source).
+    /// matrices) using the worker-owned `scratch`.
     ///
     /// See [`ScratchSpace`](crate::ScratchSpace) for the ownership rules.
     ///
@@ -265,7 +253,7 @@ impl Network {
     /// The record-writing rollout behind [`forward_into`](Self::forward_into),
     /// [`forward_dense_reference`](Self::forward_dense_reference) and the
     /// engine: zeroes every layer's state, then runs the layers over the
-    /// input's event lists.
+    /// input.
     pub(crate) fn rollout(
         &self,
         backend: Backend,
@@ -281,20 +269,20 @@ impl Network {
             self.n_in()
         );
         scratch.ensure_forward(self);
-        scratch.active[0].fill_from(input);
         fwd.records
             .resize_with(self.layers.len(), LayerRecord::empty);
-        self.run_layers(backend, scratch, Some(&mut fwd.records));
+        self.run_layers(backend, input, scratch, Some(&mut fwd.records));
     }
 
-    /// Runs every layer over the event lists in `scratch.active[0]`, from
-    /// the state carried in `scratch.layers`, writing layer `l`'s output
-    /// spikes to `scratch.active[l + 1]` and, when `records` is given,
-    /// its BPTT record. Shared by the rollouts above and by
+    /// Runs every layer over `input`, from the state carried in
+    /// `scratch.layers`, writing layer `l`'s output spikes to
+    /// `scratch.spikes[l]` and, when `records` is given, its BPTT record.
+    /// Shared by the rollouts above and by
     /// [`StreamSession::advance`](crate::stream::StreamSession::advance).
     pub(crate) fn run_layers(
         &self,
         backend: Backend,
+        input: &SpikeRaster,
         scratch: &mut ScratchSpace,
         mut records: Option<&mut [LayerRecord]>,
     ) {
@@ -302,11 +290,12 @@ impl Network {
             // Disarmed (one relaxed atomic load + a cell read) unless an
             // ambient trace context was installed by the caller.
             let mut span = snn_obs::span(layer_span_name(l, LAYER_FORWARD_NAMES));
-            let (head, tail) = scratch.active.split_at_mut(l + 1);
+            let (below, rest) = scratch.spikes.split_at_mut(l);
+            let layer_in = below.last().unwrap_or(input);
             let rec = records.as_deref_mut().map(|records| &mut records[l]);
-            layer.run(backend, &head[l], rec, &mut scratch.layers[l], &mut tail[0]);
+            layer.run(backend, layer_in, rec, &mut scratch.layers[l], &mut rest[0]);
             if span.is_armed() {
-                span.set_payload(note_layer_density(l, &tail[0], layer.n_out()));
+                span.set_payload(note_layer_density(l, &rest[0]));
             }
         }
     }

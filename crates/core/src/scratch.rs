@@ -18,8 +18,7 @@
 //! zero per-sample heap allocations** (the losses still build their small
 //! `d_output` gradient into a scratch matrix the caller provides).
 
-use crate::spike::ActiveIndices;
-use crate::Network;
+use crate::{Network, SpikeRaster};
 use snn_tensor::{GradRaster, Matrix};
 
 /// Per-layer forward-state buffers (synapse trace, reset trace / membrane
@@ -37,8 +36,7 @@ pub struct LayerScratch {
     /// incrementally) or the per-step current `W·x[t]` — length `n_out`.
     pub drive: Vec<f32>,
     /// The output spikes of the latest step (filled by the fused
-    /// membrane kernels, then bulk-appended to the output
-    /// `ActiveIndices`).
+    /// membrane kernels, then appended to the layer's output raster).
     pub fired: Vec<usize>,
     /// The previous step's output spikes (swapped with
     /// [`fired`](Self::fired) at the start of each step; the eq. 8
@@ -76,10 +74,9 @@ impl LayerScratch {
 /// allocating.
 #[derive(Debug, Clone, Default)]
 pub struct ScratchSpace {
-    /// `active[0]` is the input raster's event lists; `active[l + 1]` is
-    /// layer `l`'s output spike lists (filled by the forward pass, read
-    /// by the backward pass).
-    pub(crate) active: Vec<ActiveIndices>,
+    /// `spikes[l]` is layer `l`'s output spike raster, written by the
+    /// forward pass.
+    pub(crate) spikes: Vec<SpikeRaster>,
     /// Per-layer forward state.
     pub(crate) layers: Vec<LayerScratch>,
     /// Upstream adjoint `∂E/∂O_l[t]` for the layer currently being
@@ -128,7 +125,7 @@ impl ScratchSpace {
     /// state (idempotent, allocation-free once the sizes have been seen).
     pub(crate) fn ensure_forward(&mut self, net: &Network) {
         let n_layers = net.layers().len();
-        self.active.resize_with(n_layers + 1, ActiveIndices::new);
+        self.spikes.resize_with(n_layers, SpikeRaster::default);
         self.layers.resize_with(n_layers, LayerScratch::default);
         for (layer, ls) in net.layers().iter().zip(&mut self.layers) {
             ls.ensure(layer.n_in(), layer.n_out());
@@ -154,12 +151,6 @@ impl ScratchSpace {
             buf.clear();
             buf.resize(max_w, 0.0);
         }
-    }
-
-    /// The input-side active lists (index 0) and per-layer output lists
-    /// (index `l + 1`) recorded by the most recent forward pass.
-    pub fn active_lists(&self) -> &[ActiveIndices] {
-        &self.active
     }
 
     /// The surviving error-event lists recorded by the most recent

@@ -3,18 +3,22 @@
 //! A spike train is a sequence of time-shifted Dirac deltas; to compare
 //! two of them the paper maps trains to continuous traces with the kernel
 //! `f[t] = e^{−t/τm} − e^{−t/τs}` and measures the squared trace distance
-//! (eqs. 15–16, after Park et al.). This module provides the dense
-//! [`SpikeRaster`] container used throughout the workspace plus those
+//! (eqs. 15–16, after Park et al.). This module provides the
+//! [`SpikeRaster`] event list used throughout the workspace plus those
 //! kernel utilities.
 
 use snn_json::Json;
 use std::fmt;
 
-/// Dense binary spike tensor: `steps` timesteps × `channels` spike trains.
+/// Binary spike tensor of `steps` timesteps × `channels` spike trains,
+/// stored as events: per timestep, the strictly ascending ids of the
+/// channels that spike (compressed rows).
 ///
-/// Stored row-major by timestep so `raster.step(t)` is the network input
-/// vector at time `t`. Values are `f32` 0/1 so rasters can be fed to the
-/// linear algebra directly.
+/// `raster.step(t)` is the network input at time `t` in the form the
+/// event-driven kernels consume, so a timestep costs work per event, not
+/// per channel. Every constructor builds this canonical form, so two
+/// rasters holding the same events compare equal however the events
+/// were listed.
 ///
 /// # Examples
 ///
@@ -24,50 +28,105 @@ use std::fmt;
 /// let mut r = SpikeRaster::zeros(5, 3);
 /// r.set(2, 1, true);
 /// assert_eq!(r.spike_count(), 1);
-/// assert_eq!(r.step(2), &[0.0, 1.0, 0.0]);
+/// assert_eq!(r.step(2), &[1]);
+/// assert_eq!(r, SpikeRaster::from_events(5, 3, &[(2, 1), (2, 1)]));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpikeRaster {
-    steps: usize,
     channels: usize,
-    data: Vec<f32>,
+    /// `offsets[t]..offsets[t + 1]` indexes `ids` for step `t`; there
+    /// are `steps + 1` entries and the first is 0.
+    offsets: Vec<usize>,
+    /// Concatenated per-step channel ids.
+    ids: Vec<usize>,
 }
 
 impl SpikeRaster {
     /// Creates an empty raster of `steps × channels`.
     pub fn zeros(steps: usize, channels: usize) -> Self {
         Self {
-            steps,
             channels,
-            data: vec![0.0; steps * channels],
+            offsets: vec![0; steps + 1],
+            ids: Vec::new(),
         }
     }
 
-    /// Reshapes to `steps × channels` and clears every spike, reusing
-    /// the backing buffer (no allocation once grown) — the
-    /// buffer-recycling entry point for session-owned output rasters.
-    pub fn resize_zeroed(&mut self, steps: usize, channels: usize) {
-        self.steps = steps;
-        self.channels = channels;
-        self.data.clear();
-        self.data.resize(steps * channels, 0.0);
+    /// Builds a raster from `(t, channel)` event pairs in any order;
+    /// repeated events collapse, and events outside the raster are
+    /// ignored (event-camera crops routinely produce a few).
+    pub fn from_events(steps: usize, channels: usize, events: &[(usize, usize)]) -> Self {
+        let mut r = Self::default();
+        let in_range = |&(t, c): &(usize, usize)| t < steps && c < channels;
+        r.refill(steps, channels, events.iter().copied().filter(in_range));
+        r
     }
 
-    /// Builds a raster from `(t, channel)` event pairs; events outside
-    /// the raster are ignored (event-camera crops routinely produce a few).
-    pub fn from_events(steps: usize, channels: usize, events: &[(usize, usize)]) -> Self {
-        let mut r = Self::zeros(steps, channels);
-        for &(t, c) in events {
-            if t < steps && c < channels {
-                r.set(t, c, true);
+    /// Refills as a `steps × channels` raster from in-range `(t, c)`
+    /// events in any order (read twice), reusing the buffers; repeated
+    /// events collapse.
+    pub(crate) fn refill<I>(&mut self, steps: usize, channels: usize, events: I)
+    where
+        I: Iterator<Item = (usize, usize)> + Clone,
+    {
+        // A counting sort by step, then each step's few ids sorted and
+        // deduplicated in place: close to linear in the events, which
+        // matters because the dataset generators build every sample here.
+        self.channels = channels;
+        let (offsets, ids) = (&mut self.offsets, &mut self.ids);
+        offsets.clear();
+        offsets.resize(steps + 1, 0);
+        for (t, c) in events.clone() {
+            debug_assert!(c < channels, "channel {c} out of range {channels}");
+            offsets[t + 1] += 1;
+        }
+        for t in 0..steps {
+            offsets[t + 1] += offsets[t];
+        }
+        ids.clear();
+        ids.resize(offsets[steps], 0);
+        // `offsets[t]` is step t's write cursor, so afterwards it holds
+        // the step's end: shift the offsets back into place.
+        for (t, c) in events {
+            ids[offsets[t]] = c;
+            offsets[t] += 1;
+        }
+        offsets.copy_within(..steps, 1);
+        offsets[0] = 0;
+        let mut kept = 0;
+        for t in 0..steps {
+            let (lo, hi) = (offsets[t], offsets[t + 1]);
+            ids[lo..hi].sort_unstable();
+            offsets[t] = kept;
+            for i in lo..hi {
+                if kept == offsets[t] || ids[kept - 1] != ids[i] {
+                    ids[kept] = ids[i];
+                    kept += 1;
+                }
             }
         }
-        r
+        offsets[steps] = kept;
+        ids.truncate(kept);
+    }
+
+    /// Empties to `0 × channels`, keeping the buffers, ready for
+    /// [`push_step`](Self::push_step).
+    pub(crate) fn restart(&mut self, channels: usize) {
+        self.channels = channels;
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.ids.clear();
+    }
+
+    /// Appends one step whose spiking channels are `ids` (strictly
+    /// ascending, each below `channels`).
+    pub(crate) fn push_step(&mut self, ids: &[usize]) {
+        self.ids.extend_from_slice(ids);
+        self.offsets.push(self.ids.len());
     }
 
     /// Number of timesteps.
     pub fn steps(&self) -> usize {
-        self.steps
+        self.offsets.len() - 1
     }
 
     /// Number of channels (spike trains).
@@ -75,14 +134,14 @@ impl SpikeRaster {
         self.channels
     }
 
-    /// The input vector at time `t`.
+    /// The channels that spike at time `t`, strictly ascending.
     ///
     /// # Panics
     ///
     /// Panics if `t >= steps`.
-    pub fn step(&self, t: usize) -> &[f32] {
-        assert!(t < self.steps, "step {t} out of range {}", self.steps);
-        &self.data[t * self.channels..(t + 1) * self.channels]
+    pub fn step(&self, t: usize) -> &[usize] {
+        assert!(t < self.steps(), "step {t} out of range {}", self.steps());
+        &self.ids[self.offsets[t]..self.offsets[t + 1]]
     }
 
     /// Whether channel `c` spikes at time `t`.
@@ -92,10 +151,10 @@ impl SpikeRaster {
     /// Panics if out of range.
     pub fn get(&self, t: usize, c: usize) -> bool {
         assert!(
-            t < self.steps && c < self.channels,
+            t < self.steps() && c < self.channels,
             "({t},{c}) out of range"
         );
-        self.data[t * self.channels + c] != 0.0
+        self.step(t).binary_search(&c).is_ok()
     }
 
     /// Sets or clears the spike at `(t, c)`.
@@ -105,47 +164,51 @@ impl SpikeRaster {
     /// Panics if out of range.
     pub fn set(&mut self, t: usize, c: usize, spike: bool) {
         assert!(
-            t < self.steps && c < self.channels,
+            t < self.steps() && c < self.channels,
             "({t},{c}) out of range"
         );
-        self.data[t * self.channels + c] = if spike { 1.0 } else { 0.0 };
+        let start = self.offsets[t];
+        match (self.step(t).binary_search(&c), spike) {
+            (Err(i), true) => {
+                self.ids.insert(start + i, c);
+                self.offsets[t + 1..].iter_mut().for_each(|o| *o += 1);
+            }
+            (Ok(i), false) => {
+                self.ids.remove(start + i);
+                self.offsets[t + 1..].iter_mut().for_each(|o| *o -= 1);
+            }
+            _ => {}
+        }
     }
 
     /// Total number of spikes.
     pub fn spike_count(&self) -> usize {
-        self.data.iter().filter(|&&x| x != 0.0).count()
+        self.ids.len()
     }
 
     /// Per-channel spike counts (the rate-coding summary).
     pub fn channel_counts(&self) -> Vec<f32> {
         let mut counts = vec![0.0; self.channels];
-        for t in 0..self.steps {
-            for (c, &x) in self.step(t).iter().enumerate() {
-                counts[c] += x;
-            }
+        for &c in &self.ids {
+            counts[c] += 1.0;
         }
         counts
     }
 
     /// Mean firing rate over all trains (spikes per channel per step).
     pub fn mean_rate(&self) -> f32 {
-        if self.data.is_empty() {
+        let cells = self.steps() * self.channels;
+        if cells == 0 {
             return 0.0;
         }
-        self.spike_count() as f32 / self.data.len() as f32
+        self.spike_count() as f32 / cells as f32
     }
 
     /// Spike events as `(t, channel)` pairs in time order.
     pub fn events(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for t in 0..self.steps {
-            for c in 0..self.channels {
-                if self.get(t, c) {
-                    out.push((t, c));
-                }
-            }
-        }
-        out
+        (0..self.steps())
+            .flat_map(|t| self.step(t).iter().map(move |&c| (t, c)))
+            .collect()
     }
 
     /// One channel as a 0/1 time series.
@@ -159,35 +222,18 @@ impl SpikeRaster {
             "channel {c} out of range {}",
             self.channels
         );
-        (0..self.steps)
-            .map(|t| self.data[t * self.channels + c])
+        (0..self.steps())
+            .map(|t| if self.get(t, c) { 1.0 } else { 0.0 })
             .collect()
-    }
-
-    /// Flat row-major (by timestep) buffer.
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Builds the per-step active-channel index lists (CSR layout) for
-    /// this raster — the event-driven view the sparsity-aware kernels
-    /// consume. Allocates; hot paths reuse a list via
-    /// [`ActiveIndices::fill_from`].
-    pub fn active_indices(&self) -> ActiveIndices {
-        let mut out = ActiveIndices::new();
-        out.fill_from(self);
-        out
     }
 
     /// Serializes to the event-list wire format used by the network
     /// serving layer (`snn-serve`): `{"steps": T, "channels": C,
     /// "events": [[t, c], …]}`. Events are emitted in time order, so the
-    /// output is deterministic and diff-friendly; for the sparse rasters
-    /// this workspace serves, the event list is far smaller than a dense
-    /// 0/1 matrix.
+    /// output is deterministic and diff-friendly.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("steps", Json::from(self.steps)),
+            ("steps", Json::from(self.steps())),
             ("channels", Json::from(self.channels)),
             (
                 "events",
@@ -201,13 +247,17 @@ impl SpikeRaster {
         ])
     }
 
-    /// Deserializes the wire format written by [`to_json`](Self::to_json).
+    /// Deserializes the wire format written by [`to_json`](Self::to_json);
+    /// events may come in any order, and repeats collapse.
     ///
     /// Unlike [`from_events`](Self::from_events) (which tolerates
     /// out-of-range event-camera crops), the wire format is strict: an
     /// event outside `steps × channels` is a protocol error, as are
     /// missing or non-integer fields — a serving endpoint must reject
     /// malformed payloads loudly rather than silently dropping spikes.
+    ///
+    /// The raster holds `steps + 1` offsets, so a caller decoding
+    /// untrusted input bounds `steps` before calling this.
     ///
     /// # Errors
     ///
@@ -222,13 +272,14 @@ impl SpikeRaster {
             .and_then(Json::as_usize)
             .ok_or("missing or non-integer \"channels\"")?;
         steps
-            .checked_mul(channels)
+            .checked_add(1)
+            .and(steps.checked_mul(channels))
             .ok_or_else(|| format!("raster dimensions {steps}x{channels} overflow"))?;
         let events = v
             .get("events")
             .and_then(Json::as_array)
             .ok_or("missing or non-array \"events\"")?;
-        let mut r = Self::zeros(steps, channels);
+        let mut pairs = Vec::with_capacity(events.len());
         for (i, ev) in events.iter().enumerate() {
             let pair = ev
                 .as_array()
@@ -245,9 +296,9 @@ impl SpikeRaster {
                     "event {i} at ({t},{c}) outside {steps}x{channels} raster"
                 ));
             }
-            r.set(t, c, true);
+            pairs.push((t, c));
         }
-        Ok(r)
+        Ok(Self::from_events(steps, channels, &pairs))
     }
 
     /// Encodes the raster as `(dt, channel)` event deltas — the payload
@@ -269,7 +320,8 @@ impl SpikeRaster {
     }
 
     /// Rebuilds a raster from `(dt, channel)` deltas written by
-    /// [`delta_events`](Self::delta_events). Like
+    /// [`delta_events`](Self::delta_events); channels within a step may
+    /// come in any order, and repeats collapse. Like
     /// [`from_json`](Self::from_json) this is the strict wire-format
     /// decoder: an event that lands outside `steps × channels` is a
     /// protocol error, not a droppable crop artefact.
@@ -283,7 +335,7 @@ impl SpikeRaster {
         channels: usize,
         deltas: &[(usize, usize)],
     ) -> Result<Self, String> {
-        let mut r = Self::zeros(steps, channels);
+        let mut events = Vec::with_capacity(deltas.len());
         let mut t = 0usize;
         for (i, &(dt, c)) in deltas.iter().enumerate() {
             t = t
@@ -294,9 +346,9 @@ impl SpikeRaster {
                     "event {i} at ({t},{c}) outside {steps}x{channels} raster"
                 ));
             }
-            r.set(t, c, true);
+            events.push((t, c));
         }
-        Ok(r)
+        Ok(Self::from_events(steps, channels, &events))
     }
 
     /// Renders a textual raster plot (`time →` on x, channels on y),
@@ -304,13 +356,12 @@ impl SpikeRaster {
     /// `max_rows` rows.
     pub fn render_ascii(&self, max_rows: usize) -> String {
         let rows = self.channels.min(max_rows.max(1));
-        let group = (self.channels + rows - 1) / rows.max(1);
+        let group = self.channels.div_ceil(rows.max(1));
         let mut out = String::new();
         for r in (0..rows).rev() {
-            for t in 0..self.steps {
-                let lo = r * group;
-                let hi = ((r + 1) * group).min(self.channels);
-                let any = (lo..hi).any(|c| self.get(t, c));
+            let band = r * group..((r + 1) * group).min(self.channels);
+            for t in 0..self.steps() {
+                let any = self.step(t).iter().any(|c| band.contains(c));
                 out.push(if any { '|' } else { '.' });
             }
             out.push('\n');
@@ -319,95 +370,10 @@ impl SpikeRaster {
     }
 }
 
-/// Per-timestep active-channel index lists in CSR layout: the
-/// event-driven representation of a binary spike tensor.
-///
-/// `step(t)` is the sorted list of channels that spike at time `t`. The
-/// sparsity-aware kernels ([`snn_tensor::kernels::ColMajor`] column
-/// accumulation, `Matrix::add_outer_indexed`) consume these lists so the
-/// cost of a timestep scales with the number of *events*, not the layer
-/// width. The two backing vectors are reused across refills, so a
-/// training loop that recycles one `ActiveIndices` per layer performs no
-/// per-sample allocation once warmed up.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ActiveIndices {
-    /// `offsets[t]..offsets[t + 1]` indexes `indices` for step `t`.
-    offsets: Vec<usize>,
-    /// Concatenated active-channel lists.
-    indices: Vec<usize>,
-}
-
-impl ActiveIndices {
-    /// Creates an empty list (0 steps).
-    pub fn new() -> Self {
-        Self {
-            offsets: vec![0],
-            indices: Vec::new(),
-        }
-    }
-
-    /// Number of recorded steps.
-    pub fn steps(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total number of events across all steps.
-    pub fn nnz(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// Active channels at step `t` (sorted ascending).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= steps()`.
-    pub fn step(&self, t: usize) -> &[usize] {
-        assert!(
-            t + 1 < self.offsets.len(),
-            "step {t} out of range {}",
-            self.steps()
-        );
-        &self.indices[self.offsets[t]..self.offsets[t + 1]]
-    }
-
-    /// Clears all recorded steps (buffers retain capacity).
-    pub fn clear(&mut self) {
-        self.offsets.clear();
-        self.offsets.push(0);
-        self.indices.clear();
-    }
-
-    /// Appends one channel to the step currently being recorded.
-    pub fn push(&mut self, channel: usize) {
-        self.indices.push(channel);
-    }
-
-    /// Closes the step currently being recorded; subsequent
-    /// [`push`](Self::push) calls go to the next step.
-    pub fn end_step(&mut self) {
-        self.offsets.push(self.indices.len());
-    }
-
-    /// Appends `channels` as one complete step (a [`push`](Self::push)
-    /// per channel followed by [`end_step`](Self::end_step)) — the bulk
-    /// form the fused membrane kernels feed with their staged fired
-    /// lists.
-    pub fn push_step(&mut self, channels: &[usize]) {
-        self.indices.extend_from_slice(channels);
-        self.offsets.push(self.indices.len());
-    }
-
-    /// Refills from a raster, reusing the backing buffers.
-    pub fn fill_from(&mut self, raster: &SpikeRaster) {
-        self.clear();
-        for t in 0..raster.steps() {
-            for (c, &x) in raster.step(t).iter().enumerate() {
-                if x != 0.0 {
-                    self.push(c);
-                }
-            }
-            self.end_step();
-        }
+impl Default for SpikeRaster {
+    /// The empty raster, [`zeros(0, 0)`](SpikeRaster::zeros).
+    fn default() -> Self {
+        Self::zeros(0, 0)
     }
 }
 
@@ -416,7 +382,7 @@ impl fmt::Display for SpikeRaster {
         write!(
             f,
             "SpikeRaster({} steps x {} channels, {} spikes)",
-            self.steps,
+            self.steps(),
             self.channels,
             self.spike_count()
         )
@@ -683,6 +649,25 @@ mod tests {
         let events = vec![(0, 1), (2, 0), (3, 4)];
         let r = SpikeRaster::from_events(5, 5, &events);
         assert_eq!(r.events(), events);
+        // Any order, with repeats, builds the same raster, through
+        // `from_events` or through `set`.
+        let r = SpikeRaster::from_events(6, 5, &[(0, 1), (0, 3), (2, 0), (5, 4)]);
+        let shuffled = [(5, 4), (0, 3), (2, 0), (0, 1), (0, 3), (5, 4), (5, 4)];
+        assert_eq!(SpikeRaster::from_events(6, 5, &shuffled), r);
+        let mut set = SpikeRaster::zeros(6, 5);
+        for &(t, c) in &shuffled {
+            set.set(t, c, true);
+        }
+        assert_eq!(set, r);
+        assert_eq!(r.step(0), &[1, 3]);
+    }
+
+    #[test]
+    fn default_is_the_empty_raster() {
+        let r = SpikeRaster::default();
+        assert_eq!(r, SpikeRaster::zeros(0, 0));
+        assert_eq!((r.steps(), r.channels(), r.spike_count()), (0, 0, 0));
+        assert_eq!(r.mean_rate(), 0.0);
     }
 
     #[test]
@@ -774,6 +759,11 @@ mod tests {
         let empty = SpikeRaster::zeros(3, 2);
         let back = SpikeRaster::from_json(&Json::parse(&empty.to_json().to_string()).unwrap());
         assert_eq!(back.unwrap(), empty);
+        // Any event order, with repeats, decodes to the same raster.
+        let doc =
+            r#"{"steps": 9, "channels": 4, "events": [[8, 1], [2, 0], [0, 3], [8, 1], [2, 0]]}"#;
+        let back = SpikeRaster::from_json(&Json::parse(doc).unwrap()).unwrap();
+        assert_eq!(back, r);
     }
 
     #[test]
@@ -810,6 +800,10 @@ mod tests {
         let empty = SpikeRaster::zeros(4, 3);
         let back = SpikeRaster::from_delta_events(4, 3, &empty.delta_events()).unwrap();
         assert_eq!(back, empty);
+        // Channels out of order within a step, and repeated events.
+        let shuffled = [(0, 4), (0, 1), (0, 4), (3, 2), (0, 0), (0, 2), (8, 3)];
+        let back = SpikeRaster::from_delta_events(12, 5, &shuffled).unwrap();
+        assert_eq!(back, r);
     }
 
     #[test]
@@ -830,6 +824,12 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines.iter().all(|l| l.len() == 10));
         assert!(lines[3].contains('|')); // channel 0 is the bottom row
+    }
+
+    #[test]
+    fn ascii_render_of_zero_channels_is_empty() {
+        assert_eq!(SpikeRaster::zeros(5, 0).render_ascii(4), "");
+        assert_eq!(SpikeRaster::zeros(0, 3).render_ascii(2), "\n\n");
     }
 
     #[test]

@@ -44,6 +44,7 @@
 
 use crate::engine::Engine;
 use crate::scratch::ScratchSpace;
+use crate::SpikeRaster;
 use snn_tensor::stats;
 use std::collections::VecDeque;
 use std::error::Error;
@@ -134,9 +135,10 @@ pub struct StreamSession {
     engine: Engine,
     n_in: usize,
     /// The carried state: each layer's `LayerScratch` (traces, drive and
-    /// last fired list) persists across calls; the per-step event lists
-    /// stage one chunk of an [`advance`](Self::advance).
+    /// last fired list) persists across calls.
     scratch: ScratchSpace,
+    /// One chunk of an [`advance`](Self::advance), staged as a raster.
+    input: SpikeRaster,
     /// Output spike counts accumulated over all committed steps, in the
     /// same order as `Forward::spike_counts_into`.
     counts: Vec<f32>,
@@ -165,6 +167,7 @@ impl StreamSession {
         Self {
             n_in: net.n_in(),
             scratch,
+            input: SpikeRaster::default(),
             counts: vec![0.0; net.n_out()],
             committed: 0,
             cursor: 0,
@@ -296,22 +299,14 @@ impl StreamSession {
             self.pending.make_contiguous().sort_unstable();
             self.sorted = true;
         }
-        // This chunk's events as per-step ascending channel lists.
-        let input = &mut self.scratch.active[0];
-        input.clear();
-        for t in self.committed..self.committed + steps {
-            let mut last = None;
-            while let Some((_, c)) = self.pending.pop_front_if(|&mut (s, _)| s == t) {
-                if last != Some(c) {
-                    input.push(c);
-                }
-                last = Some(c);
-            }
-            input.end_step();
-        }
+        let base = self.committed;
+        let due = self.pending.partition_point(|&(t, _)| t < base + steps);
+        let chunk = self.pending.range(..due).map(|&(t, c)| (t - base, c));
+        self.input.refill(steps, self.n_in, chunk);
+        self.pending.drain(..due);
         let net = self.engine.network();
-        net.run_layers(self.engine.backend(), &mut self.scratch, None);
-        let fired = self.scratch.active.last().expect("empty network");
+        net.run_layers(self.engine.backend(), &self.input, &mut self.scratch, None);
+        let fired = self.scratch.spikes.last().expect("empty network");
         for t in 0..steps {
             for &c in fired.step(t) {
                 self.counts[c] += 1.0;

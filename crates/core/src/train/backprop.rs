@@ -451,9 +451,9 @@ fn bptt(
                     // raw binary spike raster: use the index-list rank-1
                     // update. The list is rebuilt from the record (an
                     // O(n_in) scan, minor next to the O(nnz·n_out)
-                    // update) rather than read from scratch.active, so a
-                    // `Forward` from any source — including the dense
-                    // reference path — differentiates correctly.
+                    // update) rather than read from the scratch's spike
+                    // rasters, so a `Forward` from any source — including
+                    // the dense reference path — differentiates correctly.
                     kernels::threshold_mask(rec.pre.row(t), 0.0, active_tmp);
                     match eps {
                         Some(eps) => {

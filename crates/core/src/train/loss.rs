@@ -169,11 +169,11 @@ mod tests {
     use crate::spike::raster_distance;
 
     fn output_from(raster: &SpikeRaster) -> Matrix {
-        Matrix::from_vec(
-            raster.steps(),
-            raster.channels(),
-            raster.as_slice().to_vec(),
-        )
+        let mut m = Matrix::zeros(raster.steps(), raster.channels());
+        for (t, c) in raster.events() {
+            m[(t, c)] = 1.0;
+        }
+        m
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! grid, and randomized sequence lengths — plus scalar-fallback vs
 //! lane-path agreement and repeated-run determinism.
 
-use snn_core::{ActiveIndices, DenseLayer, LayerRecord, LayerScratch, NeuronKind, SpikeRaster};
+use snn_core::{DenseLayer, LayerRecord, LayerScratch, NeuronKind, SpikeRaster};
 use snn_neuron::NeuronParams;
 use snn_tensor::{kernels, Matrix, Rng};
 
@@ -19,7 +19,7 @@ const KINDS: [NeuronKind; 3] = [
     NeuronKind::HardResetMatched,
 ];
 
-fn random_active(t_steps: usize, n_in: usize, density: f32, rng: &mut Rng) -> ActiveIndices {
+fn random_active(t_steps: usize, n_in: usize, density: f32, rng: &mut Rng) -> SpikeRaster {
     let mut raster = SpikeRaster::zeros(t_steps, n_in);
     for t in 0..t_steps {
         for c in 0..n_in {
@@ -28,9 +28,7 @@ fn random_active(t_steps: usize, n_in: usize, density: f32, rng: &mut Rng) -> Ac
             }
         }
     }
-    let mut active = ActiveIndices::new();
-    active.fill_from(&raster);
-    active
+    raster
 }
 
 /// Unfused scalar reference: the pre-refactor multi-pass rollout,
@@ -38,17 +36,14 @@ fn random_active(t_steps: usize, n_in: usize, density: f32, rng: &mut Rng) -> Ac
 /// accumulation pass in active order, separate membrane/threshold/record
 /// pass). Every per-element operation and its order matches the fused
 /// path, so the comparison below is exact.
-fn reference_rollout(
-    layer: &DenseLayer,
-    active_in: &ActiveIndices,
-) -> (LayerRecord, ActiveIndices) {
+fn reference_rollout(layer: &DenseLayer, active_in: &SpikeRaster) -> (LayerRecord, SpikeRaster) {
     let t_steps = active_in.steps();
     let (n_in, n_out) = (layer.n_in(), layer.n_out());
     let w = layer.weights();
     let params = layer.params();
     let mut rec = LayerRecord::empty();
     rec.resize_zeroed(t_steps, n_in, n_out);
-    let mut active_out = ActiveIndices::new();
+    let mut active_out = SpikeRaster::zeros(t_steps, n_out);
 
     match layer.kind() {
         NeuronKind::Adaptive => {
@@ -88,11 +83,10 @@ fn reference_rollout(
                     rec.v.row_mut(t)[i] = vi;
                     if vi >= v_th {
                         rec.o.row_mut(t)[i] = 1.0;
-                        active_out.push(i);
+                        active_out.set(t, i, true);
                         prev_fired.push(i);
                     }
                 }
-                active_out.end_step();
             }
         }
         NeuronKind::HardReset | NeuronKind::HardResetMatched => {
@@ -117,13 +111,12 @@ fn reference_rollout(
                     rec.v.row_mut(t)[i] = vi;
                     if vi >= v_th {
                         rec.o.row_mut(t)[i] = 1.0;
-                        active_out.push(i);
+                        active_out.set(t, i, true);
                         vm[i] = 0.0;
                     } else {
                         vm[i] = vi;
                     }
                 }
-                active_out.end_step();
             }
         }
     }
@@ -157,7 +150,7 @@ fn fused_rollout_matches_unfused_reference_bitwise() {
 
             let mut rec = LayerRecord::empty();
             let mut scratch = LayerScratch::default();
-            let mut active_out = ActiveIndices::new();
+            let mut active_out = SpikeRaster::default();
             layer.forward_steps(&active_in, &mut rec, &mut scratch, &mut active_out);
 
             let (rec_ref, active_ref) = reference_rollout(&layer, &active_in);
@@ -185,7 +178,7 @@ fn tall_layer_crosses_block_boundary_bitwise() {
     let active_in = random_active(7, 16, 0.25, &mut rng);
     let mut rec = LayerRecord::empty();
     let mut scratch = LayerScratch::default();
-    let mut active_out = ActiveIndices::new();
+    let mut active_out = SpikeRaster::default();
     layer.forward_steps(&active_in, &mut rec, &mut scratch, &mut active_out);
     let (rec_ref, active_ref) = reference_rollout(&layer, &active_in);
     assert_bitwise_eq(&rec.v, &rec_ref.v, "v", "tall layer");
@@ -206,12 +199,12 @@ fn scalar_fallback_agrees_with_lane_path_bitwise() {
 
         let mut rec_lane = LayerRecord::empty();
         let mut scratch = LayerScratch::default();
-        let mut out_lane = ActiveIndices::new();
+        let mut out_lane = SpikeRaster::default();
         layer.forward_steps(&active_in, &mut rec_lane, &mut scratch, &mut out_lane);
 
         kernels::set_force_scalar(true);
         let mut rec_scalar = LayerRecord::empty();
-        let mut out_scalar = ActiveIndices::new();
+        let mut out_scalar = SpikeRaster::default();
         layer.forward_steps(&active_in, &mut rec_scalar, &mut scratch, &mut out_scalar);
         kernels::set_force_scalar(false);
 
@@ -233,7 +226,7 @@ fn repeated_rollouts_are_bitwise_deterministic() {
         for _ in 0..5 {
             let mut rec = LayerRecord::empty();
             let mut scratch = LayerScratch::default();
-            let mut active_out = ActiveIndices::new();
+            let mut active_out = SpikeRaster::default();
             layer.forward_steps(&active_in, &mut rec, &mut scratch, &mut active_out);
             match &first {
                 None => first = Some(rec),

@@ -22,6 +22,15 @@ fn raster_strategy(steps: usize, channels: usize) -> impl Strategy<Value = Spike
     })
 }
 
+/// The raster as a dense `steps × channels` 0/1 matrix.
+fn dense(r: &SpikeRaster) -> Matrix {
+    let mut m = Matrix::zeros(r.steps(), r.channels());
+    for (t, c) in r.events() {
+        m[(t, c)] = 1.0;
+    }
+    m
+}
+
 proptest! {
     #[test]
     fn van_rossum_is_a_pseudometric(
@@ -61,7 +70,7 @@ proptest! {
 
     #[test]
     fn rate_ce_loss_is_finite_and_grad_bounded(r in raster_strategy(15, 4), target in 0usize..4) {
-        let output = Matrix::from_vec(15, 4, r.as_slice().to_vec());
+        let output = dense(&r);
         let (loss, grad) = RateCrossEntropy.loss_and_grad(&output, target);
         prop_assert!(loss.is_finite() && loss >= 0.0);
         // Softmax gradient entries live in [−1, 1].
@@ -70,7 +79,7 @@ proptest! {
 
     #[test]
     fn van_rossum_loss_zero_iff_equal(r in raster_strategy(20, 3)) {
-        let output = Matrix::from_vec(20, 3, r.as_slice().to_vec());
+        let output = dense(&r);
         let (loss, grad) = VanRossumLoss::paper_default().loss_and_grad(&output, &r);
         prop_assert_eq!(loss, 0.0);
         prop_assert_eq!(grad.max_abs(), 0.0);
@@ -246,17 +255,16 @@ mod kernel_equivalence {
         }
 
         #[test]
-        fn active_indices_roundtrip(r in raster_strategy(14, 5)) {
-            let idx = r.active_indices();
-            prop_assert_eq!(idx.steps(), r.steps());
-            prop_assert_eq!(idx.nnz(), r.spike_count());
-            let mut events = Vec::new();
-            for t in 0..idx.steps() {
-                for &c in idx.step(t) {
-                    events.push((t, c));
-                }
+        fn from_events_is_canonical(r in raster_strategy(14, 5)) {
+            let mut events: Vec<_> = r.events().into_iter().rev().collect();
+            events.extend(events.clone());
+            let rebuilt = SpikeRaster::from_events(r.steps(), r.channels(), &events);
+            prop_assert_eq!(&rebuilt, &r);
+            prop_assert_eq!(r.events().len(), r.spike_count());
+            for t in 0..r.steps() {
+                let ids = r.step(t);
+                prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "step {} is {:?}", t, ids);
             }
-            prop_assert_eq!(events, r.events());
         }
     }
 

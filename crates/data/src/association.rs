@@ -63,15 +63,15 @@ impl Default for AssociationConfig {
 /// Panics if `d > 9`.
 pub fn digit_target(d: usize, steps: usize, channels: usize) -> SpikeRaster {
     let bmp = render_digit(d, steps, channels, 1.0, (0.0, 0.0, 1.0));
-    let mut raster = SpikeRaster::zeros(steps, channels);
+    let mut events = Vec::new();
     for y in 0..channels {
         for x in 0..steps {
             if bmp.get(x as isize, y as isize) > 0.5 {
-                raster.set(x, y, true);
+                events.push((x, y));
             }
         }
     }
-    raster
+    SpikeRaster::from_events(steps, channels, &events)
 }
 
 /// A pattern-association dataset: inputs, targets and the digit labels.

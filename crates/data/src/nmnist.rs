@@ -104,7 +104,7 @@ pub fn simulate_sample(digit: usize, cfg: &NmnistConfig, rng: &mut Rng) -> Spike
         rng.uniform(0.85, 1.1),
     );
     let glyph = render_digit(digit, cfg.width, cfg.height, 1.0, jitter);
-    let mut raster = SpikeRaster::zeros(cfg.steps, cfg.channels());
+    let mut events = Vec::new();
     let plane = cfg.width * cfg.height;
 
     // Per-pixel DVS reference memory, initialised to the first frame.
@@ -125,20 +125,20 @@ pub fn simulate_sample(digit: usize, cfg: &NmnistConfig, rng: &mut Rng) -> Spike
                 let brightness = frame(&glyph, off, x, y);
                 let delta = brightness - reference[p];
                 if delta > cfg.dvs_threshold {
-                    raster.set(t, p, true); // ON event
+                    events.push((t, p)); // ON event
                     reference[p] = brightness;
                 } else if delta < -cfg.dvs_threshold {
-                    raster.set(t, plane + p, true); // OFF event
+                    events.push((t, plane + p)); // OFF event
                     reference[p] = brightness;
                 }
                 if cfg.noise_rate > 0.0 && rng.coin(cfg.noise_rate) {
                     let polarity = usize::from(rng.coin(0.5));
-                    raster.set(t, polarity * plane + p, true);
+                    events.push((t, polarity * plane + p));
                 }
             }
         }
     }
-    raster
+    SpikeRaster::from_events(cfg.steps, cfg.channels(), &events)
 }
 
 /// Generates a full labelled dataset (`samples_per_class` recordings of

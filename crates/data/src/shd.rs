@@ -202,7 +202,7 @@ pub fn simulate_sample(label: usize, cfg: &ShdConfig, rng: &mut Rng) -> SpikeRas
 }
 
 fn sample_from_signature(segments: &[Segment], cfg: &ShdConfig, rng: &mut Rng) -> SpikeRaster {
-    let mut raster = SpikeRaster::zeros(cfg.steps, cfg.channels);
+    let mut events = Vec::new();
     // Speaker-like global warps.
     let warp = rng.uniform(0.92, 1.08);
     let channel_shift = rng.uniform(-0.02, 0.02) * cfg.channels as f32;
@@ -227,7 +227,7 @@ fn sample_from_signature(segments: &[Segment], cfg: &ShdConfig, rng: &mut Rng) -
                     // Per-spike timing jitter.
                     let tj = (t as f32 + rng.normal_with(0.0, cfg.time_jitter)).round();
                     if tj >= 0.0 && (tj as usize) < cfg.steps {
-                        raster.set(tj as usize, c, true);
+                        events.push((tj as usize, c));
                     }
                 }
             }
@@ -238,12 +238,12 @@ fn sample_from_signature(segments: &[Segment], cfg: &ShdConfig, rng: &mut Rng) -
         for t in 0..cfg.steps {
             for c in 0..cfg.channels {
                 if rng.coin(cfg.noise_rate) {
-                    raster.set(t, c, true);
+                    events.push((t, c));
                 }
             }
         }
     }
-    raster
+    SpikeRaster::from_events(cfg.steps, cfg.channels, &events)
 }
 
 /// Generates a full labelled dataset.

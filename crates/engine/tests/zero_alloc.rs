@@ -200,10 +200,8 @@ fn stream_cycle(
         std::hint::black_box(stream.readout());
         stream.reset();
         for t in 0..input.steps() {
-            for (c, &x) in input.step(t).iter().enumerate() {
-                if x != 0.0 {
-                    stream.feed_at(t, c).unwrap();
-                }
+            for &c in input.step(t) {
+                stream.feed_at(t, c).unwrap();
             }
             stream.advance(1);
         }

@@ -97,9 +97,9 @@ pub struct ServerConfig {
     /// Maximum accepted request-body size in bytes.
     pub max_body_bytes: usize,
     /// Maximum accepted raster area (`steps × channels`) per sample —
-    /// checked against the *declared* dimensions before the raster is
-    /// materialized, so a hostile payload cannot trigger a huge
-    /// allocation.
+    /// checked against the *declared* dimensions, with `channels` held
+    /// to the model's input width, before the raster is materialized, so
+    /// a hostile payload cannot trigger a huge allocation.
     pub max_raster_cells: usize,
     /// Maximum samples in one `/classify_batch` request.
     pub max_batch_request: usize,
@@ -878,34 +878,31 @@ fn parse_trace_id(raw: &str) -> Option<u64> {
     u64::from_str_radix(raw, 16).ok().filter(|&id| id != 0)
 }
 
-/// Parses one wire-format raster, enforcing the declared-size cap before
-/// any proportional allocation and the engine's input width.
+/// Parses one wire-format raster, enforcing the declared-size cap and
+/// the engine's input width before any proportional allocation: with
+/// the width fixed, the cap also bounds `steps`, and so the raster's
+/// per-step offsets.
 fn parse_raster(v: &Json, ctx: &Ctx) -> Result<SpikeRaster, Response> {
     let steps = v.get("steps").and_then(Json::as_usize).unwrap_or(0);
-    let channels = v.get("channels").and_then(Json::as_usize).unwrap_or(0);
-    let cells = steps.saturating_mul(channels);
-    if cells > ctx.config.max_raster_cells {
+    let channels = v.get("channels").and_then(Json::as_usize);
+    let declared = channels.unwrap_or(0);
+    if steps.saturating_mul(declared) > ctx.config.max_raster_cells {
         return Err(Response::error(
             400,
             &format!(
-                "raster of {steps}x{channels} cells exceeds limit of {} cells",
+                "raster of {steps}x{declared} cells exceeds limit of {} cells",
                 ctx.config.max_raster_cells
             ),
         ));
     }
-    let raster = SpikeRaster::from_json(v)
-        .map_err(|e| Response::error(400, &format!("invalid raster: {e}")))?;
     let expected = ctx.scheduler.engine().network().n_in();
-    if raster.channels() != expected {
+    if channels.is_some_and(|c| c != expected) {
         return Err(Response::error(
             400,
-            &format!(
-                "raster has {} channels, model expects {expected}",
-                raster.channels()
-            ),
+            &format!("raster has {declared} channels, model expects {expected}"),
         ));
     }
-    Ok(raster)
+    SpikeRaster::from_json(v).map_err(|e| Response::error(400, &format!("invalid raster: {e}")))
 }
 
 /// Resolves the request's execution deadline: `X-Deadline-Ms` header if

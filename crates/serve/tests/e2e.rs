@@ -130,6 +130,37 @@ fn declared_oversize_raster_is_rejected_cheaply() {
     let resp = client.request("POST", "/classify", body).unwrap();
     assert_eq!(resp.status, 400);
     assert!(resp.body_str().contains("exceeds limit"));
+    // Zero declared cells but 10^12 steps: the raster would hold one
+    // offset per step, so the width check must bounce it before the
+    // decoder runs. The second case has a wrong width and 7·10^12 cells.
+    let good = SpikeRaster::zeros(5, 6).to_json().to_string();
+    for (hostile, why) in [
+        (
+            r#"{"steps": 1000000000000, "channels": 0, "events": []}"#,
+            "model expects 6",
+        ),
+        (
+            r#"{"steps": 1000000000000, "channels": 7, "events": []}"#,
+            "exceeds limit",
+        ),
+    ] {
+        let resp = client
+            .request("POST", "/classify", hostile.as_bytes())
+            .unwrap();
+        assert_eq!(resp.status, 400, "{hostile}");
+        assert!(
+            resp.body_str().contains(why),
+            "{hostile}: {}",
+            resp.body_str()
+        );
+        let batch = format!("{{\"rasters\": [{good}, {hostile}]}}");
+        let resp = client
+            .request("POST", "/classify_batch", batch.as_bytes())
+            .unwrap();
+        assert_eq!(resp.status, 400, "batch with {hostile}");
+        assert!(resp.body_str().contains(why), "batch: {}", resp.body_str());
+    }
+    assert_eq!(client.healthz().unwrap(), "ok");
     server.shutdown();
 }
 

@@ -6,7 +6,7 @@
 //! from the firing threshold the erfc surrogate underflows toward zero,
 //! so almost all of the backward pass's work multiplies negligible
 //! values. [`GradRaster`] is the CSR-style mirror of the forward pass's
-//! spike event lists (`SpikeRaster::active_indices` in `snn-core`): each
+//! spike event lists (`SpikeRaster` in `snn-core`): each
 //! recorded step holds the sorted indices and the values of the entries
 //! with `|dv| > ε`, and the BPTT weight products
 //! ([`lanes::sparse_matmul_add`](crate::lanes::sparse_matmul_add)) walk

@@ -26,12 +26,7 @@
 //!    batcher itself — per-job rendezvous and context switches under
 //!    `max_batch = 1` versus one dispatch per micro-batch — which is
 //!    exactly the capacity a loaded server degrades into. The binary
-//!    asserts batched ≥ `--min-speedup`× single (default 2). A replica
-//!    rider runs the same burst through one and two in-process replicas
-//!    (least-loaded dispatch) and asserts the best-of-3 two-replica
-//!    drain stays ≥ `--min-replica-ratio`× (default 0.9) of single —
-//!    parity on a 1-core container, a win on multi-core — with the true
-//!    ratio recorded. A second rider
+//!    asserts batched ≥ `--min-speedup`× single (default 2). A rider
 //!    gate measures the flight recorder's disarmed span-hook cost and
 //!    asserts the tracing-disabled observability overhead stays under
 //!    2% of the measured per-job cost; the fully-traced drain rate is
@@ -54,10 +49,10 @@
 //! Usage: `cargo run --release --bin bench_serve
 //! [-- --out PATH] [--min-speedup X] [--requests N] [--concurrency C]
 //! [--burst N] [--steps T] [--channels C] [--hidden H] [--density D]
-//! [--idle-conns N] [--skip-idle] [--min-replica-ratio X]
-//! [--skip-open-loop] [--skip-soak] [--soak-only] [--smoke]
-//! [--soak-seconds S] [--soak-rps R] [--fault-seed N] [--panic-rate P]
-//! [--latency-rate P] [--inject-latency-ms MS] [--corrupt-rate P]`
+//! [--idle-conns N] [--skip-idle] [--skip-open-loop] [--skip-soak]
+//! [--soak-only] [--smoke] [--soak-seconds S] [--soak-rps R]
+//! [--fault-seed N] [--panic-rate P] [--latency-rate P]
+//! [--inject-latency-ms MS] [--corrupt-rate P]`
 
 use bench::timing::Report;
 use bench::Args;
@@ -332,7 +327,6 @@ fn policy(max_batch: usize, workers: usize) -> BatchPolicy {
         max_wait: Duration::from_millis(2),
         queue_capacity: 8192,
         workers,
-        ..BatchPolicy::default()
     }
 }
 
@@ -554,61 +548,6 @@ fn main() {
         report.metric(
             "scheduler_drain_batched_over_single_speedup",
             speedup.unwrap(),
-        );
-
-        // ── 2a. Replica dispatch: a second replica must not cost drain ────
-        // The same burst through one replica and through two (least-loaded
-        // dispatch, one worker each). On a multi-core host two replicas
-        // drain faster; on a 1-core container the two configurations share
-        // one CPU, so the honest expectation is parity — the gate floors
-        // the best-of-3 ratio at `--min-replica-ratio` (default 0.9, i.e.
-        // replica dispatch overhead stays under 10%) and the true ratio is
-        // recorded.
-        let min_replica_ratio = args.get_f32("min-replica-ratio", 0.9) as f64;
-        let mut replica_best = [0.0f64; 2];
-        for (i, replicas) in [1usize, 2].iter().enumerate() {
-            for _attempt in 0..3 {
-                let scheduler = Scheduler::start(
-                    engine(),
-                    BatchPolicy {
-                        replicas: *replicas,
-                        ..policy(64, 1)
-                    },
-                );
-                // Warm every replica's sessions (round-robin on a quiet
-                // scheduler touches each in turn).
-                for input in inputs.iter().take(2 * replicas) {
-                    let warm = scheduler.submit(input.clone()).expect("warm");
-                    warm.wait().expect("warm answered");
-                }
-                let per_client = burst.div_ceil(concurrency).max(1);
-                let shards: Vec<Vec<SpikeRaster>> = (0..concurrency)
-                    .map(|c| {
-                        (0..per_client)
-                            .map(|k| inputs[(c * per_client + k) % inputs.len()].clone())
-                            .collect()
-                    })
-                    .collect();
-                let (rate, _) = burst_drain(&scheduler, shards, false);
-                scheduler.shutdown();
-                replica_best[i] = replica_best[i].max(rate);
-            }
-        }
-        let replica_ratio = replica_best[1] / replica_best[0];
-        report.metric("replica_drain/single_best_jobs_per_sec", replica_best[0]);
-        report.metric("replica_drain/dual_best_jobs_per_sec", replica_best[1]);
-        report.metric("replica_drain/dual_over_single", replica_ratio);
-        assert!(
-            replica_ratio >= min_replica_ratio,
-            "two replicas must drain >={min_replica_ratio:.2}x a single \
-             replica (measured {replica_ratio:.2}x: {:.0} vs {:.0} jobs/s)",
-            replica_best[1],
-            replica_best[0]
-        );
-        println!(
-            "replica OK: 2-replica drain {replica_ratio:.2}x single \
-             ({:.0} vs {:.0} jobs/s, best of 3)",
-            replica_best[1], replica_best[0]
         );
 
         // ── 2b. Observability overhead ─────────────────────────────────────

@@ -71,7 +71,6 @@ fn start_server(engine: Engine) -> ServerHandle {
                 max_wait: Duration::from_millis(1),
                 queue_capacity: 8192,
                 workers: 0,
-                ..BatchPolicy::default()
             },
             ..ServerConfig::default()
         },

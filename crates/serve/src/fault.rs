@@ -9,7 +9,7 @@
 //! thread interleaving.
 //!
 //! The plan is threaded through the scheduler behind a test-only hook
-//! ([`Scheduler::start_with_faults`](crate::Scheduler::start_with_faults));
+//! ([`Scheduler::start_with_streams`](crate::Scheduler::start_with_streams));
 //! production construction paths never consult it. The chaos integration
 //! tests and `bench_serve --soak` use it to assert the supervision
 //! guarantees: zero lost accepted requests, zero non-injected 5xx, and
@@ -68,10 +68,6 @@ pub struct FaultPlan {
     /// registry-leak regression test: a failed registration must release
     /// its `max_connections` slot, not wedge the server at the cap.
     pub register_fail_first: u64,
-    /// Restricts scheduled worker panics to one replica of the replica
-    /// set (`None` = panics apply on every replica). Lets a chaos test
-    /// kill exactly one replica while asserting the others keep serving.
-    pub panic_replica: Option<usize>,
 }
 
 impl FaultPlan {
@@ -86,7 +82,6 @@ impl FaultPlan {
             panic_attempts: 1,
             stream_panic_rate: 0.0,
             register_fail_first: 0,
-            panic_replica: None,
         }
     }
 
@@ -127,13 +122,6 @@ impl FaultPlan {
     /// [`register_fail_first`](Self::register_fail_first)).
     pub fn with_register_failures(mut self, n: u64) -> Self {
         self.register_fail_first = n;
-        self
-    }
-
-    /// Restricts scheduled worker panics to replica `r` (see
-    /// [`panic_replica`](Self::panic_replica)).
-    pub fn with_panic_replica(mut self, r: usize) -> Self {
-        self.panic_replica = Some(r);
         self
     }
 
@@ -195,25 +183,6 @@ impl FaultPlan {
     /// registrations do, deterministically).
     pub fn injects_register_failure(&self, conn_seq: u64) -> bool {
         conn_seq < self.register_fail_first
-    }
-
-    /// Whether scheduled worker panics apply on `replica` (they apply on
-    /// every replica unless [`panic_replica`](Self::panic_replica) pins
-    /// them to one).
-    pub fn panics_on_replica(&self, replica: usize) -> bool {
-        self.panic_replica.is_none_or(|r| r == replica)
-    }
-
-    /// Replica-aware [`apply`](Self::apply): injected latency still
-    /// applies everywhere, but scheduled panics fire only when
-    /// [`panics_on_replica`](Self::panics_on_replica) allows them.
-    pub fn apply_on_replica(&self, replica: usize, seq: u64, attempt: u32) {
-        if let Some(delay) = self.injected_latency(seq) {
-            std::thread::sleep(delay);
-        }
-        if self.panics_on_replica(replica) && self.injects_panic(seq, attempt) {
-            panic!("{INJECTED_PANIC}: job {seq} attempt {attempt} (replica {replica})");
-        }
     }
 
     /// Whether stream command `seq` (a per-session command counter mixed
@@ -354,25 +323,6 @@ mod tests {
         assert!(!plan.injects_register_failure(1000));
         // The default plan fails nothing.
         assert!(!FaultPlan::seeded(9).injects_register_failure(0));
-    }
-
-    #[test]
-    fn panic_replica_pins_panics_to_one_replica() {
-        silence_injected_panics();
-        let plan = FaultPlan::seeded(4)
-            .with_panic_rate(1.0)
-            .with_panic_replica(1);
-        assert!(!plan.panics_on_replica(0));
-        assert!(plan.panics_on_replica(1));
-        // Replica 0 executes the scheduled-panic job unharmed...
-        plan.apply_on_replica(0, 7, 0);
-        // ...replica 1 panics with the marker.
-        let err = std::panic::catch_unwind(|| plan.apply_on_replica(1, 7, 0)).unwrap_err();
-        let msg = err.downcast_ref::<String>().expect("string payload");
-        assert!(msg.contains(INJECTED_PANIC));
-        // Unpinned plans panic everywhere.
-        let anywhere = FaultPlan::seeded(4).with_panic_rate(1.0);
-        assert!(anywhere.panics_on_replica(0) && anywhere.panics_on_replica(5));
     }
 
     #[test]

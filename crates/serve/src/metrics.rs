@@ -249,22 +249,6 @@ impl Histogram {
     }
 }
 
-/// Upper bound on in-process engine replicas; sized so per-replica
-/// metrics can live in a fixed array with no locking on the hot path.
-pub const MAX_REPLICAS: usize = 16;
-
-/// Per-replica serving counters, exported as labeled
-/// `snn_replica_*{replica="i"}` families when replicas are configured.
-#[derive(Debug, Default)]
-pub struct ReplicaMetrics {
-    /// Jobs dispatched to this replica's queue.
-    pub jobs_total: Counter,
-    /// Jobs admitted to this replica and not yet answered. This gauge
-    /// doubles as the load signal for least-loaded dispatch — there is
-    /// deliberately no second bookkeeping atomic to drift from it.
-    pub inflight: Gauge,
-}
-
 /// Every counter the serving subsystem exports — shared (via `Arc`)
 /// between the scheduler, the HTTP layer, and the `/metrics` endpoint.
 #[derive(Debug)]
@@ -334,11 +318,6 @@ pub struct ServeMetrics {
     /// Requests whose wall-clock exceeded the configured slow-request
     /// threshold (each dumped its trace to stderr).
     pub slow_requests_total: Counter,
-    /// Per-replica counters; only the first
-    /// [`replica_count`](ServeMetrics::replica_count) entries are live.
-    pub replica: [ReplicaMetrics; MAX_REPLICAS],
-    /// Configured replica count (set once at scheduler start).
-    replica_count: AtomicU64,
 }
 
 impl Default for ServeMetrics {
@@ -382,21 +361,7 @@ impl ServeMetrics {
             stream_chunk_latency_us: Histogram::pow2(1 << 26),
             stage_us: std::array::from_fn(|_| Histogram::pow2(1 << 26)),
             slow_requests_total: Counter::default(),
-            replica: std::array::from_fn(|_| ReplicaMetrics::default()),
-            replica_count: AtomicU64::new(0),
         }
-    }
-
-    /// Records the configured replica count; called once at scheduler
-    /// start so `/metrics` renders exactly the live replica series.
-    pub fn set_replica_count(&self, n: usize) {
-        self.replica_count
-            .store(n.min(MAX_REPLICAS) as u64, Ordering::Relaxed);
-    }
-
-    /// Configured replica count (0 before any scheduler started).
-    pub fn replica_count(&self) -> usize {
-        self.replica_count.load(Ordering::Relaxed) as usize
     }
 
     /// Records one per-stage timing observation (microseconds).
@@ -547,36 +512,6 @@ impl ServeMetrics {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} gauge");
             let _ = writeln!(out, "{name} {}", gauge.get());
-        }
-        let replicas = self.replica_count();
-        let _ = writeln!(out, "# HELP snn_replicas Configured engine replica count.");
-        let _ = writeln!(out, "# TYPE snn_replicas gauge");
-        let _ = writeln!(out, "snn_replicas {replicas}");
-        if replicas > 0 {
-            let _ = writeln!(
-                out,
-                "# HELP snn_replica_jobs_total Jobs dispatched to each replica's queue."
-            );
-            let _ = writeln!(out, "# TYPE snn_replica_jobs_total counter");
-            for (i, r) in self.replica.iter().take(replicas).enumerate() {
-                let _ = writeln!(
-                    out,
-                    "snn_replica_jobs_total{{replica=\"{i}\"}} {}",
-                    r.jobs_total.get()
-                );
-            }
-            let _ = writeln!(
-                out,
-                "# HELP snn_replica_inflight Jobs admitted per replica and not yet answered."
-            );
-            let _ = writeln!(out, "# TYPE snn_replica_inflight gauge");
-            for (i, r) in self.replica.iter().take(replicas).enumerate() {
-                let _ = writeln!(
-                    out,
-                    "snn_replica_inflight{{replica=\"{i}\"}} {}",
-                    r.inflight.get()
-                );
-            }
         }
         self.batch_size.render_into(
             &mut out,
@@ -901,34 +836,6 @@ mod tests {
         assert!(text.contains("# TYPE snn_stage_seconds histogram"));
         assert!(text.contains("snn_stage_seconds_bucket{stage=\"parse\",le=\"+Inf\"} 1"));
         assert!(text.contains("snn_stage_seconds_count{stage=\"inference\"} 1"));
-    }
-
-    #[test]
-    fn replica_series_render_only_when_configured() {
-        let m = ServeMetrics::new();
-        let text = m.render();
-        assert!(text.contains("snn_replicas 0"));
-        assert!(!text.contains("snn_replica_jobs_total{"));
-
-        m.set_replica_count(2);
-        m.replica[0].jobs_total.add(3);
-        m.replica[1].inflight.inc();
-        let text = m.render();
-        assert!(text.contains("snn_replicas 2"));
-        assert!(text.contains("# TYPE snn_replica_jobs_total counter"));
-        assert!(text.contains("snn_replica_jobs_total{replica=\"0\"} 3"));
-        assert!(text.contains("snn_replica_jobs_total{replica=\"1\"} 0"));
-        assert!(text.contains("# TYPE snn_replica_inflight gauge"));
-        assert!(text.contains("snn_replica_inflight{replica=\"1\"} 1"));
-        // Only the configured replicas render.
-        assert!(!text.contains("replica=\"2\""));
-    }
-
-    #[test]
-    fn replica_count_is_clamped_to_the_array() {
-        let m = ServeMetrics::new();
-        m.set_replica_count(1000);
-        assert_eq!(m.replica_count(), MAX_REPLICAS);
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //!   queue is paused and no request is dropped.
 //! * **Deterministic fault injection** — a test-only
 //!   [`FaultPlan`] hook
-//!   ([`start_with_faults`](Scheduler::start_with_faults)) injects seeded
+//!   ([`start_with_streams`](Scheduler::start_with_streams)) injects seeded
 //!   panics/latency at the supervision boundary, which is how all of the
 //!   above is exercised in tests and `bench_serve --soak`.
 //!
@@ -62,7 +62,7 @@
 //! request is ever dropped without a response.
 
 use crate::fault::FaultPlan;
-use crate::metrics::{ServeMetrics, Stage, MAX_REPLICAS};
+use crate::metrics::{ServeMetrics, Stage};
 use crate::stream::{StreamConfig, StreamRouter};
 use snn_core::SpikeRaster;
 use snn_engine::{Engine, SessionPool};
@@ -88,16 +88,8 @@ pub struct BatchPolicy {
     /// Admission-queue capacity; a full queue rejects new submissions
     /// ([`SubmitError::QueueFull`]) instead of buffering unboundedly.
     pub queue_capacity: usize,
-    /// Worker threads executing batches, per replica (`0` = divide the
-    /// available cores across replicas, at least one each).
+    /// Worker threads executing batches (`0` = one per available core).
     pub workers: usize,
-    /// In-process engine replicas behind least-loaded dispatch. Each
-    /// replica owns its admission queue, collator, worker pool, and
-    /// hot-swappable [`SessionPool`]; `0` and `1` both mean a single
-    /// replica (the pre-replica behavior), larger values are clamped to
-    /// [`MAX_REPLICAS`]. Predictions are replica-count-invariant —
-    /// every replica serves clones of the same engine weights.
-    pub replicas: usize,
 }
 
 impl Default for BatchPolicy {
@@ -107,7 +99,6 @@ impl Default for BatchPolicy {
             max_wait: Duration::from_millis(2),
             queue_capacity: 1024,
             workers: 0,
-            replicas: 0,
         }
     }
 }
@@ -202,9 +193,6 @@ struct Job {
     /// [`snn_obs::now_ns`] when the collator picked the job up (for the
     /// batch-wait span); stamped by the collator.
     collated_ns: u64,
-    /// Replica this job was dispatched to; indexes the per-replica
-    /// metrics whose inflight gauge [`deliver`] decrements.
-    replica: usize,
 }
 
 impl Job {
@@ -324,9 +312,10 @@ impl Supervision {
 /// write (hot reload) never waits on inference.
 pub(crate) type EngineSlot = RwLock<Arc<SessionPool>>;
 
-/// The running micro-batching scheduler: N engine replicas (default 1),
-/// each with its own bounded admission queue, collator thread, and
-/// worker pool, behind least-loaded dispatch ([`BatchPolicy::replicas`]).
+/// The running micro-batching scheduler: one bounded admission queue,
+/// one collator thread, a pool of [`BatchPolicy::workers`] batch
+/// workers, and one hot-swappable engine slot, which the
+/// [`StreamRouter`]'s workers serve from too.
 ///
 /// # Examples
 ///
@@ -351,21 +340,14 @@ pub(crate) type EngineSlot = RwLock<Arc<SessionPool>>;
 /// scheduler.shutdown();
 /// ```
 pub struct Scheduler {
-    replicas: Vec<Replica>,
-    metrics: Arc<ServeMetrics>,
-    supervision: Arc<Supervision>,
-    stream: StreamRouter,
-    seq: AtomicU64,
-}
-
-/// One engine replica: its own admission queue, collator, worker pool,
-/// and hot-swappable engine slot. Replicas share nothing on the job hot
-/// path, so they scale out across cores without contending.
-struct Replica {
     queue_tx: Mutex<Option<SyncSender<Job>>>,
     engine_slot: Arc<EngineSlot>,
     collator: Mutex<Option<JoinHandle<()>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
+    metrics: Arc<ServeMetrics>,
+    supervision: Arc<Supervision>,
+    stream: StreamRouter,
+    seq: AtomicU64,
 }
 
 impl std::fmt::Debug for Scheduler {
@@ -379,40 +361,26 @@ impl std::fmt::Debug for Scheduler {
 
 impl Scheduler {
     /// Starts the collator and worker threads over `engine`, reporting
-    /// into a fresh [`ServeMetrics`].
+    /// into a fresh [`ServeMetrics`], with no fault plan and the default
+    /// [`StreamConfig`].
     pub fn start(engine: Engine, policy: BatchPolicy) -> Self {
-        Self::start_with_metrics(engine, policy, Arc::new(ServeMetrics::new()))
+        Self::start_with_streams(
+            engine,
+            policy,
+            Arc::new(ServeMetrics::new()),
+            None,
+            StreamConfig::default(),
+        )
     }
 
-    /// Starts the scheduler reporting into shared metrics (the HTTP
-    /// server passes the instance its `/metrics` endpoint renders).
-    pub fn start_with_metrics(
-        engine: Engine,
-        policy: BatchPolicy,
-        metrics: Arc<ServeMetrics>,
-    ) -> Self {
-        Self::start_with_faults(engine, policy, metrics, None)
-    }
-
-    /// Starts the scheduler with a deterministic [`FaultPlan`] injected
-    /// at the worker supervision boundary — the test-only hook behind the
-    /// chaos suite and `bench_serve --soak`. Production paths pass
-    /// `None` (via [`start`](Self::start) /
-    /// [`start_with_metrics`](Self::start_with_metrics)) and never
-    /// consult the plan.
-    pub fn start_with_faults(
-        engine: Engine,
-        policy: BatchPolicy,
-        metrics: Arc<ServeMetrics>,
-        faults: Option<Arc<FaultPlan>>,
-    ) -> Self {
-        Self::start_with_streams(engine, policy, metrics, faults, StreamConfig::default())
-    }
-
-    /// The full constructor: [`start_with_faults`](Self::start_with_faults)
-    /// plus an explicit resident-stream policy for the
-    /// [`StreamRouter`] (the binary streaming protocol's sticky
-    /// scheduler, reachable via [`streams`](Self::streams)).
+    /// The full constructor: reports into shared `metrics` (the HTTP
+    /// server passes the instance its `/metrics` endpoint renders),
+    /// injects a deterministic [`FaultPlan`] at the worker supervision
+    /// boundary (the test-only hook behind the chaos suite and
+    /// `bench_serve --soak`; production paths pass `None` and never
+    /// consult the plan), and runs the [`StreamRouter`] (the binary
+    /// streaming protocol's sticky scheduler, reachable via
+    /// [`streams`](Self::streams)) under `stream_cfg`.
     pub fn start_with_streams(
         engine: Engine,
         policy: BatchPolicy,
@@ -422,91 +390,63 @@ impl Scheduler {
     ) -> Self {
         let max_batch = policy.max_batch.max(1);
         let max_wait = policy.max_wait;
-        let queue_capacity = policy.queue_capacity.max(1);
-        let n_replicas = policy.replicas.clamp(1, MAX_REPLICAS);
-        // Workers are a per-replica count: an explicit value is honored
-        // as-is, auto divides the cores across replicas.
         let n_workers = match policy.workers {
-            0 => {
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                (cores / n_replicas).max(1)
-            }
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
         };
-
-        metrics.set_replica_count(n_replicas);
         let supervision = Arc::new(Supervision::new());
-        let mut replicas = Vec::with_capacity(n_replicas);
-        let mut slots = Vec::with_capacity(n_replicas);
-        for r in 0..n_replicas {
-            // Each replica serves its own pool over a clone of the same
-            // engine handle: shared (immutable) weights, private warm
-            // session buffers — which is what keeps predictions
-            // replica-count-invariant.
-            let engine_slot = Arc::new(RwLock::new(Arc::new(SessionPool::new(engine.clone()))));
-            slots.push(Arc::clone(&engine_slot));
-            let (queue_tx, queue_rx) = mpsc::sync_channel::<Job>(queue_capacity);
-            // Rendezvous dispatch: the collator hands a batch directly to
-            // a free worker. While every worker is busy the collator
-            // blocks here — meanwhile submissions pile up in the
-            // admission queue, so the *next* batch is larger. That is the
-            // adaptive part of dynamic batching: batch size tracks load
-            // with no tuning.
-            let (dispatch_tx, dispatch_rx) = mpsc::sync_channel::<Vec<Job>>(0);
-            let dispatch_rx = Arc::new(Mutex::new(dispatch_rx));
+        let engine_slot = Arc::new(RwLock::new(Arc::new(SessionPool::new(engine))));
+        let (queue_tx, queue_rx) = mpsc::sync_channel::<Job>(policy.queue_capacity.max(1));
+        // Rendezvous dispatch: the collator hands a batch directly to a
+        // free worker. While every worker is busy the collator blocks
+        // here — meanwhile submissions pile up in the admission queue, so
+        // the *next* batch is larger. That is the adaptive part of
+        // dynamic batching: batch size tracks load with no tuning.
+        let (dispatch_tx, dispatch_rx) = mpsc::sync_channel::<Vec<Job>>(0);
+        let dispatch_rx = Arc::new(Mutex::new(dispatch_rx));
 
-            let collator = {
+        let collator = {
+            let metrics = Arc::clone(&metrics);
+            std::thread::Builder::new()
+                .name("snn-serve-collator".to_string())
+                .spawn(move || collate(queue_rx, dispatch_tx, max_batch, max_wait, &metrics))
+                .expect("spawn collator thread")
+        };
+
+        let workers = (0..n_workers)
+            .map(|i| {
+                let rx = Arc::clone(&dispatch_rx);
+                let slot = Arc::clone(&engine_slot);
                 let metrics = Arc::clone(&metrics);
+                let supervision = Arc::clone(&supervision);
+                let faults = faults.clone();
                 std::thread::Builder::new()
-                    .name(format!("snn-serve-collator-{r}"))
-                    .spawn(move || collate(queue_rx, dispatch_tx, max_batch, max_wait, &metrics))
-                    .expect("spawn collator thread")
-            };
-
-            let workers = (0..n_workers)
-                .map(|i| {
-                    let rx = Arc::clone(&dispatch_rx);
-                    let slot = Arc::clone(&engine_slot);
-                    let metrics = Arc::clone(&metrics);
-                    let supervision = Arc::clone(&supervision);
-                    let faults = faults.clone();
-                    std::thread::Builder::new()
-                        .name(format!("snn-serve-r{r}-worker-{i}"))
-                        .spawn(move || {
-                            worker_loop(&rx, &slot, &metrics, &supervision, faults.as_deref(), r)
-                        })
-                        .expect("spawn worker thread")
-                })
-                .collect();
-
-            replicas.push(Replica {
-                queue_tx: Mutex::new(Some(queue_tx)),
-                engine_slot,
-                collator: Mutex::new(Some(collator)),
-                workers: Mutex::new(workers),
-            });
-        }
+                    .name(format!("snn-serve-worker-{i}"))
+                    .spawn(move || {
+                        worker_loop(&rx, &slot, &metrics, &supervision, faults.as_deref())
+                    })
+                    .expect("spawn worker thread")
+            })
+            .collect();
 
         let stream = StreamRouter::start(
             stream_cfg,
-            slots,
+            Arc::clone(&engine_slot),
             Arc::clone(&metrics),
             Arc::clone(&supervision),
             faults,
         );
 
         Self {
-            replicas,
+            queue_tx: Mutex::new(Some(queue_tx)),
+            engine_slot,
+            collator: Mutex::new(Some(collator)),
+            workers: Mutex::new(workers),
             metrics,
             supervision,
             stream,
             seq: AtomicU64::new(0),
         }
-    }
-
-    /// The configured replica count (≥ 1).
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
     }
 
     /// The sticky router for resident-state streaming sessions (the
@@ -524,8 +464,7 @@ impl Scheduler {
     /// handle; it stays valid across [`swap_engine`](Self::swap_engine),
     /// it just stops being the one new batches use).
     pub fn engine(&self) -> Engine {
-        self.replicas[0]
-            .engine_slot
+        self.engine_slot
             .read()
             .expect("engine slot poisoned")
             .engine()
@@ -561,14 +500,8 @@ impl Scheduler {
                 offered: new_shape,
             });
         }
-        // Rolling swap, one replica at a time: each write lock is held
-        // only for the pointer store, so at most one replica is briefly
-        // unswapped-into while the other N−1 keep serving — readiness
-        // never drops below N−1 during a reload.
-        for replica in &self.replicas {
-            let fresh = Arc::new(SessionPool::new(engine.clone()));
-            *replica.engine_slot.write().expect("engine slot poisoned") = fresh;
-        }
+        let fresh = Arc::new(SessionPool::new(engine));
+        *self.engine_slot.write().expect("engine slot poisoned") = fresh;
         // Resident streams opened against the old engine are invalidated
         // by policy: each answers a typed SESSION_LOST at its next frame
         // instead of silently continuing on weights it never fed.
@@ -624,10 +557,8 @@ impl Scheduler {
     ) -> Result<Ticket, SubmitError> {
         let (result_tx, result_rx) = mpsc::channel();
         let traced = trace != 0 && snn_obs::enabled();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let replica = self.pick_replica(seq);
         let job = Job {
-            seq,
+            seq: self.seq.fetch_add(1, Ordering::Relaxed),
             raster,
             submitted_at: Instant::now(),
             deadline,
@@ -636,66 +567,33 @@ impl Scheduler {
             parent_span,
             submitted_ns: if traced { snn_obs::now_ns() } else { 0 },
             collated_ns: 0,
-            replica,
         };
-        let guard = self.replicas[replica]
-            .queue_tx
-            .lock()
-            .expect("queue sender poisoned");
+        let guard = self.queue_tx.lock().expect("queue sender poisoned");
         let Some(tx) = guard.as_ref() else {
             self.metrics.rejected_shutting_down.inc();
             return Err(SubmitError::ShuttingDown);
         };
-        // Increment the gauges *before* the send: the matching decrement
-        // (collator recv for queue_depth, [`deliver`] for inflight)
-        // happens-after this send, so the pair can never invert (a
-        // post-send increment would race the decrement and drift the
-        // gauge upward forever).
+        // Increment the gauge *before* the send: the matching decrement
+        // (collator recv) happens-after this send, so the pair can never
+        // invert (a post-send increment would race the decrement and
+        // drift the gauge upward forever).
         self.metrics.queue_depth.inc();
-        self.metrics.replica[replica].inflight.inc();
         match tx.try_send(job) {
             Ok(()) => {
                 self.metrics.jobs_total.inc();
-                self.metrics.replica[replica].jobs_total.inc();
                 Ok(Ticket { result_rx })
             }
             Err(TrySendError::Full(_)) => {
                 self.metrics.queue_depth.dec();
-                self.metrics.replica[replica].inflight.dec();
                 self.metrics.rejected_queue_full.inc();
                 Err(SubmitError::QueueFull)
             }
             Err(TrySendError::Disconnected(_)) => {
                 self.metrics.queue_depth.dec();
-                self.metrics.replica[replica].inflight.dec();
                 self.metrics.rejected_shutting_down.inc();
                 Err(SubmitError::ShuttingDown)
             }
         }
-    }
-
-    /// Least-loaded dispatch with a rotating tie-break: scan starts at
-    /// `seq % n`, and only a strictly smaller inflight count steals the
-    /// pick. Under contention this tracks real load; on a quiet server
-    /// (all inflight 0) it degenerates to round-robin, which keeps
-    /// sequential traffic spreading across replicas deterministically.
-    fn pick_replica(&self, seq: u64) -> usize {
-        let n = self.replicas.len();
-        if n == 1 {
-            return 0;
-        }
-        let start = (seq % n as u64) as usize;
-        let mut best = start;
-        let mut best_load = u64::MAX;
-        for k in 0..n {
-            let i = (start + k) % n;
-            let load = self.metrics.replica[i].inflight.get();
-            if load < best_load {
-                best_load = load;
-                best = i;
-            }
-        }
-        best
     }
 
     /// Gracefully shuts down: closes admission, lets the collator drain
@@ -703,23 +601,17 @@ impl Scheduler {
     /// answer them, and joins all threads. Every ticket issued before
     /// the call still resolves.
     pub fn shutdown(&self) {
-        // Dropping a queue sender is the shutdown signal: each collator
-        // keeps receiving buffered jobs until its queue is empty, then
+        // Dropping the queue sender is the shutdown signal: the collator
+        // keeps receiving buffered jobs until the queue is empty, then
         // sees the disconnect and exits, dropping its dispatch sender,
-        // which in turn terminates that replica's workers once the last
-        // batch is done. Admission closes on every replica first so no
-        // late submit can land behind a draining queue.
-        for replica in &self.replicas {
-            *replica.queue_tx.lock().expect("queue sender poisoned") = None;
+        // which in turn terminates the workers once the last batch is
+        // done.
+        *self.queue_tx.lock().expect("queue sender poisoned") = None;
+        if let Some(handle) = self.collator.lock().expect("collator handle").take() {
+            let _ = handle.join();
         }
-        for replica in &self.replicas {
-            if let Some(handle) = replica.collator.lock().expect("collator handle").take() {
-                let _ = handle.join();
-            }
-            let mut workers = replica.workers.lock().expect("worker handles");
-            for handle in workers.drain(..) {
-                let _ = handle.join();
-            }
+        for handle in self.workers.lock().expect("worker handles").drain(..) {
+            let _ = handle.join();
         }
         // Stream workers drain their queues and exit; resident sessions
         // are dropped (clean shutdown does not depend on clients closing).
@@ -733,16 +625,9 @@ impl Drop for Scheduler {
     }
 }
 
-/// Answers a job's ticket and settles its replica accounting: the
-/// inflight decrement is sequenced before the send, so any thread that
-/// received the answer observes the decremented gauge — which is what
-/// lets sequential traffic over a quiet server round-robin instead of
-/// piling onto one replica. Every terminal send for an admitted job
-/// must go through here.
-fn deliver(job: &Job, metrics: &ServeMetrics, result: Result<usize, JobError>) {
-    metrics.replica[job.replica].inflight.dec();
-    // A dropped receiver (client went away) is not an error; the work
-    // is already done.
+/// Answers a job's ticket. A dropped receiver (client went away) is not
+/// an error; the work is already done.
+fn deliver(job: &Job, result: Result<usize, JobError>) {
     let _ = job.result_tx.send(result);
 }
 
@@ -831,7 +716,7 @@ fn collate(
         batch.retain(|job| {
             if job.expired(now) {
                 metrics.jobs_expired_total.inc();
-                deliver(job, metrics, Err(JobError::Expired));
+                deliver(job, Err(JobError::Expired));
                 return false;
             }
             true
@@ -860,7 +745,6 @@ fn worker_loop(
     metrics: &ServeMetrics,
     supervision: &Supervision,
     faults: Option<&FaultPlan>,
-    replica: usize,
 ) {
     loop {
         // Standard shared-receiver pattern: the lock is held only while
@@ -885,7 +769,7 @@ fn worker_loop(
             // between collation and its turn within the batch.
             if job.expired(Instant::now()) {
                 metrics.jobs_expired_total.inc();
-                deliver(&job, metrics, Err(JobError::Expired));
+                deliver(&job, Err(JobError::Expired));
                 continue;
             }
             // For traced jobs: close the batch-wait span (collated →
@@ -915,7 +799,7 @@ fn worker_loop(
             let result = loop {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     if let Some(plan) = faults {
-                        plan.apply_on_replica(replica, job.seq, attempt);
+                        plan.apply(job.seq, attempt);
                     }
                     let _ctx = exec_span.map(|(span, _)| snn_obs::with_trace(job.trace, span));
                     session.classify(&job.raster)
@@ -957,7 +841,7 @@ fn worker_loop(
                     metrics.observe_stage(Stage::Inference, end.saturating_sub(start) / 1000);
                 }
             }
-            deliver(&job, metrics, result);
+            deliver(&job, result);
         }
     }
 }

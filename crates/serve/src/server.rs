@@ -51,8 +51,8 @@
 //!
 //! `/admin/reload` builds a fresh [`Engine`] from a checkpoint on a
 //! handler thread — off the worker path — verifies its integrity
-//! trailer and shape, and atomically swaps it into the scheduler
-//! ([`Scheduler::swap_engine`]), one replica at a time. A bad checkpoint
+//! trailer and shape, and atomically swaps it into the scheduler's one
+//! engine slot ([`Scheduler::swap_engine`]). A bad checkpoint
 //! answers `400`, a shape mismatch or concurrent reload answers `409`,
 //! and in every failure case the old engine keeps serving untouched.
 
@@ -1117,8 +1117,8 @@ fn classify_traced(
 /// `POST /admin/reload` — hot checkpoint reload. The new engine is built
 /// on a handler thread (inference workers never stall on it),
 /// integrity-verified by the checkpoint loader, shape-checked, and then
-/// atomically swapped into the scheduler, one replica at a time. On any
-/// failure the old engine keeps serving.
+/// atomically swapped into the scheduler's engine slot. On any failure
+/// the old engine keeps serving.
 fn admin_reload(body: &[u8], ctx: &Ctx) -> Response {
     let metrics = ctx.scheduler.metrics();
     let path = match reload_path(body, ctx) {

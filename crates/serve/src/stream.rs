@@ -183,13 +183,12 @@ enum Cmd {
 
 /// The sticky stream scheduler: owns the stream worker threads, the
 /// session registry, and the eviction policy. Created by — and reachable
-/// through — the [`Scheduler`](crate::Scheduler::streams).
+/// through — the [`Scheduler`](crate::Scheduler::streams), whose engine
+/// slot every stream worker serves from, so a hot reload reaches new
+/// sessions and batches alike.
 pub struct StreamRouter {
     cfg: StreamConfig,
-    /// One engine slot per replica; worker `i` serves
-    /// `slots[i % slots.len()]`, so a session's sticky worker also pins
-    /// it to one replica for its whole life.
-    slots: Vec<Arc<EngineSlot>>,
+    slot: Arc<EngineSlot>,
     generation: Arc<AtomicU64>,
     metrics: Arc<ServeMetrics>,
     registry: Arc<Mutex<HashMap<u64, Meta>>>,
@@ -211,19 +210,15 @@ impl std::fmt::Debug for StreamRouter {
 impl StreamRouter {
     pub(crate) fn start(
         cfg: StreamConfig,
-        slots: Vec<Arc<EngineSlot>>,
+        slot: Arc<EngineSlot>,
         metrics: Arc<ServeMetrics>,
         supervision: Arc<Supervision>,
         faults: Option<Arc<FaultPlan>>,
     ) -> Self {
-        assert!(!slots.is_empty(), "StreamRouter needs at least one slot");
-        // At least one worker per replica slot, so every replica can
-        // hold resident sessions.
         let n_workers = match cfg.workers {
             0 => 2,
             n => n,
-        }
-        .max(slots.len());
+        };
         let generation = Arc::new(AtomicU64::new(0));
         let registry: Arc<Mutex<HashMap<u64, Meta>>> = Arc::new(Mutex::new(HashMap::new()));
         let mut senders = Vec::with_capacity(n_workers);
@@ -231,7 +226,7 @@ impl StreamRouter {
         for i in 0..n_workers {
             let (tx, rx) = mpsc::sync_channel::<Cmd>(WORKER_QUEUE);
             senders.push(tx);
-            let slot = Arc::clone(&slots[i % slots.len()]);
+            let slot = Arc::clone(&slot);
             let generation = Arc::clone(&generation);
             let metrics = Arc::clone(&metrics);
             let registry = Arc::clone(&registry);
@@ -256,7 +251,7 @@ impl StreamRouter {
         }
         Self {
             cfg,
-            slots,
+            slot,
             generation,
             metrics,
             registry,
@@ -303,7 +298,7 @@ impl StreamRouter {
     /// down.
     pub fn open(&self, n_in: u32, max_pending: u32) -> Result<(u64, u32, u32), StreamFailure> {
         let model_in = {
-            let pool = self.slots[0].read().expect("engine slot poisoned");
+            let pool = self.slot.read().expect("engine slot poisoned");
             pool.engine().network().n_in() as u32
         };
         if n_in != model_in {
@@ -476,12 +471,6 @@ impl StreamRouter {
             .expect("stream registry poisoned")
             .get(&id)
             .map(|m| m.worker)
-    }
-
-    /// The engine replica a live session's resident state lives on
-    /// (worker `i` serves replica `i % replicas`).
-    pub fn session_replica(&self, id: u64) -> Option<usize> {
-        self.session_worker(id).map(|w| w % self.slots.len())
     }
 
     /// Best-effort cleanup when a connection ends, however it ends.
@@ -1071,17 +1060,10 @@ mod tests {
     }
 
     fn rig_with(cfg: StreamConfig, faults: Option<Arc<FaultPlan>>) -> Rig {
-        rig_replicated(cfg, faults, 1)
-    }
-
-    fn rig_replicated(cfg: StreamConfig, faults: Option<Arc<FaultPlan>>, replicas: usize) -> Rig {
-        let slots: Vec<Arc<EngineSlot>> = (0..replicas)
-            .map(|_| Arc::new(RwLock::new(Arc::new(SessionPool::new(engine())))) as Arc<EngineSlot>)
-            .collect();
         let metrics = Arc::new(ServeMetrics::new());
         let router = StreamRouter::start(
             cfg,
-            slots,
+            Arc::new(RwLock::new(Arc::new(SessionPool::new(engine())))),
             Arc::clone(&metrics),
             Arc::new(Supervision::new()),
             faults,
@@ -1240,13 +1222,12 @@ mod tests {
     }
 
     #[test]
-    fn sticky_sessions_never_migrate_workers_or_replicas() {
-        // Two replica slots, four workers: worker i serves slot i % 2.
+    fn sticky_sessions_never_migrate_workers() {
         let cfg = StreamConfig {
             workers: 4,
             ..StreamConfig::default()
         };
-        let r = rig_replicated(cfg, None, 2);
+        let r = rig(cfg);
         let input = raster();
         let deltas: Vec<(u16, u16)> = input
             .delta_events()
@@ -1254,30 +1235,27 @@ mod tests {
             .map(|&(dt, ch)| (dt as u16, ch as u16))
             .collect();
         let expected = engine().session().classify(&input) as u32;
-        let mut seen_replicas = std::collections::HashSet::new();
+        let mut seen_workers = std::collections::HashSet::new();
         for _ in 0..8 {
             let (id, _, _) = r.router.open(6, 0).unwrap();
             let worker = r.router.session_worker(id).unwrap();
-            let replica = r.router.session_replica(id).unwrap();
-            assert_eq!(replica, worker % 2);
-            seen_replicas.insert(replica);
+            seen_workers.insert(worker);
             // Many frames: the session must stay pinned to its worker
-            // (and therefore replica) across every one of them, and its
-            // resident state must keep accumulating coherently.
+            // across every one of them, and its resident state must keep
+            // accumulating coherently.
             for (i, chunk) in deltas.chunks(2).enumerate() {
                 r.router.feed(id, chunk.to_vec()).unwrap();
                 assert_eq!(r.router.session_worker(id), Some(worker), "chunk {i}");
-                assert_eq!(r.router.session_replica(id), Some(replica), "chunk {i}");
             }
             r.router.tick(id, input.steps() as u32).unwrap();
             let (class, steps) = r.router.readout(id).unwrap();
             assert_eq!(steps, input.steps() as u64);
-            assert_eq!(class, expected, "replica {replica} must serve same model");
+            assert_eq!(class, expected, "worker {worker} must serve same model");
             assert_eq!(r.router.session_worker(id), Some(worker));
             r.router.close(id).unwrap();
         }
-        // Round-robin session ids across 4 workers cover both replicas.
-        assert_eq!(seen_replicas.len(), 2, "both replicas held sessions");
+        // Round-robin session ids cover all 4 workers.
+        assert_eq!(seen_workers.len(), 4, "every worker held sessions");
     }
 
     #[test]

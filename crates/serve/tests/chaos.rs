@@ -369,53 +369,6 @@ fn register_failure_does_not_leak_connection_slots() {
     server.shutdown();
 }
 
-#[test]
-fn replica_panic_leaves_other_replica_serving() {
-    // Two replicas, panics pinned to replica 0 and double-attempted so
-    // they always fail. A quiet server's rotating least-loaded dispatch
-    // alternates replicas deterministically, so exactly the even
-    // requests die with a clean 503 while the odd ones classify
-    // correctly — one replica burning never takes the server down.
-    let server = start_with_faults(
-        60,
-        FaultPlan::seeded(61)
-            .with_panic_rate(1.0)
-            .with_panic_attempts(2)
-            .with_panic_replica(0),
-        ServerConfig {
-            policy: BatchPolicy {
-                replicas: 2,
-                workers: 1,
-                ..BatchPolicy::default()
-            },
-            ..ServerConfig::default()
-        },
-    );
-    let samples = inputs(16, 62);
-    let expected = engine(60).classify_batch(&samples);
-    let mut client = Client::connect(server.addr()).unwrap();
-    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
-    for (k, (raster, &want)) in samples.iter().zip(&expected).enumerate() {
-        match client.classify(raster) {
-            Ok(class) => {
-                assert_eq!(k % 2, 1, "request {k} ran on the panicking replica");
-                assert_eq!(class, want, "healthy replica must answer correctly");
-            }
-            Err(err) => {
-                assert_eq!(k % 2, 0, "request {k} ran on the healthy replica");
-                assert_eq!(err.status(), Some(503), "{err}");
-            }
-        }
-    }
-    let m = server.metrics();
-    assert_eq!(m.replica_count(), 2);
-    assert_eq!(m.replica[0].jobs_total.get(), 8);
-    assert_eq!(m.replica[1].jobs_total.get(), 8);
-    assert_eq!(m.worker_panics_total.get(), 16, "8 jobs x 2 attempts");
-    assert_eq!(client.healthz().unwrap(), "ok", "server survives");
-    server.shutdown();
-}
-
 fn stream_deltas(raster: &SpikeRaster) -> Vec<(u16, u16)> {
     raster
         .delta_events()

@@ -87,33 +87,4 @@ proptest! {
             );
         }
     }
-
-    /// Predictions are replica-count-invariant: the same inputs through
-    /// 1, 2, and 4 replicas (each with its own session pool and queue,
-    /// behind least-loaded dispatch) produce identical outputs, all
-    /// equal to the engine's direct `classify_batch`. Which replica a
-    /// sample lands on must never influence its class.
-    #[test]
-    fn predictions_are_independent_of_replica_count(
-        seed in 12u64..20,
-        inputs in rasters_strategy(16),
-    ) {
-        let net = net_from_seed(seed);
-        let reference = Engine::from_network(net.clone()).build().classify_batch(&inputs);
-        for replicas in [1usize, 2, 4] {
-            let scheduler = Scheduler::start(
-                Engine::from_network(net.clone()).build(),
-                BatchPolicy {
-                    max_batch: 4,
-                    max_wait: Duration::from_millis(2),
-                    workers: 1,
-                    replicas,
-                    ..BatchPolicy::default()
-                },
-            );
-            let got = run_through(&scheduler, &inputs);
-            scheduler.shutdown();
-            prop_assert_eq!(&got, &reference, "replicas={}", replicas);
-        }
-    }
 }

@@ -1,7 +1,8 @@
 //! Hot-reload and shutdown-race tests.
 //!
 //! Covers the reload contract end to end: a reload really swaps the
-//! serving weights (observable as a changed prediction), every flavor of
+//! serving weights (observable as a changed prediction on `/classify`
+//! and on a fresh stream session), every flavor of
 //! bad checkpoint (tampered, truncated, non-finite, wrong shape) is
 //! rejected with a typed status while the old engine keeps serving, and
 //! a graceful shutdown racing a concurrent reload neither hangs nor
@@ -11,7 +12,7 @@ use snn_core::{checkpoint, Network, NeuronKind, SpikeRaster};
 use snn_engine::{Backend, Engine};
 use snn_json::integrity;
 use snn_neuron::NeuronParams;
-use snn_serve::{serve, BatchPolicy, Client, ServerConfig};
+use snn_serve::{serve, BatchPolicy, Client, ServerConfig, StreamClient};
 use snn_tensor::Rng;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -94,6 +95,23 @@ fn hot_reload_swaps_the_serving_weights() {
         b_cls[probe],
         "the swapped-in weights must serve the very next request"
     );
+    // The stream workers serve from the same slot: a session opened after
+    // the reload reads out with the new weights too.
+    let deltas: Vec<(u16, u16)> = candidates[probe]
+        .delta_events()
+        .iter()
+        .map(|&(dt, ch)| (dt as u16, ch as u16))
+        .collect();
+    let mut stream = StreamClient::open(server.addr(), 6, 0).unwrap();
+    stream.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream.feed(&deltas).unwrap();
+    stream.tick(candidates[probe].steps() as u32).unwrap();
+    let (class, _) = stream.readout().unwrap();
+    assert_eq!(
+        class as usize, b_cls[probe],
+        "a stream opened after the reload must serve the swapped-in weights"
+    );
+    stream.close().unwrap();
     let m = server.metrics();
     assert_eq!(m.reloads_total.get(), 1);
     assert_eq!(m.reload_failures_total.get(), 0);

@@ -5,7 +5,7 @@
 use snn_core::{Network, NeuronKind, SpikeRaster};
 use snn_engine::Engine;
 use snn_neuron::NeuronParams;
-use snn_serve::{BatchPolicy, FaultPlan, Scheduler, ServeMetrics, SubmitError};
+use snn_serve::{BatchPolicy, FaultPlan, Scheduler, ServeMetrics, StreamConfig, SubmitError};
 use snn_tensor::Rng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -150,19 +150,19 @@ fn shutdown_with_non_empty_queue_answers_everything() {
 /// supervision loop, to hold the one worker busy while the queue fills.
 #[test]
 fn full_queue_applies_backpressure() {
-    let scheduler = Scheduler::start_with_faults(
+    let scheduler = Scheduler::start_with_streams(
         engine(7),
         BatchPolicy {
             max_batch: 1,
             max_wait: Duration::from_millis(1),
             queue_capacity: 2,
             workers: 1,
-            ..BatchPolicy::default()
         },
         Arc::new(ServeMetrics::new()),
         Some(Arc::new(
             FaultPlan::seeded(7).with_latency(1.0, Duration::from_millis(50)),
         )),
+        StreamConfig::default(),
     );
     let batch = inputs(64, 8);
     let mut accepted = Vec::new();

@@ -182,13 +182,17 @@ impl Engine {
     }
 
     /// Runs one input through the backend into caller-owned buffers (the
-    /// rollout behind every [`Session`] call).
+    /// inference rollout behind every [`Session`] call).
+    ///
+    /// An inference pass fills only each layer's `o` record; `pre` and
+    /// `v` stay empty. BPTT needs all three: train from
+    /// [`Network::forward_into`] instead.
     ///
     /// # Panics
     ///
     /// Panics if `input.channels()` differs from the network input width.
     pub fn forward_into(&self, input: &SpikeRaster, fwd: &mut Forward, scratch: &mut ScratchSpace) {
-        self.net.rollout(self.backend, input, fwd, scratch);
+        self.net.infer_rollout(self.backend, input, fwd, scratch);
     }
 
     /// Opens a session: a single-worker handle with private reusable
@@ -300,10 +304,11 @@ impl<'e> Session<'e> {
         }
     }
 
-    /// Runs one input and returns the full per-layer forward cache
-    /// (valid until the next call on this session).
+    /// Runs one input and returns the per-layer forward cache (valid
+    /// until the next call on this session). An inference pass fills
+    /// only each layer's `o` record; `pre` and `v` stay empty.
     pub fn infer(&mut self, input: &SpikeRaster) -> &Forward {
-        self.net.rollout(
+        self.net.infer_rollout(
             self.backend,
             input,
             &mut self.buf.fwd,
@@ -334,7 +339,8 @@ impl<'e> Session<'e> {
         (class, &self.buf.probs)
     }
 
-    /// The forward cache of the most recent call.
+    /// The forward cache of the most recent call: each layer's `o`
+    /// record, with `pre` and `v` empty (see [`infer`](Self::infer)).
     pub fn last_output(&self) -> &Forward {
         &self.buf.fwd
     }

@@ -51,12 +51,23 @@ enum Drive<'a> {
     Dense,
 }
 
-/// One timestep's `pre`, `v` and `o` record rows.
-type Rows<'a> = (&'a mut [f32], &'a mut [f32], &'a mut [f32]);
+/// One timestep's `pre`, `v` and `o` record rows, each `None` when the
+/// record does not keep that matrix.
+type Rows<'a> = (
+    Option<&'a mut [f32]>,
+    Option<&'a mut [f32]>,
+    Option<&'a mut [f32]>,
+);
 
-/// Per-layer forward cache for one input sample: everything BPTT needs.
+/// Per-layer forward cache for one input sample.
 ///
-/// All matrices are `T × width` (row per timestep).
+/// A training rollout ([`Network::forward_into`](crate::Network::forward_into),
+/// [`Network::forward_dense_reference`](crate::Network::forward_dense_reference))
+/// fills all three matrices, `T × width` each (row per timestep):
+/// everything BPTT needs. An inference pass (every
+/// [`Session`](crate::engine::Session) call and
+/// [`Engine::forward_into`](crate::engine::Engine::forward_into)) fills
+/// only `o`, and leaves `pre` and `v` empty (`0 × 0`).
 #[derive(Debug, Clone)]
 pub struct LayerRecord {
     /// Filtered presynaptic trace `k[t]` (adaptive) or raw input spikes
@@ -81,7 +92,7 @@ impl LayerRecord {
 
     /// Number of timesteps recorded.
     pub fn steps(&self) -> usize {
-        self.v.rows()
+        self.o.rows()
     }
 
     /// Reshapes the cache for a `t_steps`-long rollout of an
@@ -92,8 +103,24 @@ impl LayerRecord {
         self.o.resize_zeroed(t_steps, n_out);
     }
 
+    /// Reshapes the cache for an inference rollout: `o` becomes
+    /// `t_steps × n_out`, zero-filled; `pre` and `v` become `0 × 0`.
+    pub(crate) fn resize_output(&mut self, t_steps: usize, n_out: usize) {
+        self.pre.resize_zeroed(0, 0);
+        self.v.resize_zeroed(0, 0);
+        self.o.resize_zeroed(t_steps, n_out);
+    }
+
+    /// Step `t`'s row of each matrix that holds one.
     fn rows_mut(&mut self, t: usize) -> Rows<'_> {
-        (self.pre.row_mut(t), self.v.row_mut(t), self.o.row_mut(t))
+        fn row(m: &mut Matrix, t: usize) -> Option<&mut [f32]> {
+            (t < m.rows()).then(|| m.row_mut(t))
+        }
+        (
+            row(&mut self.pre, t),
+            row(&mut self.v, t),
+            row(&mut self.o, t),
+        )
     }
 }
 
@@ -285,6 +312,7 @@ impl DenseLayer {
         output: &mut SpikeRaster,
     ) {
         scratch.ensure(self.n_in(), self.n_out());
+        rec.resize_zeroed(input.steps(), self.n_in(), self.n_out());
         self.run(Backend::Sparse, input, Some(rec), scratch, output);
     }
 
@@ -292,8 +320,11 @@ impl DenseLayer {
     /// `scratch`: zeroed by `LayerScratch::ensure` for an independent
     /// sample, or left as the previous call left it for a stream, which
     /// is what makes a chunked rollout bitwise identical to a single
-    /// one. `rec`, when given, is resized and receives the BPTT record;
-    /// `output` receives the output spikes.
+    /// one. `rec`, when given, receives each step's row of every matrix
+    /// the caller sized for the input's steps
+    /// ([`LayerRecord::resize_zeroed`] for all three,
+    /// `LayerRecord::resize_output` for `o` alone); `output` receives the
+    /// output spikes.
     pub(crate) fn run(
         &self,
         backend: Backend,
@@ -302,14 +333,13 @@ impl DenseLayer {
         scratch: &mut LayerScratch,
         output: &mut SpikeRaster,
     ) {
-        let t_steps = input.steps();
-        if let Some(rec) = rec.as_deref_mut() {
-            rec.resize_zeroed(t_steps, self.n_in(), self.n_out());
-        }
         output.restart(self.n_out());
         let drive = self.drive(backend);
-        for t in 0..t_steps {
-            let rows = rec.as_deref_mut().map(|rec| rec.rows_mut(t));
+        for t in 0..input.steps() {
+            let rows = match rec.as_deref_mut() {
+                Some(rec) => rec.rows_mut(t),
+                None => (None, None, None),
+            };
             self.step(&drive, input.step(t), scratch, rows);
             output.push_step(&scratch.fired);
         }
@@ -330,16 +360,12 @@ impl DenseLayer {
     ///
     /// `active` lists this step's input spikes (ascending, no
     /// duplicates). On return `s.fired` holds this step's output spikes
-    /// and `s.prev_fired` the previous step's. `rows` receives this
-    /// step's `pre`/`v`/`o` record rows when given. The two [`Drive`]s
-    /// differ only in how `W·k[t]` is formed, so they agree up to the
-    /// reassociation of that one sum.
-    fn step(&self, drive: &Drive<'_>, active: &[usize], s: &mut LayerScratch, rows: Option<Rows>) {
+    /// and `s.prev_fired` the previous step's. `pre`, `v` and `o`
+    /// receive this step's record rows, each only when given. The two
+    /// [`Drive`]s differ only in how `W·k[t]` is formed, so they agree
+    /// up to the reassociation of that one sum.
+    fn step(&self, drive: &Drive<'_>, active: &[usize], s: &mut LayerScratch, (pre, v, o): Rows) {
         let p = &self.params;
-        let (pre, v, o) = match rows {
-            Some((pre, v, o)) => (Some(pre), Some(v), Some(o)),
-            None => (None, None, None),
-        };
         // Input trace k[t] = d·k[t−1] + x[t]: the synapse filter (eq. 9)
         // for the adaptive model, the raw spikes (d = 0) for hard reset.
         // For 0/1 spikes and a non-negative trace the unit charges are
@@ -377,7 +403,7 @@ impl DenseLayer {
                     &s.trace_out,
                     v,
                     o,
-                    Some(&mut s.fired),
+                    &mut s.fired,
                 );
             }
             // eq. 1: decay + input gain + threshold + hard reset + record
@@ -391,7 +417,7 @@ impl DenseLayer {
                     &mut s.trace_out,
                     v,
                     o,
-                    Some(&mut s.fired),
+                    &mut s.fired,
                 )
             }
         }

@@ -49,6 +49,15 @@ fn note_layer_density(l: usize, fired: &SpikeRaster) -> u64 {
 }
 
 /// Forward pass result: one [`LayerRecord`] per layer, bottom to top.
+///
+/// [`Network::forward`], [`Network::forward_into`] and
+/// [`Network::forward_dense_reference`] fill every record's `pre`, `v`
+/// and `o` (what BPTT reads). An inference pass — every
+/// [`Session`](crate::engine::Session) call and
+/// [`Engine::forward_into`](crate::engine::Engine::forward_into) — fills
+/// only each layer's `o` and leaves `pre` and `v` empty; [`output`](Self::output),
+/// the spike counts and the output raster read `o` alone, so they are
+/// the same either way.
 #[derive(Debug, Clone, Default)]
 pub struct Forward {
     /// Per-layer caches, `records[0]` is the first hidden layer.
@@ -250,16 +259,43 @@ impl Network {
         fwd
     }
 
-    /// The record-writing rollout behind [`forward_into`](Self::forward_into),
-    /// [`forward_dense_reference`](Self::forward_dense_reference) and the
-    /// engine: zeroes every layer's state, then runs the layers over the
-    /// input.
+    /// The record-writing rollout behind [`forward_into`](Self::forward_into)
+    /// and [`forward_dense_reference`](Self::forward_dense_reference):
+    /// every layer's `pre`, `v` and `o` records.
     pub(crate) fn rollout(
         &self,
         backend: Backend,
         input: &SpikeRaster,
         fwd: &mut Forward,
         scratch: &mut ScratchSpace,
+    ) {
+        self.rollout_records(backend, input, fwd, scratch, true);
+    }
+
+    /// The inference rollout behind every engine session and
+    /// [`Engine::forward_into`](crate::engine::Engine::forward_into):
+    /// only each layer's `o` record, so the event-driven step also skips
+    /// the input-trace update that only `pre` reads. The spikes are
+    /// bit-identical to [`rollout`](Self::rollout)'s.
+    pub(crate) fn infer_rollout(
+        &self,
+        backend: Backend,
+        input: &SpikeRaster,
+        fwd: &mut Forward,
+        scratch: &mut ScratchSpace,
+    ) {
+        self.rollout_records(backend, input, fwd, scratch, false);
+    }
+
+    /// Zeroes every layer's state, sizes the records (all three matrices
+    /// when `full`, else `o` alone), then runs the layers over the input.
+    fn rollout_records(
+        &self,
+        backend: Backend,
+        input: &SpikeRaster,
+        fwd: &mut Forward,
+        scratch: &mut ScratchSpace,
+        full: bool,
     ) {
         assert_eq!(
             input.channels(),
@@ -271,6 +307,14 @@ impl Network {
         scratch.ensure_forward(self);
         fwd.records
             .resize_with(self.layers.len(), LayerRecord::empty);
+        let t_steps = input.steps();
+        for (layer, rec) in self.layers.iter().zip(&mut fwd.records) {
+            if full {
+                rec.resize_zeroed(t_steps, layer.n_in(), layer.n_out());
+            } else {
+                rec.resize_output(t_steps, layer.n_out());
+            }
+        }
         self.run_layers(backend, input, scratch, Some(&mut fwd.records));
     }
 

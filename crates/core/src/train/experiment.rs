@@ -32,6 +32,7 @@
 //! | `"summary"` | at end | best epoch/accuracy, early-stop flag, wall-clock |
 
 use crate::checkpoint::{self, CheckpointError};
+use crate::engine::Backend;
 use crate::train::{ClassificationLoss, LrSchedule, Trainer, TrainerConfig};
 use crate::{Forward, Network, ScratchSpace, SpikeRaster};
 use snn_json::Json;
@@ -345,7 +346,7 @@ pub fn evaluate_loss_accuracy<L: ClassificationLoss>(
     let mut total_loss = 0.0f64;
     let mut correct = 0usize;
     for (input, target) in data {
-        net.forward_into(input, &mut fwd, &mut scratch);
+        net.infer_rollout(Backend::Sparse, input, &mut fwd, &mut scratch);
         total_loss += loss.loss_and_grad_into(fwd.output(), *target, &mut d_out) as f64;
         let counts = fwd.spike_counts();
         if stats::argmax(&counts) == Some(*target) {

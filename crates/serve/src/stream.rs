@@ -690,6 +690,12 @@ fn process_cmd(
             max_pending,
             reply,
         } => {
+            // Generation first, engine second: `Scheduler::swap_engine`
+            // stores the new engine and then bumps the generation, so a
+            // reload landing between these two reads tags the session
+            // with the old generation (a spurious SESSION_LOST at its
+            // next frame) and can never tag old weights with the new one.
+            let opened_at = generation.load(Ordering::SeqCst);
             let engine = {
                 let pool = slot.read().expect("engine slot poisoned");
                 pool.engine().clone()
@@ -700,7 +706,7 @@ fn process_cmd(
                 id,
                 Resident {
                     sess,
-                    generation: generation.load(Ordering::SeqCst),
+                    generation: opened_at,
                     cmd_seq: 0,
                     error: None,
                 },

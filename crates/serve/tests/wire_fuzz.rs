@@ -17,7 +17,7 @@ use snn_serve::{serve, Client, ErrorCode, Frame, Reply, ServerConfig};
 use snn_tensor::Rng;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One structurally complete, valid session transcript (after the
 /// magic): HELLO, EVENTS, TICK, READOUT, RESET, CLOSE.
@@ -137,6 +137,17 @@ fn fuzz_server() -> snn_serve::ServerHandle {
     serve(Engine::from_network(net).build(), ServerConfig::default()).expect("bind ephemeral port")
 }
 
+/// Waits for every resident stream session to be reclaimed. A closed
+/// connection reaches its stream worker asynchronously, so the gauge can
+/// lag the close under load; a real leak never drains and fails here.
+fn assert_sessions_reclaimed(server: &snn_serve::ServerHandle) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.metrics().stream_sessions_resident.get() != 0 {
+        assert!(Instant::now() < deadline, "sessions leaked");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 /// Writes `body` after the magic preamble, half-closes, and returns
 /// whatever the server answered (bounded by the read timeout).
 fn exchange(addr: std::net::SocketAddr, body: &[u8]) -> Vec<u8> {
@@ -197,7 +208,7 @@ fn live_server_answers_stream_mutants_with_typed_errors_or_clean_close() {
     let m = server.metrics();
     assert_eq!(m.worker_panics_total.get(), 0, "a mutant panicked a worker");
     assert_eq!(m.responses_server_error.get(), 0);
-    assert_eq!(m.stream_sessions_resident.get(), 0, "sessions leaked");
+    assert_sessions_reclaimed(&server);
     let mut client = Client::connect(server.addr()).unwrap();
     client.set_timeout(Some(Duration::from_secs(30))).unwrap();
     assert_eq!(client.healthz().unwrap(), "ok");
@@ -215,7 +226,7 @@ fn live_server_answers_garbage_streams_with_typed_errors() {
         assert_replies_well_formed(&response, &format!("seed {seed}"));
     }
     assert_eq!(server.metrics().worker_panics_total.get(), 0);
-    assert_eq!(server.metrics().stream_sessions_resident.get(), 0);
+    assert_sessions_reclaimed(&server);
     server.shutdown();
 }
 
@@ -254,6 +265,6 @@ fn live_server_rejects_oversized_frames_and_non_hello_starts() {
         other => panic!("expected PROTOCOL error, got {other:?}"),
     }
 
-    assert_eq!(server.metrics().stream_sessions_resident.get(), 0);
+    assert_sessions_reclaimed(&server);
     server.shutdown();
 }

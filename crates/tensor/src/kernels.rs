@@ -16,8 +16,9 @@
 //! * Fused per-timestep kernels — [`fused_decay_accumulate`] folds the
 //!   leak `g = α·g` and the event accumulation `g += Σ active cols`
 //!   into one cache-blocked traversal, and the membrane passes
-//!   ([`fused_adaptive_membrane`], [`fused_hard_reset_membrane`]) do
-//!   decay + threshold + reset + record writes in a single sweep. The
+//!   ([`fused_adaptive_membrane`], laned in [`crate::lanes`];
+//!   [`fused_hard_reset_membrane`], scalar) do decay + threshold +
+//!   reset + record writes in a single sweep. The
 //!   layer's one timestep function — behind training, batch inference,
 //!   streaming and the dense reference alike — is built from these, and
 //!   the BPTT recursion from [`decay_axpy`], [`carry_decay_out`] and
@@ -43,8 +44,8 @@ use crate::lanes;
 use crate::Matrix;
 
 pub use crate::lanes::{
-    add_assign, axpy, carry_decay_out, decay_axpy, dot, reduce_max, scale, scale_copy,
-    set_force_scalar, simd_enabled, threshold_mask,
+    add_assign, axpy, carry_decay_out, decay_axpy, dot, fused_adaptive_membrane, reduce_max, scale,
+    scale_copy, set_force_scalar, simd_enabled, threshold_mask,
 };
 
 /// Output-row tile for the cache-blocked column accumulation: 4096
@@ -134,68 +135,21 @@ pub fn fused_decay_accumulate_unblocked(
     }
 }
 
-/// Fused adaptive-threshold membrane pass: for each neuron computes
-/// `v = g[i] − ϑ·h[i]`, fires where `v ≥ v_th`, and in the same sweep
-/// writes the optional potential/output record rows and collects the
-/// fired indices (ascending; `fired` is cleared first). Replaces the
-/// separate potential/threshold/record loops of the unfused path with
-/// identical per-element arithmetic.
-///
-/// Output rows are written as explicit `1.0`/`0.0`, which is
-/// bitwise-identical to the old "write `1.0` into a pre-zeroed row"
-/// convention.
-///
-/// # Panics
-///
-/// Panics if `g`/`h` or any provided record row differ in length.
-pub fn fused_adaptive_membrane(
-    theta: f32,
-    v_th: f32,
-    g: &[f32],
-    h: &[f32],
-    mut vrow: Option<&mut [f32]>,
-    mut orow: Option<&mut [f32]>,
-    mut fired: Option<&mut Vec<usize>>,
-) {
-    assert_eq!(g.len(), h.len(), "fused_adaptive_membrane: bad h");
-    if let Some(v) = vrow.as_deref_mut() {
-        assert_eq!(g.len(), v.len(), "fused_adaptive_membrane: bad vrow");
-    }
-    if let Some(o) = orow.as_deref_mut() {
-        assert_eq!(g.len(), o.len(), "fused_adaptive_membrane: bad orow");
-    }
-    if let Some(f) = fired.as_deref_mut() {
-        f.clear();
-    }
-    for i in 0..g.len() {
-        let vi = g[i] - theta * h[i];
-        let fire = vi >= v_th;
-        if let Some(v) = vrow.as_deref_mut() {
-            v[i] = vi;
-        }
-        if let Some(o) = orow.as_deref_mut() {
-            o[i] = if fire { 1.0 } else { 0.0 };
-        }
-        if fire {
-            if let Some(f) = fired.as_deref_mut() {
-                f.push(i);
-            }
-        }
-    }
-}
-
 /// Fused hard-reset membrane pass: for each neuron computes
 /// `v = λ·vm[i] + gain·current[i]`, fires where `v ≥ v_th`, applies the
 /// hard reset (`vm[i] = 0.0` on fire, else `vm[i] = v`), and in the
 /// same sweep writes the optional record rows and collects the fired
-/// indices (ascending; `fired` is cleared first).
+/// indices (ascending; `fired` is cleared first). Scalar on every
+/// path: unlike [`fused_adaptive_membrane`], no benchmarked workload
+/// runs it.
 ///
 /// # Panics
 ///
 /// Panics if `current`/`vm` or any provided record row differ in
 /// length.
-// One scalar per circuit constant plus the three optional outputs; a
-// params struct would just re-bundle what NeuronParams already unpacked.
+// One scalar per circuit constant plus the two optional record rows and
+// the fired list; a params struct would just re-bundle what
+// NeuronParams already unpacked.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_hard_reset_membrane(
     lambda: f32,
@@ -205,7 +159,7 @@ pub fn fused_hard_reset_membrane(
     vm: &mut [f32],
     mut vrow: Option<&mut [f32]>,
     mut orow: Option<&mut [f32]>,
-    mut fired: Option<&mut Vec<usize>>,
+    fired: &mut Vec<usize>,
 ) {
     assert_eq!(current.len(), vm.len(), "fused_hard_reset_membrane: bad vm");
     if let Some(v) = vrow.as_deref_mut() {
@@ -222,9 +176,7 @@ pub fn fused_hard_reset_membrane(
             "fused_hard_reset_membrane: bad orow"
         );
     }
-    if let Some(f) = fired.as_deref_mut() {
-        f.clear();
-    }
+    fired.clear();
     for i in 0..current.len() {
         let vi = lambda * vm[i] + gain * current[i];
         let fire = vi >= v_th;
@@ -236,9 +188,7 @@ pub fn fused_hard_reset_membrane(
         }
         if fire {
             vm[i] = 0.0;
-            if let Some(f) = fired.as_deref_mut() {
-                f.push(i);
-            }
+            fired.push(i);
         } else {
             vm[i] = vi;
         }
@@ -594,7 +544,7 @@ mod tests {
             &h,
             Some(&mut vrow),
             Some(&mut orow),
-            Some(&mut fired),
+            &mut fired,
         );
         for i in 0..5 {
             let vi = g[i] - theta * h[i];
@@ -604,7 +554,7 @@ mod tests {
         assert_eq!(fired, vec![0, 2]);
         // Record-free variant (stream path) agrees on the fired set.
         let mut fired2 = Vec::new();
-        fused_adaptive_membrane(theta, v_th, &g, &h, None, None, Some(&mut fired2));
+        fused_adaptive_membrane(theta, v_th, &g, &h, None, None, &mut fired2);
         assert_eq!(fired, fired2);
     }
 
@@ -625,7 +575,7 @@ mod tests {
             &mut vm,
             Some(&mut vrow),
             Some(&mut orow),
-            Some(&mut fired),
+            &mut fired,
         );
         let mut fired_ref = Vec::new();
         for i in 0..5 {

@@ -26,10 +26,11 @@
 //!   intermediate rounding step, so an FMA path would fork the float
 //!   semantics between AVX2 hosts and the portable fallback.
 //!
-//! Elementwise kernels ([`axpy`], [`scale`], [`add_assign`], …) do not
-//! reassociate anything, so laning them is bitwise-neutral by
-//! construction; only the [`dot`] reduction defines new canonical
-//! semantics (8 lanes instead of the previous 4-way unroll). The sparse
+//! Elementwise kernels ([`axpy`], [`scale`], [`add_assign`],
+//! [`fused_adaptive_membrane`], …) do not reassociate anything, so
+//! laning them is bitwise-neutral by construction; only the [`dot`]
+//! reduction defines new canonical semantics (8 lanes instead of the
+//! previous 4-way unroll). The sparse
 //! product [`sparse_matmul_add`] does not reassociate either: it only
 //! keeps partial sums in registers across terms, in term order.
 //!
@@ -254,6 +255,49 @@ pub fn prune_indices(x: &mut [f32], eps: f32, out: &mut Vec<usize>) {
         return;
     }
     portable::prune_indices(x, eps, 0, out);
+}
+
+/// Fused adaptive-threshold membrane pass: for each neuron computes
+/// `v = g[i] − ϑ·h[i]`, fires where `v ≥ v_th`, and in the same sweep
+/// writes the optional potential/output record rows and collects the
+/// fired indices (ascending; `fired` is cleared first). A fired neuron's
+/// output entry is `1.0`, every other entry `+0.0`, and a NaN potential
+/// never fires.
+///
+/// On AVX2 the potential is a separate `vmulps` + `vsubps` (never FMA),
+/// the fire test an ordered `>=` compare, the output row the compare
+/// mask ANDed with `1.0`, and the fired list a movemask scan; the scalar
+/// loop is the portable path and handles the tail, so the paths agree
+/// bitwise.
+///
+/// # Panics
+///
+/// Panics if `g`/`h` or any provided record row differ in length.
+pub fn fused_adaptive_membrane(
+    theta: f32,
+    v_th: f32,
+    g: &[f32],
+    h: &[f32],
+    vrow: Option<&mut [f32]>,
+    orow: Option<&mut [f32]>,
+    fired: &mut Vec<usize>,
+) {
+    assert_eq!(g.len(), h.len(), "fused_adaptive_membrane: bad h");
+    if let Some(v) = vrow.as_deref() {
+        assert_eq!(g.len(), v.len(), "fused_adaptive_membrane: bad vrow");
+    }
+    if let Some(o) = orow.as_deref() {
+        assert_eq!(g.len(), o.len(), "fused_adaptive_membrane: bad orow");
+    }
+    fired.clear();
+    #[cfg(target_arch = "x86_64")]
+    if simd_enabled() {
+        // SAFETY: gated on AVX2 detection; every row was checked to be as
+        // long as `g` above.
+        unsafe { avx2::adaptive_membrane(theta, v_th, g, h, vrow, orow, fired) };
+        return;
+    }
+    portable::adaptive_membrane(theta, v_th, g, h, vrow, orow, 0, fired);
 }
 
 /// Columns per register tile of [`sparse_matmul_add`]: eight `f32x8`
@@ -529,6 +573,37 @@ mod portable {
         }
     }
 
+    /// [`super::fused_adaptive_membrane`] with the fired indices offset
+    /// by `first`, so the AVX2 path can hand it its tail.
+    // One scalar per circuit constant, the state and record rows, and
+    // the tail offset: the portable body of a public kernel.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn adaptive_membrane(
+        theta: f32,
+        v_th: f32,
+        g: &[f32],
+        h: &[f32],
+        mut vrow: Option<&mut [f32]>,
+        mut orow: Option<&mut [f32]>,
+        first: usize,
+        fired: &mut Vec<usize>,
+    ) {
+        for i in 0..g.len() {
+            let vi = g[i] - theta * h[i];
+            let fire = vi >= v_th;
+            if let Some(v) = vrow.as_deref_mut() {
+                v[i] = vi;
+            }
+            if let Some(o) = orow.as_deref_mut() {
+                o[i] = if fire { 1.0 } else { 0.0 };
+            }
+            if fire {
+                fired.push(first + i);
+            }
+        }
+    }
+
     /// Columns `c0..c0 + acc.len()` of one tile of
     /// [`super::sparse_matmul_add`] (`acc.len() <= TILE - c0`), through
     /// a stack accumulator; `packed` holds the tile's rows of `B` at
@@ -695,6 +770,62 @@ mod avx2 {
             }
         }
         portable::prune_indices(&mut x[chunks * LANES..], eps, chunks * LANES, out);
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX2 (callers gate on `simd_enabled`), `h` as long as
+    /// `g`, and each provided row as long as `g`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn adaptive_membrane(
+        theta: f32,
+        v_th: f32,
+        g: &[f32],
+        h: &[f32],
+        mut vrow: Option<&mut [f32]>,
+        mut orow: Option<&mut [f32]>,
+        fired: &mut Vec<usize>,
+    ) {
+        let chunks = g.len() / LANES;
+        let vtheta = _mm256_set1_ps(theta);
+        let vth = _mm256_set1_ps(v_th);
+        let one = _mm256_set1_ps(1.0);
+        for i in 0..chunks {
+            let at = i * LANES;
+            // SAFETY: at + LANES <= g.len(), which the caller guarantees
+            // is the length of `h` and of every provided row.
+            unsafe {
+                let vg = _mm256_loadu_ps(g.as_ptr().add(at));
+                let vh = _mm256_loadu_ps(h.as_ptr().add(at));
+                // mul + sub, not FMA, as in the scalar `g − θ·h`.
+                let v = _mm256_sub_ps(vg, _mm256_mul_ps(vtheta, vh));
+                // Ordered compare: a NaN potential never fires.
+                let fire = _mm256_cmp_ps::<_CMP_GE_OQ>(v, vth);
+                if let Some(row) = vrow.as_deref_mut() {
+                    _mm256_storeu_ps(row.as_mut_ptr().add(at), v);
+                }
+                if let Some(row) = orow.as_deref_mut() {
+                    // All-ones lanes keep 1.0; the rest store +0.0.
+                    _mm256_storeu_ps(row.as_mut_ptr().add(at), _mm256_and_ps(fire, one));
+                }
+                let mut bits = _mm256_movemask_ps(fire) as u32;
+                while bits != 0 {
+                    fired.push(at + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        let c0 = chunks * LANES;
+        portable::adaptive_membrane(
+            theta,
+            v_th,
+            &g[c0..],
+            &h[c0..],
+            vrow.map(|row| &mut row[c0..]),
+            orow.map(|row| &mut row[c0..]),
+            c0,
+            fired,
+        );
     }
 
     /// One row tile of [`super::sparse_matmul_add`]: `acc.len() <= TILE`
@@ -942,6 +1073,82 @@ mod tests {
                     .zip(&want_x)
                     .all(|(a, b)| a.to_bits() == b.to_bits());
                 assert!(same, "values, len {len}, scalar {force}");
+            }
+        }
+    }
+
+    #[test]
+    fn adaptive_membrane_lanes_match_scalar_loop_bitwise() {
+        let theta = 0.3f32;
+        let mut rng = Rng::seed_from(10);
+        for v_th in [0.4f32, 0.0] {
+            for len in LENS {
+                let mut g = vec_rng(len, &mut rng);
+                let mut h = vec_rng(len, &mut rng);
+                for i in 0..len {
+                    // Exact threshold hits, signed zeros, ±inf and NaN in
+                    // every lane position across the lengths.
+                    let (gi, hi) = match i % 10 {
+                        0 => (v_th, 0.0),
+                        1 => (0.0, 0.0),
+                        2 => (-0.0, 0.0),
+                        3 => (0.0, -0.0),
+                        4 => (f32::INFINITY, h[i]),
+                        5 => (f32::NEG_INFINITY, h[i]),
+                        6 => (g[i], f32::INFINITY),
+                        7 => (f32::NAN, h[i]),
+                        8 => (g[i], f32::NAN),
+                        _ => (g[i], h[i]),
+                    };
+                    (g[i], h[i]) = (gi, hi);
+                }
+                let mut want_v = vec![0.0f32; len];
+                let mut want_o = vec![0.0f32; len];
+                let mut want = Vec::new();
+                for i in 0..len {
+                    want_v[i] = g[i] - theta * h[i];
+                    let fire = want_v[i] >= v_th;
+                    want_o[i] = if fire { 1.0 } else { 0.0 };
+                    if fire {
+                        want.push(i);
+                    }
+                }
+                for force in [false, true] {
+                    for (with_v, with_o) in
+                        [(true, true), (true, false), (false, true), (false, false)]
+                    {
+                        let (mut v, mut o) = (vec![9.0f32; len], vec![9.0f32; len]);
+                        let mut got = vec![len + 1]; // must be cleared
+                        set_force_scalar(force);
+                        fused_adaptive_membrane(
+                            theta,
+                            v_th,
+                            &g,
+                            &h,
+                            with_v.then_some(v.as_mut_slice()),
+                            with_o.then_some(o.as_mut_slice()),
+                            &mut got,
+                        );
+                        set_force_scalar(false);
+                        let case = format!(
+                            "v_th {v_th}, len {len}, scalar {force}, rows {with_v}/{with_o}"
+                        );
+                        assert_eq!(got, want, "fired, {case}");
+                        let bits = |a: &[f32], b: &[f32]| {
+                            a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+                        };
+                        if with_v {
+                            assert!(bits(&v, &want_v), "v row, {case}");
+                        } else {
+                            assert!(v.iter().all(|&x| x == 9.0), "untouched v row, {case}");
+                        }
+                        if with_o {
+                            assert!(bits(&o, &want_o), "o row, {case}");
+                        } else {
+                            assert!(o.iter().all(|&x| x == 9.0), "untouched o row, {case}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -55,6 +55,11 @@ fn random_raster(steps: usize, channels: usize, density: f32, seed: u64) -> Spik
 fn main() {
     let args = Args::parse();
     let out_path = args.get("out", "BENCH_kernels.json").to_string();
+    // The gate floors are read before the timing, so a bad value fails
+    // at once rather than after minutes of benchmarking.
+    let min_infer = args.get_f32("min-infer-speedup", 1.1) as f64;
+    let min_fused = args.get_f32("min-fused-speedup", 1.0) as f64;
+    let min_backward = args.get_f32("min-backward-speedup", 2.0) as f64;
     let mut report = Report::new();
 
     bench::banner("neurosnn kernel bench");
@@ -523,7 +528,6 @@ fn main() {
     // across runs of one build on a 2-vCPU AVX2 host; the default floor
     // sits below that range, and CI passes 1.0 to tolerate noisy shared
     // runners.
-    let min_infer = args.get_f32("min-infer-speedup", 1.1) as f64;
     assert!(
         infer_speedup >= min_infer,
         "inference rollout must be >={min_infer:.2}x the record-writing forward at 5% density, \
@@ -536,7 +540,6 @@ fn main() {
     // density. The default floor is exactly 1.0 (CI uses the same): the
     // kernels do identical arithmetic, so any loss would be a pure
     // blocking regression.
-    let min_fused = args.get_f32("min-fused-speedup", 1.0) as f64;
     for &(density_pct, ratio) in &fused_ratios {
         assert!(
             ratio >= min_fused,
@@ -575,7 +578,6 @@ fn main() {
     // Backward acceptance: ≥2x at 5% density by default; CI passes a
     // floor of 1.0 to tolerate noisy shared runners (the committed
     // BENCH_kernels.json records the full margin).
-    let min_backward = args.get_f32("min-backward-speedup", 2.0) as f64;
     assert!(
         backward_speedup_at_5pct >= min_backward,
         "event-driven backward must be >={min_backward:.1}x the dense backward at 5% density, \

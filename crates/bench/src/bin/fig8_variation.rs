@@ -139,11 +139,9 @@ fn main() {
                         FaultModel::stuck_off(p).inject(xbar, &mut dep_rng);
                         *layer.weights_mut() = xbar.effective_weights();
                     }
-                    // No cache sync needed: the weight swap bumped the
-                    // layers' cache epochs and the first forward pass
-                    // rebuilds lazily. The mutated effective network is
-                    // served by an ordinary engine, so evaluation stays
-                    // on the one shared batched path.
+                    // The mutated effective network is served by an
+                    // ordinary engine, so evaluation stays on the one
+                    // shared batched path.
                     let engine = Engine::from_network(dep.network).build();
                     engine.evaluate(&split.test)
                 })

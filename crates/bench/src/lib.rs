@@ -5,6 +5,7 @@
 pub mod timing;
 
 use std::collections::HashMap;
+use std::str::FromStr;
 
 /// Experiment scale preset.
 ///
@@ -83,28 +84,31 @@ impl Args {
         self.values.get(key).map(String::as_str).unwrap_or(default)
     }
 
-    /// `u64` option with default (invalid values fall back to default).
+    /// `u64` option with default; exits the process with status 2,
+    /// naming the flag and the value, if the value does not parse.
     pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        or_exit(self.parsed(key, default))
     }
 
-    /// `usize` option with default.
+    /// `usize` option with default; exits like [`Args::get_u64`] on a
+    /// bad value.
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        or_exit(self.parsed(key, default))
     }
 
-    /// `f32` option with default.
+    /// `f32` option with default; exits like [`Args::get_u64`] on a bad
+    /// value.
     pub fn get_f32(&self, key: &str, default: f32) -> f32 {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        or_exit(self.parsed(key, default))
+    }
+
+    fn parsed<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.values.get(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("invalid value {v:?} for --{key}")),
+        }
     }
 
     /// Whether a boolean flag is present.
@@ -112,10 +116,27 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
-    /// The scale preset (default [`Scale::Medium`]).
+    /// The scale preset (default [`Scale::Medium`]); exits like
+    /// [`Args::get_u64`] on an unknown preset.
     pub fn scale(&self) -> Scale {
-        Scale::parse(self.get("scale", "medium")).unwrap_or(Scale::Medium)
+        or_exit(self.parsed_scale())
     }
+
+    fn parsed_scale(&self) -> Result<Scale, String> {
+        let v = self.get("scale", "medium");
+        Scale::parse(v).ok_or_else(|| {
+            format!("invalid value {v:?} for --scale (expected small, medium or paper)")
+        })
+    }
+}
+
+/// Unwraps a parsed command-line value, or reports the error and exits
+/// with status 2.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Prints a horizontal rule and a centred header, for harness output.
@@ -152,9 +173,18 @@ mod tests {
     }
 
     #[test]
-    fn invalid_number_falls_back() {
-        let a = parse(&["--seed", "notanumber"]);
-        assert_eq!(a.get_u64("seed", 5), 5);
+    fn invalid_number_is_rejected() {
+        let a = parse(&["--seed", "notanumber", "--min-backward-speedup", "1.o"]);
+        assert_eq!(
+            a.parsed::<u64>("seed", 5),
+            Err("invalid value \"notanumber\" for --seed".into())
+        );
+        assert_eq!(
+            a.parsed::<f32>("min-backward-speedup", 2.0),
+            Err("invalid value \"1.o\" for --min-backward-speedup".into())
+        );
+        assert!(a.parsed::<usize>("seed", 5).is_err());
+        assert_eq!(a.parsed::<u64>("absent", 5), Ok(5));
     }
 
     #[test]
@@ -162,6 +192,10 @@ mod tests {
         assert_eq!(Scale::parse("small"), Some(Scale::Small));
         assert_eq!(Scale::parse("bogus"), None);
         assert_eq!(parse(&[]).scale(), Scale::Medium);
+        assert_eq!(
+            parse(&["--scale", "meduim"]).parsed_scale(),
+            Err("invalid value \"meduim\" for --scale (expected small, medium or paper)".into())
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::SpikeRaster;
 use snn_neuron::NeuronParams;
 use snn_tensor::kernels::{self, ColMajor};
 use snn_tensor::{Matrix, Rng};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+use std::ops::{Deref, DerefMut};
 
 /// Which neuron dynamics a layer uses.
 ///
@@ -43,12 +43,6 @@ impl NeuronKind {
             NeuronKind::HardReset => 1.0 - params.synapse_decay(),
         }
     }
-}
-
-/// A [`Backend`] resolved for one rollout.
-enum Drive<'a> {
-    Sparse(RwLockReadGuard<'a, Mirror>),
-    Dense,
 }
 
 /// One timestep's `pre`, `v` and `o` record rows, each `None` when the
@@ -134,43 +128,48 @@ impl LayerRecord {
 /// use snn_tensor::Rng;
 ///
 /// let mut rng = Rng::seed_from(1);
-/// let layer = DenseLayer::new(3, 2, NeuronKind::Adaptive,
-///                             NeuronParams::paper_defaults(), &mut rng);
+/// let mut layer = DenseLayer::new(3, 2, NeuronKind::Adaptive,
+///                                 NeuronParams::paper_defaults(), &mut rng);
 /// assert_eq!(layer.weights().shape(), (2, 3));
+/// layer.weights_mut()[(0, 0)] = 0.5; // the guard's drop updates the column copy
+/// assert_eq!(layer.weights()[(0, 0)], 0.5);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DenseLayer {
     weights: Matrix,
-    /// Epoch counter bumped by every [`weights_mut`](Self::weights_mut)
-    /// call. The kernel mirror records which epoch it was built from, so
-    /// staleness is a cheap integer comparison — no caller ever has to
-    /// remember a manual `sync_caches()` call.
-    weights_epoch: u64,
-    /// Column-major mirror of `weights` for event-driven products with
-    /// binary spike vectors (sum of active columns), tagged with the
-    /// weight epoch it was built from. Rebuilt **lazily** under a write
-    /// lock by the next forward pass that finds it stale; shared-read
-    /// afterwards, so concurrent evaluation threads never block each
-    /// other on the hot path.
-    mirror: RwLock<Mirror>,
+    /// Column-major copy of `weights` for event-driven products with
+    /// binary spike vectors (sum of active columns). Every write goes
+    /// through [`WeightsMut`], which rebuilds it when dropped.
+    cols: ColMajor,
     kind: NeuronKind,
     params: NeuronParams,
 }
 
-/// The lazily-maintained kernel cache: a column-major weight mirror plus
-/// the weight epoch it reflects.
+/// Write access to a layer's weights, from
+/// [`DenseLayer::weights_mut`]. Dropping the guard rebuilds the layer's
+/// column-major copy, so every forward reads the weights last written.
 #[derive(Debug)]
-struct Mirror {
-    epoch: u64,
-    cols: ColMajor,
+pub struct WeightsMut<'a> {
+    layer: &'a mut DenseLayer,
 }
 
-impl Clone for DenseLayer {
-    fn clone(&self) -> Self {
-        // The clone rebuilds a fresh mirror from the current weights and
-        // restarts at epoch 0 (RwLock is not Clone, and copying a
-        // possibly-stale mirror would buy nothing).
-        Self::from_weights(self.weights.clone(), self.kind, self.params)
+impl Deref for WeightsMut<'_> {
+    type Target = Matrix;
+
+    fn deref(&self) -> &Matrix {
+        &self.layer.weights
+    }
+}
+
+impl DerefMut for WeightsMut<'_> {
+    fn deref_mut(&mut self) -> &mut Matrix {
+        &mut self.layer.weights
+    }
+}
+
+impl Drop for WeightsMut<'_> {
+    fn drop(&mut self) {
+        self.layer.cols.refresh_from(&self.layer.weights);
     }
 }
 
@@ -188,11 +187,9 @@ impl DenseLayer {
 
     /// Creates a layer from an explicit weight matrix.
     pub fn from_weights(weights: Matrix, kind: NeuronKind, params: NeuronParams) -> Self {
-        let cols = ColMajor::from_matrix(&weights);
         Self {
+            cols: ColMajor::from_matrix(&weights),
             weights,
-            weights_epoch: 0,
-            mirror: RwLock::new(Mirror { epoch: 0, cols }),
             kind,
             params,
         }
@@ -213,60 +210,12 @@ impl DenseLayer {
         &self.weights
     }
 
-    /// Mutable access to the weights (used by optimizers and by the
-    /// hardware deployment pipeline's quantization).
-    ///
-    /// Bumps the weight epoch, invalidating the column-major kernel
-    /// cache. No follow-up call is required: the next forward pass
-    /// notices the stale epoch and rebuilds the mirror lazily, so direct
-    /// weight mutation can never silently degrade the event-driven fast
-    /// path.
-    pub fn weights_mut(&mut self) -> &mut Matrix {
-        self.weights_epoch = self.weights_epoch.wrapping_add(1);
-        &mut self.weights
-    }
-
-    /// Eagerly rebuilds the column-major mirror if it is stale.
-    ///
-    /// Never required for correctness or speed — the forward pass
-    /// rebuilds lazily — but useful to move the (one-off) rebuild cost
-    /// out of a timed or latency-sensitive region.
-    pub fn refresh_cache(&self) {
-        drop(self.fresh_mirror());
-    }
-
-    /// Whether the event-driven kernel cache currently matches the
-    /// weights (diagnostic only; a stale cache is rebuilt on next use).
-    pub fn cache_is_fresh(&self) -> bool {
-        self.read_mirror().epoch == self.weights_epoch
-    }
-
-    fn read_mirror(&self) -> RwLockReadGuard<'_, Mirror> {
-        self.mirror.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Returns a read guard over an up-to-date mirror, rebuilding it
-    /// first (under the write lock) if a weight mutation outdated it.
-    ///
-    /// `weights_epoch` only changes through `&mut self`, so while any
-    /// `&self` borrow exists the target epoch is pinned and the
-    /// double-checked locking below cannot race with a mutation.
-    fn fresh_mirror(&self) -> RwLockReadGuard<'_, Mirror> {
-        let epoch = self.weights_epoch;
-        {
-            let guard = self.read_mirror();
-            if guard.epoch == epoch {
-                return guard;
-            }
-        }
-        {
-            let mut guard = self.mirror.write().unwrap_or_else(PoisonError::into_inner);
-            if guard.epoch != epoch {
-                guard.cols.refresh_from(&self.weights);
-                guard.epoch = epoch;
-            }
-        }
-        self.read_mirror()
+    /// Write access to the weights (used by optimizers and by the
+    /// hardware deployment pipeline's quantization). The guard borrows
+    /// the layer, so no forward runs while it lives; dropping it
+    /// rebuilds the column-major copy the event-driven forward reads.
+    pub fn weights_mut(&mut self) -> WeightsMut<'_> {
+        WeightsMut { layer: self }
     }
 
     /// The neuron dynamics this layer uses.
@@ -301,9 +250,7 @@ impl DenseLayer {
     ///
     /// `rec` and the buffers in `scratch` are resized and re-initialised
     /// here; `output` receives the output spikes (consumable as the next
-    /// layer's `input`). If a weight mutation left the
-    /// kernel cache stale (see [`weights_mut`](Self::weights_mut)) it is
-    /// rebuilt here, once, before the rollout starts.
+    /// layer's `input`).
     pub fn forward_steps(
         &self,
         input: &SpikeRaster,
@@ -334,24 +281,13 @@ impl DenseLayer {
         output: &mut SpikeRaster,
     ) {
         output.restart(self.n_out());
-        let drive = self.drive(backend);
         for t in 0..input.steps() {
             let rows = match rec.as_deref_mut() {
                 Some(rec) => rec.rows_mut(t),
                 None => (None, None, None),
             };
-            self.step(&drive, input.step(t), scratch, rows);
+            self.step(backend, input.step(t), scratch, rows);
             output.push_step(&scratch.fired);
-        }
-    }
-
-    /// Resolves `backend` for one rollout: the event-driven drive holds
-    /// the column mirror's read guard for the whole rollout, not per
-    /// step.
-    fn drive(&self, backend: Backend) -> Drive<'_> {
-        match backend {
-            Backend::Sparse => Drive::Sparse(self.fresh_mirror()),
-            Backend::Dense => Drive::Dense,
         }
     }
 
@@ -362,9 +298,9 @@ impl DenseLayer {
     /// duplicates). On return `s.fired` holds this step's output spikes
     /// and `s.prev_fired` the previous step's. `pre`, `v` and `o`
     /// receive this step's record rows, each only when given. The two
-    /// [`Drive`]s differ only in how `W·k[t]` is formed, so they agree
+    /// [`Backend`]s differ only in how `W·k[t]` is formed, so they agree
     /// up to the reassociation of that one sum.
-    fn step(&self, drive: &Drive<'_>, active: &[usize], s: &mut LayerScratch, (pre, v, o): Rows) {
+    fn step(&self, backend: Backend, active: &[usize], s: &mut LayerScratch, (pre, v, o): Rows) {
         let p = &self.params;
         // Input trace k[t] = d·k[t−1] + x[t]: the synapse filter (eq. 9)
         // for the adaptive model, the raw spikes (d = 0) for hard reset.
@@ -375,20 +311,20 @@ impl DenseLayer {
             NeuronKind::Adaptive => p.synapse_decay(),
             NeuronKind::HardReset | NeuronKind::HardResetMatched => 0.0,
         };
-        if pre.is_some() || matches!(drive, Drive::Dense) {
+        if pre.is_some() || backend == Backend::Dense {
             kernels::decay_add_unit(decay, &mut s.trace_in, active);
             if let Some(pre) = pre {
                 pre.copy_from_slice(&s.trace_in);
             }
         }
-        match drive {
+        match backend {
             // W·k[t] = d·(W·k[t−1]) + Σ active columns (eq. 7, factored),
             // decay and accumulation fused in one blocked traversal
-            Drive::Sparse(mirror) => {
-                kernels::fused_decay_accumulate(decay, &mirror.cols, active, &mut s.drive)
+            Backend::Sparse => {
+                kernels::fused_decay_accumulate(decay, &self.cols, active, &mut s.drive)
             }
             // eq. 7 as a full matrix–vector product over the trace
-            Drive::Dense => self.weights.matvec_into(&s.trace_in, &mut s.drive),
+            Backend::Dense => self.weights.matvec_into(&s.trace_in, &mut s.drive),
         }
         std::mem::swap(&mut s.fired, &mut s.prev_fired);
         match self.kind {
@@ -594,8 +530,24 @@ mod tests {
         }
     }
 
+    /// The event-driven forward over `raster`, checked against the
+    /// dense rollout over the row-major weights: potentials to
+    /// tolerance, spikes exactly. Returns the output spikes.
+    fn sparse_matching_dense(layer: &DenseLayer, raster: &SpikeRaster) -> Matrix {
+        let mut rec = LayerRecord::empty();
+        let mut output = SpikeRaster::default();
+        layer.forward_steps(raster, &mut rec, &mut LayerScratch::default(), &mut output);
+        let net = crate::Network::from_layers(vec![layer.clone()]);
+        let dense = net.forward_dense_reference(raster).records.remove(0);
+        for (a, b) in rec.v.as_slice().iter().zip(dense.v.as_slice()) {
+            assert!((a - b).abs() < 1e-3 * (1.0 + b.abs()), "v {a} vs {b}");
+        }
+        assert_eq!(rec.o, dense.o);
+        rec.o
+    }
+
     #[test]
-    fn weights_mut_bumps_epoch_and_forward_rebuilds_lazily() {
+    fn forward_reads_weights_written_through_the_guard() {
         let mut rng = Rng::seed_from(13);
         let mut layer = DenseLayer::new(
             4,
@@ -604,27 +556,12 @@ mod tests {
             NeuronParams::paper_defaults(),
             &mut rng,
         );
-        assert!(layer.cache_is_fresh());
-        // Scale the weights so stale-mirror output would be wrong.
-        layer.weights_mut().scale(5.0);
-        assert!(!layer.cache_is_fresh());
-
         let raster = SpikeRaster::from_events(6, 4, &[(0, 0), (1, 2), (3, 3), (4, 1)]);
-        let mut rec = LayerRecord::empty();
-        let mut scratch = LayerScratch::default();
-        let mut output = SpikeRaster::default();
-        layer.forward_steps(&raster, &mut rec, &mut scratch, &mut output);
-        assert!(layer.cache_is_fresh(), "forward must rebuild the mirror");
-
-        // The event-driven pass must agree with the dense rollout over
-        // the *mutated* weights (spikes are exact; a stale mirror would
-        // produce the pre-mutation spike train).
-        let mut input = Matrix::zeros(6, 4);
-        for (t, c) in raster.events() {
-            input[(t, c)] = 1.0;
-        }
-        let dense = dense_rollout(&layer, &input);
-        assert_eq!(rec.o.as_slice(), dense.o.as_slice());
+        let before = sparse_matching_dense(&layer, &raster);
+        // Scaled weights change the spike train, so a forward over the
+        // old column-major copy would fail the check.
+        layer.weights_mut().scale(5.0);
+        assert_ne!(sparse_matching_dense(&layer, &raster), before);
     }
 
     #[test]
@@ -637,10 +574,12 @@ mod tests {
             NeuronParams::paper_defaults(),
             &mut rng,
         );
+        let raster = SpikeRaster::from_events(5, 3, &[(0, 0), (1, 0), (2, 1), (3, 0)]);
+        let before = sparse_matching_dense(&layer.clone(), &raster);
         layer.weights_mut()[(0, 0)] = 2.5;
         let clone = layer.clone();
         assert_eq!(clone.weights(), layer.weights());
-        assert!(clone.cache_is_fresh());
+        assert_ne!(sparse_matching_dense(&clone, &raster), before);
     }
 
     #[test]

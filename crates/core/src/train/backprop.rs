@@ -222,7 +222,9 @@ pub fn backward(
 /// # Panics
 ///
 /// Panics if `d_output`'s shape does not match the output layer record,
-/// or if `grads` does not match the network's layer shapes.
+/// if `fwd` lacks the `pre` and `v` records of
+/// [`Network::forward_into`] (an inference pass keeps only `o`), or if
+/// `grads` does not match the network's layer shapes.
 pub fn backward_into(
     net: &Network,
     fwd: &Forward,
@@ -264,7 +266,9 @@ pub fn backward_into(
 /// # Panics
 ///
 /// Panics if `d_output`'s shape does not match the output layer record,
-/// or if `grads` does not match the network's layer shapes.
+/// if `fwd` lacks the `pre` and `v` records of
+/// [`Network::forward_into`] (an inference pass keeps only `o`), or if
+/// `grads` does not match the network's layer shapes.
 pub fn backward_sparse_into(
     net: &Network,
     fwd: &Forward,
@@ -296,6 +300,19 @@ fn bptt(
         layers.len(),
         "forward/record layer mismatch"
     );
+    for (l, (rec, layer)) in fwd.records.iter().zip(layers).enumerate() {
+        let t = rec.steps();
+        assert!(
+            rec.pre.shape() == (t, layer.n_in()) && rec.v.shape() == (t, layer.n_out()),
+            "layer {l}: BPTT needs a training forward from Network::forward_into \
+             (pre {t}×{} and v {t}×{}), got pre {:?} and v {:?}; an inference \
+             pass records only o",
+            layer.n_in(),
+            layer.n_out(),
+            rec.pre.shape(),
+            rec.v.shape()
+        );
+    }
     assert_eq!(
         grads.per_layer.len(),
         layers.len(),
@@ -1025,6 +1042,53 @@ mod tests {
             "auto policy should prune far-from-threshold adjoints, density {density}"
         );
         assert!(grads.max_abs() > 0.0, "gradients must still flow");
+    }
+
+    /// A network and an inference pass over it, which records only `o`.
+    fn inference_forward() -> (Network, Forward) {
+        let mut rng = Rng::seed_from(2);
+        let net = Network::mlp(
+            &[3, 4, 2],
+            NeuronKind::Adaptive,
+            NeuronParams::paper_defaults(),
+            &mut rng,
+        );
+        let input = SpikeRaster::from_events(100, 3, &[(0, 0), (1, 1), (50, 2)]);
+        let engine = crate::engine::Engine::from_network(net.clone()).build();
+        let mut fwd = Forward::empty();
+        engine.forward_into(&input, &mut fwd, &mut ScratchSpace::new());
+        (net, fwd)
+    }
+
+    #[test]
+    #[should_panic(expected = "BPTT needs a training forward from Network::forward_into")]
+    fn backward_into_rejects_an_inference_forward() {
+        let (net, fwd) = inference_forward();
+        let mut grads = Gradients::zeros_like(&net);
+        backward_into(
+            &net,
+            &fwd,
+            &Matrix::zeros(100, 2),
+            Surrogate::paper_default(),
+            &mut grads,
+            &mut ScratchSpace::new(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "BPTT needs a training forward from Network::forward_into")]
+    fn backward_sparse_into_rejects_an_inference_forward() {
+        let (net, fwd) = inference_forward();
+        let mut grads = Gradients::zeros_like(&net);
+        backward_sparse_into(
+            &net,
+            &fwd,
+            &Matrix::zeros(100, 2),
+            Surrogate::paper_default(),
+            SparsityPolicy::default(),
+            &mut grads,
+            &mut ScratchSpace::new(),
+        );
     }
 
     #[test]

@@ -148,7 +148,7 @@ impl Optimizer {
             } => {
                 ensure_state(velocity, layers.iter().map(|l| l.weights().shape()));
                 for ((layer, g), vel) in layers.iter_mut().zip(&grads.per_layer).zip(velocity) {
-                    let w = layer.weights_mut();
+                    let mut w = layer.weights_mut();
                     if *momentum > 0.0 {
                         vel.scale(*momentum);
                         vel.add_scaled(1.0, g);
@@ -174,7 +174,7 @@ impl Optimizer {
                 let bc2 = 1.0 - beta2.powi(*t as i32);
                 for (i, (layer, g)) in layers.iter_mut().zip(&grads.per_layer).enumerate() {
                     adam_update(
-                        layer.weights_mut(),
+                        &mut layer.weights_mut(),
                         g,
                         &mut m[i],
                         &mut v[i],
@@ -203,20 +203,18 @@ impl Optimizer {
                 let bc1 = 1.0 - beta1.powi(*t as i32);
                 let bc2 = 1.0 - beta2.powi(*t as i32);
                 for (i, (layer, g)) in layers.iter_mut().zip(&grads.per_layer).enumerate() {
-                    let w = layer.weights_mut();
+                    let mut w = layer.weights_mut();
                     // Decoupled decay: w ← w − lr·wd·w, independent of the
                     // adaptive gradient scaling (Loshchilov & Hutter).
                     if *weight_decay > 0.0 {
                         w.scale(1.0 - *lr * *weight_decay);
                     }
                     adam_update(
-                        w, g, &mut m[i], &mut v[i], *lr, *beta1, *beta2, *eps, bc1, bc2,
+                        &mut w, g, &mut m[i], &mut v[i], *lr, *beta1, *beta2, *eps, bc1, bc2,
                     );
                 }
             }
         }
-        // The weight mutations above bumped each layer's cache epoch;
-        // the next forward pass rebuilds the kernel mirrors lazily.
     }
 }
 
@@ -264,7 +262,7 @@ fn adam_update(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Network, NeuronKind};
+    use crate::{Network, NeuronKind, SpikeRaster};
     use snn_neuron::NeuronParams;
     use snn_tensor::Rng;
 
@@ -370,6 +368,61 @@ mod tests {
         opt.step(&mut n, &g);
         if let Optimizer::Adam { t, .. } = &opt {
             assert_eq!(*t, 2);
+        }
+    }
+
+    #[test]
+    fn forward_reads_the_weights_every_optimizer_writes() {
+        // The event-driven forward reads each layer's column-major copy
+        // of the weights; after a step it must agree with the dense
+        // reference on the new weights, compared as the core property
+        // tests do: potentials to tolerance, spike trains exactly.
+        let mut rng = Rng::seed_from(21);
+        let mut events = Vec::new();
+        for t in 0..30 {
+            for c in 0..12 {
+                if rng.coin(0.3) {
+                    events.push((t, c));
+                }
+            }
+        }
+        let input = SpikeRaster::from_events(30, 12, &events);
+        for mut opt in [
+            Optimizer::sgd(0.5),
+            Optimizer::adam(0.2),
+            Optimizer::adamw(0.2, 0.5),
+        ] {
+            let mut rng = Rng::seed_from(22);
+            let mut n = Network::mlp(
+                &[12, 16, 4],
+                NeuronKind::Adaptive,
+                NeuronParams::paper_defaults().with_v_th(0.5),
+                &mut rng,
+            );
+            let before = n.forward(&input);
+            let mut g = Gradients::zeros_like(&n);
+            for m in &mut g.per_layer {
+                m.map_inplace(|_| rng.uniform(-1.0, 1.0));
+            }
+            opt.step(&mut n, &g);
+            let fast = n.forward(&input);
+            let reference = n.forward_dense_reference(&input);
+            // The step is large enough to change the spikes, so a
+            // forward over the pre-step weights could not pass below.
+            assert!(before
+                .records
+                .iter()
+                .zip(&reference.records)
+                .any(|(b, r)| b.o != r.o));
+            for (l, (f, r)) in fast.records.iter().zip(&reference.records).enumerate() {
+                for (a, b) in f.v.as_slice().iter().zip(r.v.as_slice()) {
+                    assert!(
+                        (a - b).abs() < 1e-3 * (1.0 + b.abs()),
+                        "layer {l}: v {a} vs {b}"
+                    );
+                }
+                assert_eq!(f.o, r.o, "layer {l} spikes");
+            }
         }
     }
 

@@ -337,8 +337,6 @@ impl Trainer {
         if let Some(max_norm) = self.config.grad_clip {
             batch.clip_global_norm(max_norm);
         }
-        // `Optimizer::step` refreshes the layers' kernel caches, so the
-        // next batch's forward passes stay on the sparse fast path.
         self.optimizer.step(net, &batch);
     }
 }

@@ -119,9 +119,6 @@ pub fn deploy(net: &Network, cfg: DeployConfig, rng: &mut Rng) -> Deployment {
         *layer.weights_mut() = effective;
         crossbars.push(xbar);
     }
-    // The weight swap above bumped each layer's cache epoch; the first
-    // forward pass on the deployed network rebuilds the event-driven
-    // kernel mirrors lazily, so no manual synchronisation is needed.
 
     Deployment {
         network: hw_net,
@@ -212,6 +209,51 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
+    }
+
+    #[test]
+    fn deployed_forward_reads_the_effective_weights() {
+        // The event-driven forward reads each layer's column-major copy
+        // of the weights; on the deployed network it must agree with the
+        // dense reference over the effective weights, compared as the
+        // core property tests do: potentials to tolerance, spike trains
+        // exactly.
+        let mut rng = Rng::seed_from(31);
+        let net = Network::mlp(
+            &[12, 16, 4],
+            NeuronKind::Adaptive,
+            NeuronParams::paper_defaults().with_v_th(0.5),
+            &mut rng,
+        );
+        let mut events = Vec::new();
+        for t in 0..30 {
+            for c in 0..12 {
+                if rng.coin(0.3) {
+                    events.push((t, c));
+                }
+            }
+        }
+        let input = SpikeRaster::from_events(30, 12, &events);
+        let before = net.forward(&input);
+        let dep = deploy(&net, DeployConfig::four_bit().with_deviation(0.2), &mut rng);
+        let fast = dep.network.forward(&input);
+        let reference = dep.network.forward_dense_reference(&input);
+        // Deployment changes the spikes, so a forward over the trained
+        // weights could not pass below.
+        assert!(before
+            .records
+            .iter()
+            .zip(&reference.records)
+            .any(|(b, r)| b.o != r.o));
+        for (l, (f, r)) in fast.records.iter().zip(&reference.records).enumerate() {
+            for (a, b) in f.v.as_slice().iter().zip(r.v.as_slice()) {
+                assert!(
+                    (a - b).abs() < 1e-3 * (1.0 + b.abs()),
+                    "layer {l}: v {a} vs {b}"
+                );
+            }
+            assert_eq!(f.o, r.o, "layer {l} spikes");
+        }
     }
 
     #[test]

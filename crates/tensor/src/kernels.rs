@@ -9,10 +9,11 @@
 //!   from [`crate::lanes`] (fixed-width `f32x8` chunk loops with a fixed
 //!   combine order; AVX2 dispatch at runtime), used by every dense
 //!   matrix product in [`Matrix`].
-//! * [`ColMajor`] — a column-major mirror of a weight matrix, kept in
-//!   sync by the owning layer, whose [`ColMajor::accumulate_columns`]
-//!   computes `y += W·x` for a **binary sparse** `x` by summing only the
-//!   active columns: `O(n_out · nnz)` instead of `O(n_out · n_in)`.
+//! * [`ColMajor`] — a column-major mirror of a weight matrix, rebuilt
+//!   by the owning layer whenever its weights are written, whose
+//!   [`ColMajor::accumulate_columns`] computes `y += W·x` for a
+//!   **binary sparse** `x` by summing only the active columns:
+//!   `O(n_out · nnz)` instead of `O(n_out · n_in)`.
 //! * Fused per-timestep kernels — [`fused_decay_accumulate`] folds the
 //!   leak `g = α·g` and the event accumulation `g += Σ active cols`
 //!   into one cache-blocked traversal, and the membrane passes
@@ -204,9 +205,9 @@ pub fn fused_hard_reset_membrane(
 /// (cache-hostile) access. The mirror stores the transpose contiguously:
 /// `column(c)` of `W` is a contiguous `n_out`-length slice.
 ///
-/// The owner is responsible for keeping the mirror in sync with the
-/// row-major source (see `DenseLayer` in `snn-core`, which refreshes the
-/// mirror after every optimizer step and tracks staleness).
+/// The owner keeps the mirror in sync with the row-major source:
+/// `DenseLayer` in `snn-core` hands out its weights for writing only
+/// through a guard whose drop calls [`ColMajor::refresh_from`].
 ///
 /// # Examples
 ///

@@ -114,13 +114,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Kaiming-uniform initialization scaled by fan-in.
-    pub fn kaiming_uniform(rows: usize, cols: usize, rng: &mut Rng) -> Self {
-        let a = (3.0 / cols.max(1) as f32).sqrt();
-        let data = (0..rows * cols).map(|_| rng.uniform(-a, a)).collect();
-        Self { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

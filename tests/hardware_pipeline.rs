@@ -86,9 +86,6 @@ fn stuck_at_faults_reduce_accuracy_monotonically_in_expectation() {
                 FaultModel::stuck_off(p).inject(xbar, &mut rng);
                 *layer.weights_mut() = xbar.effective_weights();
             }
-            // The mutated effective network serves as an ordinary
-            // engine; its kernel caches re-sync lazily after the weight
-            // swap above.
             total += Engine::from_network(dep.network).build().evaluate(&test);
         }
         total / 3.0

@@ -60,7 +60,7 @@ fn train_once(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["seed", "epochs", "which"]);
     let seed = args.get_u64("seed", 7);
     let epochs = args.get_usize("epochs", 20);
     let which = args.get("which", "all").to_string();

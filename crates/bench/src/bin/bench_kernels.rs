@@ -53,7 +53,12 @@ fn random_raster(steps: usize, channels: usize, density: f32, seed: u64) -> Spik
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "out",
+        "min-infer-speedup",
+        "min-fused-speedup",
+        "min-backward-speedup",
+    ]);
     let out_path = args.get("out", "BENCH_kernels.json").to_string();
     // The gate floors are read before the timing, so a bad value fails
     // at once rather than after minutes of benchmarking.
@@ -511,10 +516,8 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     report.metric("available_cores", cores as f64);
 
-    report
-        .write(&out_path)
-        .expect("failed to write bench report");
-
+    // Every gate below is evaluated before the report is written, so a
+    // failing run leaves the committed report untouched.
     assert!(
         speedup >= 3.0,
         "sparsity-aware forward must be >=3x the dense kernel at 5% density, measured {speedup:.2}x"
@@ -523,11 +526,10 @@ fn main() {
 
     // Inference acceptance: the record-free session pass must beat the
     // record-writing forward at 5% density. Both rows share the event
-    // accumulation, whose cost moves by about a third with the heap
-    // alignment of each pass's drive buffer, so the ratio read 1.13-1.55
-    // across runs of one build on a 2-vCPU AVX2 host; the default floor
-    // sits below that range, and CI passes 1.0 to tolerate noisy shared
-    // runners.
+    // accumulation, and a noisy neighbour moves them apart: the ratio
+    // read 1.29-1.96 across five runs of one build on a 2-vCPU AVX2
+    // host. The default floor sits below that range, and CI passes 1.0
+    // to tolerate noisy shared runners.
     assert!(
         infer_speedup >= min_infer,
         "inference rollout must be >={min_infer:.2}x the record-writing forward at 5% density, \
@@ -623,4 +625,8 @@ fn main() {
         "OK: eps sweep accuracy within noise of dense \
          (exact = {exact_acc:.3}, loss {exact_loss:.4})"
     );
+
+    report
+        .write(&out_path)
+        .expect("failed to write bench report");
 }

@@ -324,7 +324,6 @@ fn percentile(sorted_us: &[u64], q: f64) -> u64 {
 fn policy(max_batch: usize, workers: usize) -> BatchPolicy {
     BatchPolicy {
         max_batch,
-        max_wait: Duration::from_millis(2),
         queue_capacity: 8192,
         workers,
     }
@@ -350,7 +349,32 @@ fn start_server(engine: Engine, max_batch: usize, workers: usize) -> ServerHandl
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "out",
+        "min-speedup",
+        "requests",
+        "concurrency",
+        "burst",
+        "steps",
+        "channels",
+        "hidden",
+        "classes",
+        "density",
+        "workers",
+        "skip-idle",
+        "idle-conns",
+        "skip-open-loop",
+        "skip-soak",
+        "soak-only",
+        "smoke",
+        "soak-seconds",
+        "soak-rps",
+        "fault-seed",
+        "panic-rate",
+        "latency-rate",
+        "inject-latency-ms",
+        "corrupt-rate",
+    ]);
     let out_path = args.get("out", "BENCH_serve.json").to_string();
     let min_speedup = args.get_f32("min-speedup", 2.0) as f64;
     let total = args.get_usize("requests", 3000);
@@ -819,10 +843,8 @@ fn main() {
     report.metric("model_channels", channels as f64);
     report.metric("model_hidden", hidden as f64);
 
-    report
-        .write(&out_path)
-        .expect("failed to write bench report");
-
+    // The last gate runs before the report is written, so a failing run
+    // leaves the committed report untouched.
     if let Some(speedup) = speedup {
         assert!(
             speedup >= min_speedup,
@@ -836,4 +858,8 @@ fn main() {
             http_rps[1] / http_rps[0]
         );
     }
+
+    report
+        .write(&out_path)
+        .expect("failed to write bench report");
 }

@@ -299,7 +299,18 @@ fn cell_json(c: &CellResult) -> Json {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "smoke",
+        "scale",
+        "seed",
+        "per-class",
+        "tolerance",
+        "out",
+        "threads",
+        "epochs",
+        "hidden",
+        "batch",
+    ]);
     let smoke = args.flag("smoke");
     let scale = if smoke { Scale::Small } else { args.scale() };
     let seed = args.get_u64("seed", 21);
@@ -435,9 +446,8 @@ fn main() {
         ),
         ("workloads", Json::Arr(workload_json)),
     ]);
-    std::fs::write(&out_path, doc.pretty() + "\n").expect("failed to write bench report");
-    println!("wrote {out_path}");
-
+    // Gate before writing, so a failing run leaves the committed report
+    // untouched.
     assert!(
         failures.is_empty(),
         "policy grid failed:\n  {}",
@@ -447,4 +457,6 @@ fn main() {
         "OK: auto within {tolerance} of the dense baseline on all {} workloads",
         workloads.len()
     );
+    std::fs::write(&out_path, doc.pretty() + "\n").expect("failed to write bench report");
+    println!("wrote {out_path}");
 }

@@ -24,7 +24,7 @@ fn sparkline(values: &[f32], max: f32) -> String {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["steps"]);
     let steps = args.get_usize("steps", 60);
     banner("Fig. 1: synapse and adaptive threshold dynamics");
     println!("{}", Hyperparams::table1());

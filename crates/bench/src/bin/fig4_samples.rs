@@ -8,7 +8,7 @@ use snn_data::{nmnist, shd};
 use snn_tensor::Rng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["seed", "digit", "shd-class"]);
     let seed = args.get_u64("seed", 3);
     let digit = args.get_usize("digit", 7).min(9);
     let shd_class = args.get_usize("shd-class", 0);

@@ -18,7 +18,7 @@ use snn_data::shd::ShdConfig;
 use snn_tensor::Rng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["seed", "scale", "epochs"]);
     let seed = args.get_u64("seed", 5);
     let scale = args.scale();
     banner("Fig. 5: spatial-temporal pattern association");

@@ -13,7 +13,7 @@ use bench::{banner, Args};
 use snn_hardware::{transient, CircuitParams};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["steps"]);
     let steps = args.get_usize("steps", 40);
     banner("Fig. 7: circuit transient simulation");
 

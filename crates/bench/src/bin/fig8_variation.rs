@@ -20,7 +20,7 @@ use snn_hardware::faults::FaultModel;
 use snn_tensor::{stats, Rng};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["scale", "seed", "seeds", "epochs", "faults"]);
     let scale = args.scale();
     let seed = args.get_u64("seed", 7);
     let n_seeds = args.get_usize("seeds", 5);

@@ -15,7 +15,7 @@ use snn_neuron::NeuronParams;
 use snn_tensor::Rng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["steps", "spikes"]);
     let steps = args.get_usize("steps", power::REFERENCE_STEPS);
     let spikes = args.get_usize("spikes", power::REFERENCE_SPIKES).min(steps);
     let params = CircuitParams::paper();

@@ -272,7 +272,15 @@ fn run_dataset(spec: &DatasetSpec, seed: u64, train_hr: bool, v_th: f32) -> Vec<
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "scale",
+        "seed",
+        "epochs",
+        "dataset",
+        "train-hr",
+        "vth",
+        "pair-mode",
+    ]);
     let scale = args.scale();
     let seed = args.get_u64("seed", 7);
     let epochs = args.values_epochs();

@@ -37,14 +37,20 @@ impl Scale {
 /// Minimal `--key value` / `--flag` argument parser for the harness
 /// binaries (keeps the workspace free of CLI dependencies).
 ///
+/// Each binary declares the flag names it reads; a misspelt or
+/// unsupported flag is an error, not a silent fall-back to a default.
+///
 /// # Examples
 ///
 /// ```
 /// use bench::Args;
 ///
-/// let args = Args::parse_from(["--seed", "7", "--hard-reset"].iter().map(|s| s.to_string()));
+/// let known = &["seed", "hard-reset"];
+/// let args = Args::parse_from(known, ["--seed", "7", "--hard-reset"].iter().map(|s| s.to_string()))
+///     .unwrap();
 /// assert_eq!(args.get_u64("seed", 0), 7);
 /// assert!(args.flag("hard-reset"));
+/// assert!(Args::parse_from(known, ["--sede", "7"].iter().map(|s| s.to_string())).is_err());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -53,30 +59,41 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses the process arguments (skipping the binary name).
-    pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+    /// Parses the process arguments (skipping the binary name), which
+    /// may name only the flags in `known`; anything else exits the
+    /// process with status 2, naming the offending argument.
+    pub fn parse(known: &[&str]) -> Self {
+        or_exit(Self::parse_from(known, std::env::args().skip(1)))
     }
 
     /// Parses from an explicit iterator (for tests).
-    pub fn parse_from(args: impl Iterator<Item = String>) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Names the first argument that is not a `--flag` from `known` or
+    /// the value following one.
+    pub fn parse_from(known: &[&str], args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut out = Self::default();
         let mut iter = args.peekable();
         while let Some(arg) = iter.next() {
-            if let Some(name) = arg.strip_prefix("--") {
-                let is_value = iter
-                    .peek()
-                    .map(|next| !next.starts_with("--"))
-                    .unwrap_or(false);
-                if is_value {
-                    out.values
-                        .insert(name.to_string(), iter.next().unwrap_or_default());
-                } else {
-                    out.flags.push(name.to_string());
+            let Some(name) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument {arg:?}"));
+            };
+            if !known.contains(&name) {
+                let accepted: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
+                return Err(format!(
+                    "unknown flag --{name} (this harness takes {})",
+                    accepted.join(", ")
+                ));
+            }
+            match iter.next_if(|next| !next.starts_with("--")) {
+                Some(value) => {
+                    out.values.insert(name.to_string(), value);
                 }
+                None => out.flags.push(name.to_string()),
             }
         }
-        out
+        Ok(out)
     }
 
     /// String option with default.
@@ -151,8 +168,22 @@ pub fn banner(title: &str) {
 mod tests {
     use super::*;
 
+    const KNOWN: &[&str] = &[
+        "seed",
+        "hard-reset",
+        "scale",
+        "epochs",
+        "verbose",
+        "min-backward-speedup",
+        "deviation",
+    ];
+
+    fn try_parse(tokens: &[&str]) -> Result<Args, String> {
+        Args::parse_from(KNOWN, tokens.iter().map(|s| s.to_string()))
+    }
+
     fn parse(tokens: &[&str]) -> Args {
-        Args::parse_from(tokens.iter().map(|s| s.to_string()))
+        try_parse(tokens).unwrap()
     }
 
     #[test]
@@ -185,6 +216,38 @@ mod tests {
         );
         assert!(a.parsed::<usize>("seed", 5).is_err());
         assert_eq!(a.parsed::<u64>("absent", 5), Ok(5));
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected_by_name() {
+        // A misspelt preset flag and a misspelt gate flag must not fall
+        // back to the defaults.
+        for (tokens, flag) in [
+            (&["--scale", "small", "--sclae", "paper"][..], "--sclae"),
+            (
+                &["--min-backward-speedp", "1.0"][..],
+                "--min-backward-speedp",
+            ),
+            (&["--seed", "3", "--verbos"][..], "--verbos"),
+        ] {
+            let err = try_parse(tokens).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown flag {flag} ")),
+                "{tokens:?}: {err}"
+            );
+        }
+        assert_eq!(
+            Args::parse_from(&["steps"], ["--scale".to_string()].into_iter()).unwrap_err(),
+            "unknown flag --scale (this harness takes --steps)"
+        );
+    }
+
+    #[test]
+    fn stray_argument_is_rejected() {
+        assert_eq!(
+            try_parse(&["--seed", "3", "4"]).unwrap_err(),
+            "unexpected argument \"4\""
+        );
     }
 
     #[test]

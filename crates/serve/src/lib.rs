@@ -12,10 +12,12 @@
 //!   format) off persistent connections and submit them to a **bounded
 //!   admission queue** — a full queue answers `503` + `Retry-After`
 //!   (backpressure) instead of growing without bound.
-//! * A **collator** drains the queue into micro-batches under a
-//!   [`BatchPolicy`]: dispatch at `max_batch` samples or `max_wait`
-//!   after the first sample, whichever comes first. Idle servers stay
-//!   low-latency; loaded servers batch up automatically.
+//! * A **collator** drains the queue into micro-batches without ever
+//!   holding one: it takes the next sample plus whatever else is already
+//!   queued, up to [`BatchPolicy::max_batch`], and hands the batch to the
+//!   next free worker. Idle servers answer a lone request at once;
+//!   loaded servers batch up automatically, because arrivals queue while
+//!   every worker is busy.
 //! * **Workers** execute batches on
 //!   [`SessionPool`](snn_engine::SessionPool)-checked-out sessions —
 //!   warm, allocation-free buffers on either

@@ -23,7 +23,8 @@ pub enum Stage {
     Parse,
     /// Admission-queue wait: submit → picked up by the collator.
     QueueWait,
-    /// Batch-formation wait: collated → execution starts on a worker.
+    /// Dispatch wait: collated → execution starts on a worker (waiting
+    /// for a free worker, then for the batch's earlier jobs).
     BatchWait,
     /// Forward pass on a pooled session.
     Inference,

@@ -9,12 +9,13 @@
 //!   **bounded** admission queue — a full queue fails fast
 //!   ([`SubmitError::QueueFull`] → HTTP 503 + `Retry-After`) instead of
 //!   growing without bound;
-//! * a **collator** thread drains the queue into micro-batches under a
-//!   `max_batch` / `max_wait` policy: a batch is dispatched as soon as it
-//!   reaches [`BatchPolicy::max_batch`] samples, or when
-//!   [`BatchPolicy::max_wait`] has elapsed since its first sample —
-//!   so an idle server stays a low-latency server and a loaded server
-//!   degrades into a high-throughput one;
+//! * a **collator** thread is work-conserving: it blocks for the next
+//!   sample, takes whatever else is already queued (up to
+//!   [`BatchPolicy::max_batch`]) and hands that batch to the next free
+//!   worker. No sample waits on a timer while a worker is idle, so an
+//!   idle server answers a lone request at once; batches grow only with
+//!   the backlog that piles up while every worker is busy, so a loaded
+//!   server degrades into a high-throughput one;
 //! * a pool of **workers** executes batches on
 //!   [`SessionPool`]-checked-out sessions (warm, allocation-free
 //!   buffers), delivering each sample's class back through its
@@ -80,11 +81,9 @@ const MAX_JOB_ATTEMPTS: u32 = 2;
 /// Micro-batching policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Dispatch a batch as soon as it holds this many samples.
+    /// Largest batch the collator forms from the samples already
+    /// queued when it picks up the next one.
     pub max_batch: usize,
-    /// Dispatch a partial batch once this much time has passed since its
-    /// first sample was collected.
-    pub max_wait: Duration,
     /// Admission-queue capacity; a full queue rejects new submissions
     /// ([`SubmitError::QueueFull`]) instead of buffering unboundedly.
     pub queue_capacity: usize,
@@ -96,7 +95,6 @@ impl Default for BatchPolicy {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 1024,
             workers: 0,
         }
@@ -389,7 +387,6 @@ impl Scheduler {
         stream_cfg: StreamConfig,
     ) -> Self {
         let max_batch = policy.max_batch.max(1);
-        let max_wait = policy.max_wait;
         let n_workers = match policy.workers {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
@@ -409,7 +406,7 @@ impl Scheduler {
             let metrics = Arc::clone(&metrics);
             std::thread::Builder::new()
                 .name("snn-serve-collator".to_string())
-                .spawn(move || collate(queue_rx, dispatch_tx, max_batch, max_wait, &metrics))
+                .spawn(move || collate(queue_rx, dispatch_tx, max_batch, &metrics))
                 .expect("spawn collator thread")
         };
 
@@ -655,60 +652,23 @@ fn note_collated(job: &mut Job, metrics: &ServeMetrics) {
     );
 }
 
-/// Collator loop: drain the admission queue into micro-batches under the
-/// `max_batch` / `max_wait` policy, shedding expired jobs before
-/// dispatch.
+/// Collator loop: block for the next job, take whatever else is
+/// already queued (up to `max_batch`), shed expired jobs and hand the
+/// batch to a free worker. Nothing waits for more arrivals: a batch
+/// holds exactly the backlog that built up while the workers were busy.
 fn collate(
     queue_rx: Receiver<Job>,
     dispatch_tx: SyncSender<Vec<Job>>,
     max_batch: usize,
-    max_wait: Duration,
     metrics: &ServeMetrics,
 ) {
-    loop {
-        // Block for the first sample of the next batch; a disconnect
-        // with an empty queue is the shutdown signal.
-        let Ok(mut first) = queue_rx.recv() else {
-            return;
-        };
-        metrics.queue_depth.dec();
-        note_collated(&mut first, metrics);
+    // A disconnect with an empty queue is the shutdown signal.
+    while let Ok(first) = queue_rx.recv() {
         let mut batch = Vec::with_capacity(max_batch);
-        batch.push(first);
-        let deadline = Instant::now() + max_wait;
-        let mut disconnected = false;
-        while batch.len() < max_batch {
-            // try_recv first: under load the queue is never empty, so the
-            // common case collects without touching the clock or parking.
-            match queue_rx.try_recv() {
-                Ok(mut job) => {
-                    metrics.queue_depth.dec();
-                    note_collated(&mut job, metrics);
-                    batch.push(job);
-                    continue;
-                }
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-                Err(mpsc::TryRecvError::Empty) => {}
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match queue_rx.recv_timeout(deadline - now) {
-                Ok(mut job) => {
-                    metrics.queue_depth.dec();
-                    note_collated(&mut job, metrics);
-                    batch.push(job);
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
+        for mut job in std::iter::once(first).chain(queue_rx.try_iter().take(max_batch - 1)) {
+            metrics.queue_depth.dec();
+            note_collated(&mut job, metrics);
+            batch.push(job);
         }
         // Shed expired work before it costs a worker anything: answer
         // those tickets 504 now and dispatch only live jobs.
@@ -721,16 +681,14 @@ fn collate(
             }
             true
         });
-        if !batch.is_empty() {
-            metrics.batches_total.inc();
-            metrics.batch_size.observe(batch.len() as u64);
-            if dispatch_tx.send(batch).is_err() {
-                // Workers are gone (only happens if they all panicked
-                // outside supervision); nothing left to do but stop.
-                return;
-            }
+        if batch.is_empty() {
+            continue;
         }
-        if disconnected {
+        metrics.batches_total.inc();
+        metrics.batch_size.observe(batch.len() as u64);
+        if dispatch_tx.send(batch).is_err() {
+            // Workers are gone (only happens if they all panicked
+            // outside supervision); nothing left to do but stop.
             return;
         }
     }

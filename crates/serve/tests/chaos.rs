@@ -13,7 +13,8 @@ use snn_engine::Engine;
 use snn_neuron::NeuronParams;
 use snn_serve::{
     serve, silence_injected_panics, BatchPolicy, Client, ErrorCode, FaultPlan, Retrier,
-    RetryPolicy, Scheduler, ServerConfig, ServerHandle, StreamClient, TicketError,
+    RetryPolicy, Scheduler, ServeMetrics, ServerConfig, ServerHandle, StreamClient, StreamConfig,
+    TicketError,
 };
 use snn_tensor::Rng;
 use std::sync::Arc;
@@ -127,23 +128,41 @@ fn double_panic_answers_a_clean_503_and_the_server_survives() {
 
 #[test]
 fn expired_deadlines_shed_work_as_504() {
-    // A slow collator (long max_wait) plus a tiny deadline: the job
-    // expires in the queue and must be shed, not executed.
-    let server = serve(
-        engine(5),
+    // One worker that sleeps 300 ms on every job it executes, busy with
+    // a blocker request: a request with a 5 ms deadline queued behind it
+    // expires before the worker is free and must be shed, not executed.
+    let server = start_with_faults(
+        5,
+        FaultPlan::seeded(5).with_latency(1.0, Duration::from_millis(300)),
         ServerConfig {
             policy: BatchPolicy {
-                max_batch: 64,
-                max_wait: Duration::from_millis(300),
                 workers: 1,
                 ..BatchPolicy::default()
             },
             ..ServerConfig::default()
         },
-    )
-    .unwrap();
-    let samples = inputs(1, 6);
-    let mut client = Client::connect(server.addr()).unwrap();
+    );
+    let samples = inputs(2, 6);
+    let expected = engine(5).classify_batch(&samples);
+    let addr = server.addr();
+    let blocker = std::thread::spawn({
+        let raster = samples[1].clone();
+        move || {
+            let mut client = Client::connect(addr).unwrap();
+            client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+            client.classify(&raster).unwrap()
+        }
+    });
+    // The blocker is admitted first, so the deadline job queues behind it.
+    let admitted = Instant::now();
+    while server.metrics().jobs_total.get() == 0 {
+        assert!(
+            admitted.elapsed() < Duration::from_secs(30),
+            "blocker never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut client = Client::connect(addr).unwrap();
     client.set_timeout(Some(Duration::from_secs(30))).unwrap();
     let body = samples[0].to_json().to_string();
     let resp = client
@@ -155,8 +174,11 @@ fn expired_deadlines_shed_work_as_504() {
         )
         .unwrap();
     assert_eq!(resp.status, 504);
+    assert_eq!(blocker.join().unwrap(), expected[1]);
     let m = server.metrics();
     assert_eq!(m.jobs_expired_total.get(), 1);
+    // Only the blocker ran: the shed job never reached a session.
+    assert_eq!(m.job_latency_us.count(), 1);
     // An invalid deadline is a client error, not a shed.
     let resp = client
         .request_with_headers(
@@ -172,16 +194,22 @@ fn expired_deadlines_shed_work_as_504() {
 
 #[test]
 fn scheduler_level_deadline_expiry_is_typed() {
-    let scheduler = Scheduler::start(
+    // The one worker sleeps 200 ms on the blocker; the job with a 2 ms
+    // deadline behind it expires in the queue.
+    let scheduler = Scheduler::start_with_streams(
         engine(7),
         BatchPolicy {
-            max_batch: 64,
-            max_wait: Duration::from_millis(200),
             workers: 1,
             ..BatchPolicy::default()
         },
+        Arc::new(ServeMetrics::new()),
+        Some(Arc::new(
+            FaultPlan::seeded(7).with_latency(1.0, Duration::from_millis(200)),
+        )),
+        StreamConfig::default(),
     );
-    let samples = inputs(1, 8);
+    let samples = inputs(2, 8);
+    let blocker = scheduler.submit(samples[1].clone()).unwrap();
     let ticket = scheduler
         .submit_with_deadline(
             samples[0].clone(),
@@ -189,7 +217,10 @@ fn scheduler_level_deadline_expiry_is_typed() {
         )
         .unwrap();
     assert_eq!(ticket.wait(), Err(TicketError::Expired));
-    assert_eq!(scheduler.metrics().jobs_expired_total.get(), 1);
+    assert_eq!(blocker.wait(), Ok(engine(7).classify_batch(&samples)[1]));
+    let m = scheduler.metrics();
+    assert_eq!(m.jobs_expired_total.get(), 1);
+    assert_eq!(m.job_latency_us.count(), 1, "the expired job never ran");
     scheduler.shutdown();
 }
 
@@ -252,7 +283,6 @@ fn chaos_storm_with_mid_run_reloads_loses_nothing() {
         ServerConfig {
             policy: BatchPolicy {
                 max_batch: 16,
-                max_wait: Duration::from_millis(2),
                 workers: 2,
                 ..BatchPolicy::default()
             },

@@ -4,8 +4,9 @@
 use snn_core::{Network, NeuronKind, SpikeRaster};
 use snn_engine::Engine;
 use snn_neuron::NeuronParams;
-use snn_serve::{serve, BatchPolicy, Client, ServerConfig, ServerHandle};
+use snn_serve::{serve, BatchPolicy, Client, FaultPlan, ServerConfig, ServerHandle};
 use snn_tensor::Rng;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn engine(seed: u64) -> Engine {
@@ -278,15 +279,23 @@ fn graceful_shutdown_closes_idle_connections_and_joins() {
 fn concurrent_clients_are_batched_together() {
     let samples = inputs(64, 7);
     let expected = engine(8).classify_batch(&samples);
-    let server = start(
-        8,
-        BatchPolicy {
-            max_batch: 16,
-            max_wait: Duration::from_millis(5),
-            workers: 2,
-            ..BatchPolicy::default()
+    // Both workers sleep 10 ms on every job, so the 64 requests build a
+    // backlog in the admission queue while the workers are busy.
+    let server = serve(
+        engine(8),
+        ServerConfig {
+            policy: BatchPolicy {
+                max_batch: 16,
+                workers: 2,
+                ..BatchPolicy::default()
+            },
+            faults: Some(Arc::new(
+                FaultPlan::seeded(8).with_latency(1.0, Duration::from_millis(10)),
+            )),
+            ..ServerConfig::default()
         },
-    );
+    )
+    .expect("bind ephemeral port");
     let addr = server.addr();
     let results: Vec<usize> = std::thread::scope(|scope| {
         let handles: Vec<_> = samples
@@ -304,7 +313,7 @@ fn concurrent_clients_are_batched_together() {
     assert_eq!(results, expected);
     let m = server.metrics();
     assert_eq!(m.jobs_total.get(), 64);
-    // 64 concurrent single-sample requests through a 16-wide collator
+    // 64 concurrent single-sample requests queued behind busy workers
     // must produce fewer batches than samples — dynamic batching engaged.
     assert!(
         m.batches_total.get() < 64,

@@ -68,9 +68,9 @@ proptest! {
         let net = net_from_seed(seed);
         let reference = Engine::from_network(net.clone()).build().classify_batch(&inputs);
         for policy in [
-            BatchPolicy { max_batch: 1, max_wait: Duration::from_millis(1), workers: 1, ..BatchPolicy::default() },
-            BatchPolicy { max_batch: 3, max_wait: Duration::from_millis(2), workers: 4, ..BatchPolicy::default() },
-            BatchPolicy { max_batch: 64, max_wait: Duration::from_millis(5), workers: 2, ..BatchPolicy::default() },
+            BatchPolicy { max_batch: 1, workers: 1, ..BatchPolicy::default() },
+            BatchPolicy { max_batch: 3, workers: 4, ..BatchPolicy::default() },
+            BatchPolicy { max_batch: 64, workers: 2, ..BatchPolicy::default() },
         ] {
             let scheduler = Scheduler::start(
                 Engine::from_network(net.clone()).build(),

@@ -248,7 +248,6 @@ fn graceful_shutdown_races_a_concurrent_reload() {
         ServerConfig {
             policy: BatchPolicy {
                 max_batch: 8,
-                max_wait: Duration::from_millis(2),
                 workers: 2,
                 ..BatchPolicy::default()
             },

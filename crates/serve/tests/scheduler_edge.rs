@@ -1,6 +1,6 @@
-//! Scheduler edge cases: deadline expiry on a quiet queue, size-triggered
-//! dispatch, graceful shutdown with a non-empty queue, and admission
-//! backpressure.
+//! Scheduler edge cases: a lone job on a quiet queue, a backlog cut
+//! into `max_batch`-sized batches, graceful shutdown with a non-empty
+//! queue, and admission backpressure.
 
 use snn_core::{Network, NeuronKind, SpikeRaster};
 use snn_engine::Engine;
@@ -38,8 +38,20 @@ fn inputs(n: usize, seed: u64) -> Vec<SpikeRaster> {
         .collect()
 }
 
-/// A lone sample on a quiet queue must not wait for a full batch: the
-/// `max_wait` deadline flushes the partial batch.
+/// Starts a scheduler whose every job first sleeps `stall` inside the
+/// worker: a busy worker is what makes a backlog build in the queue.
+fn stalled(seed: u64, policy: BatchPolicy, stall: Duration) -> Scheduler {
+    Scheduler::start_with_streams(
+        engine(seed),
+        policy,
+        Arc::new(ServeMetrics::new()),
+        Some(Arc::new(FaultPlan::seeded(seed).with_latency(1.0, stall))),
+        StreamConfig::default(),
+    )
+}
+
+/// A lone sample on a quiet queue dispatches at once as a batch of one:
+/// the collator takes what is queued and never waits for more.
 #[test]
 fn deadline_expiry_flushes_partial_batch() {
     let engine = engine(1);
@@ -48,7 +60,6 @@ fn deadline_expiry_flushes_partial_batch() {
         engine,
         BatchPolicy {
             max_batch: 64,
-            max_wait: Duration::from_millis(30),
             workers: 1,
             ..BatchPolicy::default()
         },
@@ -57,7 +68,7 @@ fn deadline_expiry_flushes_partial_batch() {
     let ticket = scheduler.submit(inputs(1, 2).remove(0)).unwrap();
     let class = ticket
         .wait_timeout(Duration::from_secs(10))
-        .expect("deadline must flush the batch");
+        .expect("a lone job must be dispatched");
     assert_eq!(class, expected);
     // Far below the would-be forever of waiting for 63 more samples;
     // generous upper bound for a loaded CI box.
@@ -69,22 +80,59 @@ fn deadline_expiry_flushes_partial_batch() {
     scheduler.shutdown();
 }
 
-/// A batch that reaches exactly `max_batch` dispatches immediately: with
-/// a deliberately huge `max_wait`, only the size trigger can explain the
-/// answers arriving.
+/// An idle scheduler answers a lone job without holding it for company:
+/// the median submit-to-answer time of sequential lone jobs stays far
+/// below a millisecond. A collator that held each partial batch open
+/// for even 1 ms would fail this on every job.
 #[test]
-fn batch_exactly_at_max_size_dispatches_without_waiting() {
-    let engine = engine(3);
-    let batch = inputs(4, 4);
-    let expected = engine.classify_batch(&batch);
+fn idle_scheduler_answers_lone_jobs_without_a_hold() {
     let scheduler = Scheduler::start(
-        engine,
+        engine(2),
         BatchPolicy {
-            max_batch: 4,
-            max_wait: Duration::from_secs(600),
             workers: 1,
             ..BatchPolicy::default()
         },
+    );
+    let samples = inputs(60, 3);
+    let mut elapsed: Vec<Duration> = samples
+        .iter()
+        .map(|raster| {
+            let started = Instant::now();
+            scheduler
+                .submit(raster.clone())
+                .unwrap()
+                .wait_timeout(Duration::from_secs(10))
+                .expect("lone job answered");
+            started.elapsed()
+        })
+        .collect();
+    elapsed.sort_unstable();
+    let median = elapsed[elapsed.len() / 2];
+    assert!(
+        median < Duration::from_millis(1),
+        "median submit-to-answer of {} lone jobs was {median:?}",
+        elapsed.len()
+    );
+    assert_eq!(scheduler.metrics().batch_size.sum(), 60);
+    assert_eq!(scheduler.metrics().batches_total.get(), 60);
+    scheduler.shutdown();
+}
+
+/// A backlog is cut into batches of at most `max_batch`: while the one
+/// worker sleeps on each job, the submissions pile up in the queue, and
+/// the collator takes them `max_batch` at a time.
+#[test]
+fn batch_exactly_at_max_size_dispatches_without_waiting() {
+    let batch = inputs(18, 4);
+    let expected = engine(3).classify_batch(&batch);
+    let scheduler = stalled(
+        3,
+        BatchPolicy {
+            max_batch: 4,
+            workers: 1,
+            ..BatchPolicy::default()
+        },
+        Duration::from_millis(20),
     );
     let tickets: Vec<_> = batch
         .iter()
@@ -94,13 +142,29 @@ fn batch_exactly_at_max_size_dispatches_without_waiting() {
         .into_iter()
         .map(|t| {
             t.wait_timeout(Duration::from_secs(30))
-                .expect("size trigger must dispatch")
+                .expect("backlog must be dispatched")
         })
         .collect();
     assert_eq!(classes, expected);
     let m = scheduler.metrics();
-    assert_eq!(m.batches_total.get(), 1, "one full batch, zero partials");
-    assert_eq!(m.batch_size.sum(), 4);
+    assert_eq!(m.batch_size.sum(), 18);
+    // No batch is larger than max_batch (the largest lands in the
+    // histogram's (2, 4] bucket), so 18 jobs need at least 5 batches...
+    assert!(
+        m.batch_size.quantile(1.0) <= 4,
+        "a batch exceeded max_batch"
+    );
+    let batches = m.batches_total.get();
+    assert!(
+        batches >= 5,
+        "18 jobs in batches of at most 4, got {batches}"
+    );
+    // ...and the backlog behind the 20 ms-per-job worker was batched
+    // rather than dispatched one job at a time.
+    assert!(
+        batches < 18,
+        "a backlog must be batched, got {batches} batches"
+    );
     scheduler.shutdown();
 }
 
@@ -108,24 +172,27 @@ fn batch_exactly_at_max_size_dispatches_without_waiting() {
 /// classified, and answered — no request is dropped without a response.
 #[test]
 fn shutdown_with_non_empty_queue_answers_everything() {
-    let engine = engine(5);
     let batch = inputs(23, 6);
-    let expected = engine.classify_batch(&batch);
-    // A long max_wait guarantees the queue is non-empty at shutdown:
-    // without the drain, most tickets would sit for 10 minutes.
-    let scheduler = Scheduler::start(
-        engine,
+    let expected = engine(5).classify_batch(&batch);
+    // Workers sleeping 40 ms per job guarantee the queue is non-empty at
+    // shutdown: 23 jobs on two workers take about half a second.
+    let scheduler = stalled(
+        5,
         BatchPolicy {
             max_batch: 5,
-            max_wait: Duration::from_secs(600),
             workers: 2,
             ..BatchPolicy::default()
         },
+        Duration::from_millis(40),
     );
     let tickets: Vec<_> = batch
         .iter()
         .map(|r| scheduler.submit(r.clone()).unwrap())
         .collect();
+    assert!(
+        scheduler.metrics().queue_depth.get() > 0,
+        "the queue must still hold jobs when shutdown starts"
+    );
     scheduler.shutdown();
     // After shutdown, every ticket must already be (or immediately
     // become) redeemable.
@@ -154,7 +221,6 @@ fn full_queue_applies_backpressure() {
         engine(7),
         BatchPolicy {
             max_batch: 1,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 2,
             workers: 1,
         },

@@ -56,6 +56,11 @@ pub use crate::lanes::{
 /// (one per tile per active column) stay cheap at high spike densities.
 pub const BLOCK_ROWS: usize = 4096;
 
+/// Square tile edge of the blocked transpose in
+/// [`ColMajor::refresh_from`]: a 32×32 `f32` tile is 4 KiB of source and
+/// 4 KiB of destination, so both stay in L1 while it is copied.
+const TRANSPOSE_TILE: usize = 32;
+
 /// `x *= decay; x[i] += 1.0 for i in events` — one trace update of the
 /// forward step (the synapse trace `k = α·k + x[t]` for a binary
 /// `x[t]`, and the threshold trace `h = β·h + O[t−1]` for binary
@@ -252,13 +257,23 @@ impl ColMajor {
         self.cols = cols;
         self.data.resize(rows * cols, 0.0);
         let src = m.as_slice();
-        // Walk the source row-major (sequential reads), scatter into
-        // columns; for the matrix sizes used here this is bandwidth-bound
-        // either way.
-        for r in 0..rows {
-            let row = &src[r * cols..(r + 1) * cols];
-            for (c, &w) in row.iter().enumerate() {
-                self.data[c * rows + r] = w;
+        // Copy tile by tile: each destination column of a tile is one
+        // short sequential write, and the source rows it reads stay in L1
+        // for the tile's other columns (a row-major walk would scatter
+        // every element `rows` floats from the last). Zipped chunk
+        // iterators rather than computed indices keep bounds checks out
+        // of the inner loop. A pure copy, so the tiling cannot change a
+        // bit.
+        for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
+            let r1 = (r0 + TRANSPOSE_TILE).min(rows);
+            let band = &src[r0 * cols..r1 * cols];
+            for c0 in (0..cols).step_by(TRANSPOSE_TILE) {
+                let c1 = (c0 + TRANSPOSE_TILE).min(cols);
+                for (c, column) in (c0..c1).zip(self.data.chunks_exact_mut(rows).skip(c0)) {
+                    for (w, row) in column[r0..r1].iter_mut().zip(band.chunks_exact(cols)) {
+                        *w = row[c];
+                    }
+                }
             }
         }
     }
@@ -373,12 +388,18 @@ mod tests {
 
     #[test]
     fn colmajor_mirrors_matrix() {
+        // Shapes smaller than, not a multiple of, and several times the
+        // transpose tile, each refreshed over the previous shape's mirror.
         let mut rng = Rng::seed_from(3);
-        let m = Matrix::xavier_uniform(5, 7, &mut rng);
-        let cm = ColMajor::from_matrix(&m);
-        for r in 0..5 {
-            for c in 0..7 {
-                assert_eq!(cm.column(c)[r], m[(r, c)]);
+        let mut cm = ColMajor::from_matrix(&Matrix::full(3, 5, f32::NAN));
+        for (rows, cols) in [(5, 7), (1, 1), (7, 33), (400, 700), (33, 7)] {
+            let m = Matrix::xavier_uniform(rows, cols, &mut rng);
+            cm.refresh_from(&m);
+            assert_eq!((cm.rows(), cm.cols()), (rows, cols));
+            for c in 0..cols {
+                for r in 0..rows {
+                    assert_eq!(cm.column(c)[r].to_bits(), m[(r, c)].to_bits());
+                }
             }
         }
     }

@@ -2,8 +2,15 @@
 //! micro-batching scheduler buys over single-request (batch-size-1)
 //! serving, recorded in `BENCH_serve.json`.
 //!
-//! Three experiments on the sparse backend:
+//! Experiments on the sparse backend:
 //!
+//! 0. **Request decode**: a `/classify` body decoded by the routes'
+//!    one-pass decoder ([`decode_rasters`]) against the JSON tree path it
+//!    replaced (`Json::parse`, then `SpikeRaster::from_json`), on
+//!    paper-scale SHD bodies (700 channels, T = 100, ~15 kB) in
+//!    alternating rounds. Reports both medians and their ratio; the
+//!    binary asserts the one-pass decode ≥ `--min-decode-speedup`×
+//!    faster (default 2).
 //! 1. **Closed-loop HTTP throughput** at `--concurrency`-way concurrency
 //!    (default 64) against a real `snn-serve` server on an ephemeral
 //!    loopback port: the same request storm against `max_batch = 1`
@@ -44,24 +51,26 @@
 //!    25% of the fault-free baseline (floored at 2 ms so a fast machine's
 //!    sub-millisecond baseline does not turn scheduler jitter into a
 //!    failure). `--smoke` shrinks the soak for CI gates; `--soak-only`
-//!    skips experiments 1–3; `--skip-soak` skips the soak.
+//!    skips experiments 0–3; `--skip-soak` skips the soak.
 //!
 //! Usage: `cargo run --release --bin bench_serve
-//! [-- --out PATH] [--min-speedup X] [--requests N] [--concurrency C]
-//! [--burst N] [--steps T] [--channels C] [--hidden H] [--density D]
-//! [--idle-conns N] [--skip-idle] [--skip-open-loop] [--skip-soak]
-//! [--soak-only] [--smoke] [--soak-seconds S] [--soak-rps R]
+//! [-- --out PATH] [--min-speedup X] [--min-decode-speedup X]
+//! [--requests N] [--concurrency C] [--burst N] [--steps T] [--channels C]
+//! [--hidden H] [--density D] [--idle-conns N] [--skip-idle]
+//! [--skip-open-loop] [--skip-soak] [--soak-only] [--smoke] [--soak-seconds S] [--soak-rps R]
 //! [--fault-seed N] [--panic-rate P] [--latency-rate P]
 //! [--inject-latency-ms MS] [--corrupt-rate P]`
 
 use bench::timing::Report;
 use bench::Args;
 use snn_core::{Network, NeuronKind, SpikeRaster};
+use snn_data::shd::{self, ShdConfig};
 use snn_engine::{Backend, Engine};
+use snn_json::Json;
 use snn_neuron::NeuronParams;
 use snn_serve::{
-    serve, silence_injected_panics, BatchPolicy, Client, FaultPlan, Retrier, RetryPolicy,
-    Scheduler, ServerConfig, ServerHandle,
+    decode_rasters, serve, silence_injected_panics, BatchPolicy, Client, FaultPlan, Retrier,
+    RetryPolicy, Scheduler, ServerConfig, ServerHandle,
 };
 use snn_tensor::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -348,10 +357,69 @@ fn start_server(engine: Engine, max_batch: usize, workers: usize) -> ServerHandl
     .expect("bind ephemeral serving port")
 }
 
+/// Times the two ways to decode a `/classify` body on paper-scale SHD
+/// rasters, in alternating rounds: the JSON tree path (`Json::parse`,
+/// then `SpikeRaster::from_json`) and the routes' one-pass decoder.
+/// Returns the median µs per body of each, tree first.
+fn decode_medians(rounds: usize) -> (f64, f64) {
+    let cfg = ShdConfig {
+        samples_per_class: 3,
+        ..ShdConfig::paper()
+    };
+    let rasters: Vec<SpikeRaster> = shd::generate(&cfg, 5)
+        .samples
+        .into_iter()
+        .map(|(raster, _)| raster)
+        .collect();
+    let bodies: Vec<String> = rasters.iter().map(|r| r.to_json().to_string()).collect();
+    let config = ServerConfig::default();
+    let tree = |body: &str| {
+        let text = std::str::from_utf8(body.as_bytes()).expect("generated bodies are utf-8");
+        SpikeRaster::from_json(&Json::parse(text).expect("generated bodies parse"))
+            .expect("generated rasters are valid")
+    };
+    let one_pass = |body: &str| {
+        let mut decoded = decode_rasters(body.as_bytes(), false, &config, cfg.channels)
+            .unwrap_or_else(|r| panic!("one-pass decode refused a generated body: {r:?}"));
+        decoded.pop().expect("one raster per body")
+    };
+    for (raster, body) in rasters.iter().zip(&bodies) {
+        assert_eq!(&tree(body), raster, "the tree path must decode the raster");
+        assert_eq!(
+            &one_pass(body),
+            raster,
+            "the one-pass decode must decode the raster"
+        );
+    }
+    let time = |decode: &dyn Fn(&str) -> SpikeRaster| {
+        let t0 = Instant::now();
+        for body in &bodies {
+            std::hint::black_box(decode(std::hint::black_box(body)));
+        }
+        1e6 * t0.elapsed().as_secs_f64() / bodies.len() as f64
+    };
+    let (mut tree_us, mut one_pass_us) = (Vec::new(), Vec::new());
+    for round in 0..rounds {
+        if round % 2 == 0 {
+            tree_us.push(time(&tree));
+            one_pass_us.push(time(&one_pass));
+        } else {
+            one_pass_us.push(time(&one_pass));
+            tree_us.push(time(&tree));
+        }
+    }
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    (median(tree_us), median(one_pass_us))
+}
+
 fn main() {
     let args = Args::parse(&[
         "out",
         "min-speedup",
+        "min-decode-speedup",
         "requests",
         "concurrency",
         "burst",
@@ -377,6 +445,7 @@ fn main() {
     ]);
     let out_path = args.get("out", "BENCH_serve.json").to_string();
     let min_speedup = args.get_f32("min-speedup", 2.0) as f64;
+    let min_decode_speedup = args.get_f32("min-decode-speedup", 2.0) as f64;
     let total = args.get_usize("requests", 3000);
     let concurrency = args.get_usize("concurrency", 64);
     let burst = args.get_usize("burst", 4096);
@@ -442,7 +511,17 @@ fn main() {
     // ── 1. Closed-loop HTTP: single-request vs dynamic batching ───────
     let mut http_rps = [0.0f64; 2];
     let mut speedup = None;
+    let mut decode_speedup = None;
     if !soak_only {
+        // ── 0. Request decode: one pass against the JSON tree ─────────────
+        // perfbench's traced serve_http times the tree path, which the
+        // routes no longer take, so this row attributes the decode.
+        let (tree_us, one_pass_us) = decode_medians(21);
+        report.metric("decode/tree_us", tree_us);
+        report.metric("decode/one_pass_us", one_pass_us);
+        report.metric("decode/speedup", tree_us / one_pass_us);
+        decode_speedup = Some(tree_us / one_pass_us);
+
         for (i, (label, max_batch)) in [("single", 1usize), ("batched", 64)].iter().enumerate() {
             let server = start_server(engine(), *max_batch, workers);
             // Warm up sessions, pools, and connections outside the clock.
@@ -856,6 +935,18 @@ fn main() {
              at {concurrency}-way concurrency; http closed-loop ratio {:.2}x on {cores} core(s); \
              all {total} http responses per mode non-error; graceful shutdowns clean",
             http_rps[1] / http_rps[0]
+        );
+    }
+
+    if let Some(decode_speedup) = decode_speedup {
+        assert!(
+            decode_speedup >= min_decode_speedup,
+            "the one-pass /classify decode must be >={min_decode_speedup:.1}x faster than \
+             the JSON tree path on paper-scale bodies, measured {decode_speedup:.2}x"
+        );
+        println!(
+            "OK: one-pass request decode = {decode_speedup:.2}x the JSON tree path \
+             (target >={min_decode_speedup:.1}x)"
         );
     }
 

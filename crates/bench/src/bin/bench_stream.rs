@@ -1,7 +1,10 @@
 //! Streaming-protocol load generator: measures what the binary event
-//! wire protocol buys over JSON-per-raster HTTP on a parse-bound
-//! workload, recorded under `stream/*` in `BENCH_serve.json` (merged —
-//! the `bench_serve` metrics in the same file are preserved).
+//! wire protocol buys over JSON-per-raster HTTP on small rasters
+//! (16 channels, T = 10 by default), where the JSON path pays an HTTP
+//! round trip and a JSON body decode per raster and the pipelined
+//! binary stream pays neither, recorded under `stream/*` in
+//! `BENCH_serve.json` (merged — the `bench_serve` metrics in the same
+//! file are preserved).
 //!
 //! Three experiments against a real `snn-serve` server on an ephemeral
 //! loopback port, all on the 16-32-10 sparse model `bench_serve` uses:

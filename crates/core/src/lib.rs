@@ -77,4 +77,4 @@ pub mod train;
 pub use layer::{DenseLayer, LayerRecord, NeuronKind, WeightsMut};
 pub use network::{Forward, Network};
 pub use scratch::{LayerScratch, ScratchSpace};
-pub use spike::SpikeRaster;
+pub use spike::{SpikeRaster, WireRaster};

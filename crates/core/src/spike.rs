@@ -7,7 +7,7 @@
 //! [`SpikeRaster`] event list used throughout the workspace plus those
 //! kernel utilities.
 
-use snn_json::Json;
+use snn_json::{Json, JsonError, Kind, Reader};
 use std::fmt;
 
 /// Binary spike tensor of `steps` timesteps × `channels` spike trains,
@@ -255,6 +255,8 @@ impl SpikeRaster {
     /// event outside `steps × channels` is a protocol error, as are
     /// missing or non-integer fields — a serving endpoint must reject
     /// malformed payloads loudly rather than silently dropping spikes.
+    /// [`WireRaster::read`] decodes the same format straight from a
+    /// document's bytes, with the same checks and messages.
     ///
     /// The raster holds `steps + 1` offsets, so a caller decoding
     /// untrusted input bounds `steps` before calling this.
@@ -263,42 +265,7 @@ impl SpikeRaster {
     ///
     /// Returns a human-readable description of the first violation.
     pub fn from_json(v: &Json) -> Result<Self, String> {
-        let steps = v
-            .get("steps")
-            .and_then(Json::as_usize)
-            .ok_or("missing or non-integer \"steps\"")?;
-        let channels = v
-            .get("channels")
-            .and_then(Json::as_usize)
-            .ok_or("missing or non-integer \"channels\"")?;
-        steps
-            .checked_add(1)
-            .and(steps.checked_mul(channels))
-            .ok_or_else(|| format!("raster dimensions {steps}x{channels} overflow"))?;
-        let events = v
-            .get("events")
-            .and_then(Json::as_array)
-            .ok_or("missing or non-array \"events\"")?;
-        let mut pairs = Vec::with_capacity(events.len());
-        for (i, ev) in events.iter().enumerate() {
-            let pair = ev
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| format!("event {i} is not a [t, c] pair"))?;
-            let t = pair[0]
-                .as_usize()
-                .ok_or_else(|| format!("event {i}: non-integer time"))?;
-            let c = pair[1]
-                .as_usize()
-                .ok_or_else(|| format!("event {i}: non-integer channel"))?;
-            if t >= steps || c >= channels {
-                return Err(format!(
-                    "event {i} at ({t},{c}) outside {steps}x{channels} raster"
-                ));
-            }
-            pairs.push((t, c));
-        }
-        Ok(Self::from_events(steps, channels, &pairs))
+        WireRaster::from_tree(v).into_raster()
     }
 
     /// Encodes the raster as `(dt, channel)` event deltas — the payload
@@ -386,6 +353,231 @@ impl fmt::Display for SpikeRaster {
             self.channels,
             self.spike_count()
         )
+    }
+}
+
+/// A wire-format raster as its document declares it, before any check:
+/// the first `"steps"`, `"channels"` and `"events"` members of a
+/// `{"steps": T, "channels": C, "events": [[t, c], …]}` object, in
+/// whatever order they come. Later repeats of a member are ignored, and
+/// a value that is not an object declares none of them.
+///
+/// [`read`](Self::read) takes it from a [`Reader`], so a server can
+/// check the declared size before it allocates for it;
+/// [`into_raster`](Self::into_raster) then validates and builds the
+/// raster, exactly as [`SpikeRaster::from_json`] does from a tree.
+///
+/// # Examples
+///
+/// ```
+/// use snn_core::{SpikeRaster, WireRaster};
+/// use snn_json::Reader;
+///
+/// let mut reader = Reader::new(r#"{"events": [[2, 1]], "steps": 4, "channels": 3}"#);
+/// let wire = WireRaster::read(&mut reader).unwrap();
+/// reader.finish().unwrap();
+/// assert_eq!((wire.steps(), wire.channels()), (Some(4), Some(3)));
+/// assert_eq!(wire.into_raster().unwrap(), SpikeRaster::from_events(4, 3, &[(2, 1)]));
+/// ```
+#[derive(Debug, Default)]
+pub struct WireRaster {
+    steps: Option<usize>,
+    channels: Option<usize>,
+    /// The `"events"` array's leading `[t, c]` pairs, up to the first
+    /// malformed event; `None` if the member is missing or no array.
+    events: Option<Vec<(usize, usize)>>,
+    /// What is wrong with event `events.len()`, if anything.
+    malformed: Option<EventFault>,
+}
+
+/// Why an event is not a `[t, c]` pair of integers.
+#[derive(Debug, Clone, Copy)]
+enum EventFault {
+    NotPair,
+    Time,
+    Channel,
+}
+
+impl WireRaster {
+    /// The first `"steps"` member, if it is a non-negative integer.
+    pub fn steps(&self) -> Option<usize> {
+        self.steps
+    }
+
+    /// The first `"channels"` member, if it is a non-negative integer.
+    pub fn channels(&self) -> Option<usize> {
+        self.channels
+    }
+
+    /// Reads the value at the reader's cursor as a wire raster. Its
+    /// events are stored as they come (no `steps`-sized allocation) and
+    /// stop at the first malformed one; the rest of the value is still
+    /// checked against the grammar.
+    ///
+    /// # Errors
+    ///
+    /// The reader's [`JsonError`] where the document breaks the grammar.
+    pub fn read(reader: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let mut wire = Self::default();
+        if reader.peek() != Some(Kind::Object) {
+            reader.skip()?;
+            return Ok(wire);
+        }
+        reader.begin_object()?;
+        let mut seen = [false; 3];
+        while let Some(key) = reader.next_key()? {
+            let member = ["steps", "channels", "events"]
+                .iter()
+                .position(|&k| k == key);
+            match member {
+                Some(i) if !std::mem::replace(&mut seen[i], true) => match i {
+                    0 => wire.steps = read_usize(reader)?,
+                    1 => wire.channels = read_usize(reader)?,
+                    _ => wire.read_events(reader)?,
+                },
+                _ => reader.skip()?,
+            }
+        }
+        Ok(wire)
+    }
+
+    fn read_events(&mut self, reader: &mut Reader<'_>) -> Result<(), JsonError> {
+        if reader.peek() != Some(Kind::Array) {
+            return reader.skip();
+        }
+        reader.begin_array()?;
+        let mut events = Vec::new();
+        while reader.next_item()? {
+            if self.malformed.is_some() {
+                reader.skip()?;
+                continue;
+            }
+            match read_event(reader)? {
+                Ok(event) => events.push(event),
+                Err(fault) => self.malformed = Some(fault),
+            }
+        }
+        self.events = Some(events);
+        Ok(())
+    }
+
+    /// Collects the members from a parsed tree, by the rules of
+    /// [`read`](Self::read).
+    fn from_tree(v: &Json) -> Self {
+        let mut wire = Self {
+            steps: v.get("steps").and_then(Json::as_usize),
+            channels: v.get("channels").and_then(Json::as_usize),
+            ..Self::default()
+        };
+        let Some(items) = v.get("events").and_then(Json::as_array) else {
+            return wire;
+        };
+        let mut events = Vec::with_capacity(items.len());
+        for item in items {
+            match tree_event(item) {
+                Ok(event) => events.push(event),
+                Err(fault) => {
+                    wire.malformed = Some(fault);
+                    break;
+                }
+            }
+        }
+        wire.events = Some(events);
+        wire
+    }
+
+    /// Validates the declared raster and builds it.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the first violation: a missing or
+    /// non-integer `steps` or `channels`, dimensions that overflow, a
+    /// missing or non-array `events`, then the first event, by index,
+    /// that is not a `[t, c]` pair of integers or lies outside the
+    /// raster.
+    pub fn into_raster(self) -> Result<SpikeRaster, String> {
+        let steps = self.steps.ok_or("missing or non-integer \"steps\"")?;
+        let channels = self.channels.ok_or("missing or non-integer \"channels\"")?;
+        steps
+            .checked_add(1)
+            .and(steps.checked_mul(channels))
+            .ok_or_else(|| format!("raster dimensions {steps}x{channels} overflow"))?;
+        let events = self.events.ok_or("missing or non-array \"events\"")?;
+        if let Some(i) = events
+            .iter()
+            .position(|&(t, c)| t >= steps || c >= channels)
+        {
+            let (t, c) = events[i];
+            return Err(format!(
+                "event {i} at ({t},{c}) outside {steps}x{channels} raster"
+            ));
+        }
+        if let Some(fault) = self.malformed {
+            let i = events.len();
+            return Err(match fault {
+                EventFault::NotPair => format!("event {i} is not a [t, c] pair"),
+                EventFault::Time => format!("event {i}: non-integer time"),
+                EventFault::Channel => format!("event {i}: non-integer channel"),
+            });
+        }
+        let mut raster = SpikeRaster::default();
+        raster.refill(steps, channels, events.iter().copied());
+        Ok(raster)
+    }
+}
+
+/// A number member as the tree path reads it (`Json::as_usize`), or
+/// `None` for any other value, which is skipped.
+fn read_usize(reader: &mut Reader<'_>) -> Result<Option<usize>, JsonError> {
+    if reader.peek() == Some(Kind::Number) {
+        Ok(Json::Num(reader.number()?).as_usize())
+    } else {
+        reader.skip()?;
+        Ok(None)
+    }
+}
+
+/// One `[t, c]` event; any other value is skipped whole.
+fn read_event(reader: &mut Reader<'_>) -> Result<Result<(usize, usize), EventFault>, JsonError> {
+    if reader.peek() != Some(Kind::Array) {
+        reader.skip()?;
+        return Ok(Err(EventFault::NotPair));
+    }
+    reader.begin_array()?;
+    let (mut len, mut t, mut c) = (0, None, None);
+    while reader.next_item()? {
+        match len {
+            0 => t = read_usize(reader)?,
+            1 => c = read_usize(reader)?,
+            _ => reader.skip()?,
+        }
+        len += 1;
+    }
+    Ok(event_from(len, t, c))
+}
+
+fn tree_event(item: &Json) -> Result<(usize, usize), EventFault> {
+    match item.as_array() {
+        Some(pair) => event_from(
+            pair.len(),
+            pair.first().and_then(Json::as_usize),
+            pair.get(1).and_then(Json::as_usize),
+        ),
+        None => Err(EventFault::NotPair),
+    }
+}
+
+/// The pair check comes first, then the time, then the channel.
+fn event_from(
+    len: usize,
+    t: Option<usize>,
+    c: Option<usize>,
+) -> Result<(usize, usize), EventFault> {
+    match (len, t, c) {
+        (2, Some(t), Some(c)) => Ok((t, c)),
+        (2, None, _) => Err(EventFault::Time),
+        (2, _, None) => Err(EventFault::Channel),
+        _ => Err(EventFault::NotPair),
     }
 }
 

@@ -7,11 +7,12 @@
 //! throughput lives in batches. This crate closes that gap the way
 //! production model servers do:
 //!
-//! * **Acceptors** parse JSON spike rasters (the
+//! * **Acceptors** decode JSON spike rasters (the
 //!   [`SpikeRaster::to_json`](snn_core::SpikeRaster::to_json) wire
-//!   format) off persistent connections and submit them to a **bounded
-//!   admission queue** — a full queue answers `503` + `Retry-After`
-//!   (backpressure) instead of growing without bound.
+//!   format) off persistent connections, in one pass over the request
+//!   bytes with no JSON tree ([`decode_rasters`]), and submit them to a
+//!   **bounded admission queue** — a full queue answers `503` +
+//!   `Retry-After` (backpressure) instead of growing without bound.
 //! * A **collator** drains the queue into micro-batches without ever
 //!   holding one: it takes the next sample plus whatever else is already
 //!   queued, up to [`BatchPolicy::max_batch`], and hands the batch to the
@@ -117,7 +118,7 @@ pub use metrics::{escape_label_value, Counter, Gauge, Histogram, ServeMetrics, S
 pub use scheduler::{
     BatchPolicy, EngineSwapError, JobError, Scheduler, SubmitError, Ticket, TicketError,
 };
-pub use server::{serve, serve_at, ServerConfig, ServerHandle};
+pub use server::{decode_rasters, serve, serve_at, ServerConfig, ServerHandle};
 pub use stream::{StreamConfig, StreamRouter};
 pub use wire::{ErrorCode, Frame, Reply, WireError};
 

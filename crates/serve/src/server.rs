@@ -62,9 +62,9 @@ use crate::poll::{Poller, Waker, EVENT_READABLE_OR_CLOSED};
 use crate::scheduler::{BatchPolicy, EngineSwapError, Scheduler, SubmitError, TicketError};
 use crate::stream::{StreamConfig, StreamConn, StreamRouter};
 use crate::{wire, FaultPlan};
-use snn_core::SpikeRaster;
+use snn_core::{SpikeRaster, WireRaster};
 use snn_engine::{CheckpointError, Engine};
-use snn_json::Json;
+use snn_json::{Json, JsonError, Kind, Reader};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -878,31 +878,151 @@ fn parse_trace_id(raw: &str) -> Option<u64> {
     u64::from_str_radix(raw, 16).ok().filter(|&id| id != 0)
 }
 
-/// Parses one wire-format raster, enforcing the declared-size cap and
-/// the engine's input width before any proportional allocation: with
-/// the width fixed, the cap also bounds `steps`, and so the raster's
+/// Decodes a `POST /classify` body (one wire-format raster) or, with
+/// `batch`, a `POST /classify_batch` body (`{"rasters": [...]}`) for a
+/// model `n_in` channels wide, in one pass over its bytes: no JSON tree
+/// is built, and each raster's events go straight into its builder.
+///
+/// A bad body is answered `400` for the first of these faults, in this
+/// order: invalid UTF-8; a JSON grammar error anywhere in the body; a
+/// missing `rasters` array, or more rasters than
+/// [`ServerConfig::max_batch_request`]; then, raster by raster, a
+/// declared area above [`ServerConfig::max_raster_cells`] (checked
+/// before any allocation proportional to it), a width other than
+/// `n_in`, and the raster's own faults ([`WireRaster::into_raster`]).
+///
+/// # Errors
+///
+/// The response the route answers with.
+pub fn decode_rasters(
+    body: &[u8],
+    batch: bool,
+    config: &ServerConfig,
+    n_in: usize,
+) -> Result<Vec<SpikeRaster>, Response> {
+    let text =
+        std::str::from_utf8(body).map_err(|_| Response::error(400, "body is not valid utf-8"))?;
+    let mut reader = Reader::new(text);
+    let mut decoder = RasterDecoder {
+        config,
+        n_in,
+        rasters: Vec::new(),
+        fault: None,
+    };
+    let declared = if batch {
+        decoder.read_batch(&mut reader)
+    } else {
+        decoder.read_raster(&mut reader).map(|()| Some(1))
+    };
+    let declared = declared
+        .and_then(|declared| reader.finish().map(|()| declared))
+        .map_err(|e| Response::error(400, &format!("invalid json: {e}")))?;
+    match declared {
+        None => return Err(Response::error(400, "missing \"rasters\" array")),
+        Some(n) if n > config.max_batch_request => {
+            return Err(Response::error(
+                400,
+                &format!(
+                    "batch of {n} samples exceeds limit of {}",
+                    config.max_batch_request
+                ),
+            ))
+        }
+        Some(_) => {}
+    }
+    match decoder.fault {
+        Some(response) => Err(response),
+        None => Ok(decoder.rasters),
+    }
+}
+
+/// [`decode_rasters`]' state: the rasters decoded so far, or the answer
+/// to the first one that failed (later ones are only checked against the
+/// grammar).
+struct RasterDecoder<'c> {
+    config: &'c ServerConfig,
+    n_in: usize,
+    rasters: Vec<SpikeRaster>,
+    fault: Option<Response>,
+}
+
+impl RasterDecoder<'_> {
+    /// Reads a `/classify_batch` body, decoding the rasters of its first
+    /// `rasters` member up to the batch limit; returns that member's
+    /// length, or `None` if it is missing or not an array.
+    fn read_batch(&mut self, reader: &mut Reader<'_>) -> Result<Option<usize>, JsonError> {
+        if reader.peek() != Some(Kind::Object) {
+            reader.skip()?;
+            return Ok(None);
+        }
+        reader.begin_object()?;
+        let (mut seen, mut declared) = (false, None);
+        while let Some(key) = reader.next_key()? {
+            if key != "rasters" || std::mem::replace(&mut seen, true) {
+                reader.skip()?;
+                continue;
+            }
+            if reader.peek() != Some(Kind::Array) {
+                reader.skip()?;
+                continue;
+            }
+            reader.begin_array()?;
+            let mut n = 0;
+            while reader.next_item()? {
+                if n < self.config.max_batch_request {
+                    self.read_raster(reader)?;
+                } else {
+                    reader.skip()?;
+                }
+                n += 1;
+            }
+            declared = Some(n);
+        }
+        Ok(declared)
+    }
+
+    /// Decodes the raster at the cursor, unless an earlier one failed.
+    fn read_raster(&mut self, reader: &mut Reader<'_>) -> Result<(), JsonError> {
+        if self.fault.is_some() {
+            return reader.skip();
+        }
+        let wire = WireRaster::read(reader)?;
+        match check_raster(wire, self.config, self.n_in) {
+            Ok(raster) => self.rasters.push(raster),
+            Err(response) => self.fault = Some(response),
+        }
+        Ok(())
+    }
+}
+
+/// Checks one declared raster and builds it. The declared-size cap and
+/// the input width come before any proportional allocation: with the
+/// width fixed, the cap also bounds `steps`, and so the raster's
 /// per-step offsets.
-fn parse_raster(v: &Json, ctx: &Ctx) -> Result<SpikeRaster, Response> {
-    let steps = v.get("steps").and_then(Json::as_usize).unwrap_or(0);
-    let channels = v.get("channels").and_then(Json::as_usize);
-    let declared = channels.unwrap_or(0);
-    if steps.saturating_mul(declared) > ctx.config.max_raster_cells {
+fn check_raster(
+    wire: WireRaster,
+    config: &ServerConfig,
+    n_in: usize,
+) -> Result<SpikeRaster, Response> {
+    let steps = wire.steps().unwrap_or(0);
+    let declared = wire.channels().unwrap_or(0);
+    if steps.saturating_mul(declared) > config.max_raster_cells {
         return Err(Response::error(
             400,
             &format!(
                 "raster of {steps}x{declared} cells exceeds limit of {} cells",
-                ctx.config.max_raster_cells
+                config.max_raster_cells
             ),
         ));
     }
-    let expected = ctx.scheduler.engine().network().n_in();
-    if channels.is_some_and(|c| c != expected) {
+    if wire.channels().is_some_and(|c| c != n_in) {
         return Err(Response::error(
             400,
-            &format!("raster has {declared} channels, model expects {expected}"),
+            &format!("raster has {declared} channels, model expects {n_in}"),
         ));
     }
-    SpikeRaster::from_json(v).map_err(|e| Response::error(400, &format!("invalid raster: {e}")))
+    wire.into_raster()
+        .map_err(|e| Response::error(400, &format!("invalid raster: {e}")))
 }
 
 /// Resolves the request's execution deadline: `X-Deadline-Ms` header if
@@ -1037,35 +1157,11 @@ fn classify_traced(
 ) -> Response {
     let metrics = ctx.scheduler.metrics();
     let parse_start = trace.map_or(0, |t| t.start_ns);
-    let doc = match parse_json_body(&request.body) {
-        Ok(doc) => doc,
+    let n_in = ctx.scheduler.engine().network().n_in();
+    let parsed = match decode_rasters(&request.body, batch, &ctx.config, n_in) {
+        Ok(rasters) => rasters,
         Err(resp) => return resp,
     };
-    let rasters = if batch {
-        let Some(rasters) = doc.get("rasters").and_then(Json::as_array) else {
-            return Response::error(400, "missing \"rasters\" array");
-        };
-        if rasters.len() > ctx.config.max_batch_request {
-            return Response::error(
-                400,
-                &format!(
-                    "batch of {} samples exceeds limit of {}",
-                    rasters.len(),
-                    ctx.config.max_batch_request
-                ),
-            );
-        }
-        rasters
-    } else {
-        std::slice::from_ref(&doc)
-    };
-    let mut parsed = Vec::with_capacity(rasters.len());
-    for v in rasters {
-        match parse_raster(v, ctx) {
-            Ok(r) => parsed.push(r),
-            Err(resp) => return resp,
-        }
-    }
     if let Some(t) = trace {
         t.stage(metrics, Stage::Parse, "parse", parse_start);
     }
@@ -1154,7 +1250,10 @@ fn reload_path(body: &[u8], ctx: &Ctx) -> Result<String, Response> {
     let from_body = if body.is_empty() {
         None
     } else {
-        let doc = parse_json_body(body)?;
+        let text = std::str::from_utf8(body)
+            .map_err(|_| Response::error(400, "body is not valid utf-8"))?;
+        let doc =
+            Json::parse(text).map_err(|e| Response::error(400, &format!("invalid json: {e}")))?;
         doc.get("path").and_then(Json::as_str).map(str::to_string)
     };
     from_body
@@ -1218,12 +1317,6 @@ fn readiness(ctx: &Ctx) -> Response {
             metrics.queue_depth.get(),
         ),
     )
-}
-
-fn parse_json_body(body: &[u8]) -> Result<Json, Response> {
-    let text =
-        std::str::from_utf8(body).map_err(|_| Response::error(400, "body is not valid utf-8"))?;
-    Json::parse(text).map_err(|e| Response::error(400, &format!("invalid json: {e}")))
 }
 
 /// Convenience: serve on `addr` with an explicit policy and default

@@ -10,7 +10,9 @@
 //! exactly; there is no wall-clock or entropy dependence.
 
 use snn_core::{Network, NeuronKind, SpikeRaster};
+use snn_data::shd::{self, ShdConfig};
 use snn_engine::Engine;
+use snn_json::Json;
 use snn_neuron::NeuronParams;
 use snn_serve::http::{read_request, HttpError, MAX_HEADERS, MAX_LINE_BYTES};
 use snn_serve::{serve, ServerConfig};
@@ -21,21 +23,38 @@ use std::time::Duration;
 
 const MAX_BODY: usize = 64 * 1024;
 
+fn post(path: &str, body: &str) -> Vec<u8> {
+    format!(
+        "POST {path} HTTP/1.1\r\nHost: fuzz\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{}",
+        body.len(),
+        body
+    )
+    .into_bytes()
+}
+
 /// A handful of structurally different valid requests to mutate.
 fn valid_requests() -> Vec<Vec<u8>> {
-    let raster = SpikeRaster::from_events(10, 6, &[(0, 1), (3, 4), (9, 5)])
-        .to_json()
-        .to_string();
-    let classify = format!(
-        "POST /classify HTTP/1.1\r\nHost: fuzz\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{}",
-        raster.len(),
-        raster
-    );
+    let raster = SpikeRaster::from_events(10, 6, &[(0, 1), (3, 4), (9, 5)]);
+    // One paper-size SHD body: 700 channels, T = 100, ~15 kB.
+    let shd = ShdConfig {
+        samples_per_class: 1,
+        ..ShdConfig::paper()
+    };
+    let paper = &shd::generate(&shd, 1).samples[0].0;
+    let batch = Json::obj(vec![(
+        "rasters",
+        Json::Arr(vec![
+            raster.to_json(),
+            SpikeRaster::from_events(4, 6, &[(0, 0), (2, 3)]).to_json(),
+        ]),
+    )]);
     vec![
         b"GET /healthz HTTP/1.1\r\nHost: fuzz\r\n\r\n".to_vec(),
         b"GET /metrics?verbose=1 HTTP/1.1\r\nConnection: close\r\n\r\n".to_vec(),
-        classify.into_bytes(),
+        post("/classify", &raster.to_json().to_string()),
         b"POST /classify_batch HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}".to_vec(),
+        post("/classify", &paper.to_json().to_string()),
+        post("/classify_batch", &batch.to_string()),
     ]
 }
 
@@ -78,11 +97,12 @@ fn truncations_of_valid_requests_never_panic() {
 
 #[test]
 fn random_byte_mutations_never_panic() {
+    let requests = valid_requests();
     for seed in 0u64..200 {
         let mut rng = Rng::seed_from(seed);
-        for req in valid_requests() {
+        for req in &requests {
             for n_edits in [1usize, 3, 16] {
-                let mutant = mutate(&req, &mut rng, n_edits);
+                let mutant = mutate(req, &mut rng, n_edits);
                 parse_must_not_panic(&mutant);
             }
         }

@@ -13,9 +13,6 @@
 //! * the lane-dispatch sweep: the same `matvec` and 5%-density forward
 //!   with the runtime SIMD dispatch pinned to the portable scalar
 //!   fallback (bitwise-identical outputs; pure speed comparison),
-//! * the cache-blocked fused timestep kernel vs. its unfused multi-pass
-//!   reference on a tall accumulation target, at several densities
-//!   (gated: fused must never lose — `--min-fused-speedup`, default 1.0),
 //! * dense vs. **event-driven BPTT backward** at the same densities
 //!   (the training headline: ≥2× at 5% density), plus a loss-vs-ε
 //!   accuracy sweep across every [`SparsityPolicy`],
@@ -24,9 +21,12 @@
 //!   per sequence (gated: the sequence product must never lose),
 //! * epoch wall-clock scaling at 1/2/4 trainer threads.
 //!
+//! The report's notes record where it ran: host, OS, architecture,
+//! cores, git revision of the checkout, lane dispatch path and build
+//! profile.
+//!
 //! Usage: `cargo run --release --bin bench_kernels
-//!         [-- --out PATH --min-backward-speedup X --min-fused-speedup Y
-//!             --min-infer-speedup Z]`
+//!         [-- --out PATH --min-backward-speedup X --min-infer-speedup Y]`
 
 use bench::timing::Report;
 use bench::Args;
@@ -53,21 +53,33 @@ fn random_raster(steps: usize, channels: usize, density: f32, seed: u64) -> Spik
 }
 
 fn main() {
-    let args = Args::parse(&[
-        "out",
-        "min-infer-speedup",
-        "min-fused-speedup",
-        "min-backward-speedup",
-    ]);
+    let args = Args::parse(&["out", "min-infer-speedup", "min-backward-speedup"]);
     let out_path = args.get("out", "BENCH_kernels.json").to_string();
     // The gate floors are read before the timing, so a bad value fails
     // at once rather than after minutes of benchmarking.
     let min_infer = args.get_f32("min-infer-speedup", 1.1) as f64;
-    let min_fused = args.get_f32("min-fused-speedup", 1.0) as f64;
     let min_backward = args.get_f32("min-backward-speedup", 2.0) as f64;
     let mut report = Report::new();
 
     bench::banner("neurosnn kernel bench");
+    let host = snn_obs::provenance::host_info();
+    report.note("hostname", &host.hostname);
+    report.note("os", host.os);
+    report.note("arch", host.arch);
+    report.note("cores", &host.cores.to_string());
+    report.note(
+        "git_revision",
+        host.git_revision.as_deref().unwrap_or("unknown"),
+    );
+    report.note("simd_path", lanes::path_label());
+    report.note(
+        "build_profile",
+        if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        },
+    );
 
     // --- Dense matvec: unrolled vs naive -------------------------------
     let mut rng = Rng::seed_from(1);
@@ -188,56 +200,6 @@ fn main() {
         .ns_per_iter;
     report.metric("lane_speedup_matvec", scalar_matvec / lane_matvec);
     report.metric("lane_speedup_forward_5pct", scalar_fwd / lane_fwd);
-
-    // --- Blocking: fused timestep kernel vs unfused reference ----------
-    // A tall accumulation target (8 BLOCK_ROWS tiles = 128 KiB, larger
-    // than L1d) makes the traffic difference visible: the unfused
-    // reference walks the full vector once for the decay plus once per
-    // active column, while the blocked kernel drains every column into
-    // an L1-resident tile. Outputs are bitwise-identical (the property
-    // tests pin that), so this is purely a memory-traffic comparison —
-    // and the fused kernel must never lose (gated after the report is
-    // written, `--min-fused-speedup`, default 1.0).
-    let tall_rows = 8 * kernels::BLOCK_ROWS;
-    let tall_cols = 256usize;
-    let mirror = {
-        let mut rng = Rng::seed_from(23);
-        kernels::ColMajor::from_matrix(&Matrix::xavier_uniform(tall_rows, tall_cols, &mut rng))
-    };
-    let mut acc = vec![0.0f32; tall_rows];
-    let mut fused_ratios = Vec::new();
-    let mut rng = Rng::seed_from(29);
-    for density_pct in [1usize, 5, 20] {
-        let active: Vec<usize> = (0..tall_cols)
-            .filter(|_| rng.coin(density_pct as f32 / 100.0))
-            .collect();
-        let fused_ns = report
-            .run(
-                &format!("fused_step_{tall_rows}x{tall_cols}/fused_{density_pct}pct"),
-                || {
-                    kernels::fused_decay_accumulate(0.95, &mirror, black_box(&active), &mut acc);
-                    black_box(&acc);
-                },
-            )
-            .ns_per_iter;
-        let unfused_ns = report
-            .run(
-                &format!("fused_step_{tall_rows}x{tall_cols}/unfused_{density_pct}pct"),
-                || {
-                    kernels::fused_decay_accumulate_unblocked(
-                        0.95,
-                        &mirror,
-                        black_box(&active),
-                        &mut acc,
-                    );
-                    black_box(&acc);
-                },
-            )
-            .ns_per_iter;
-        let ratio = unfused_ns / fused_ns;
-        report.metric(&format!("fused_vs_unfused_speedup_{density_pct}pct"), ratio);
-        fused_ratios.push((density_pct, ratio));
-    }
 
     // --- BPTT: dense vs event-driven backward --------------------------
     // The thresholded policy the sweep below shows is accuracy-neutral
@@ -536,27 +498,6 @@ fn main() {
          measured {infer_speedup:.2}x"
     );
     println!("OK: inference vs record-writing forward at 5% density = {infer_speedup:.2}x (target >={min_infer:.2}x)");
-
-    // Fused-kernel acceptance: the cache-blocked fused timestep kernel
-    // must never lose to its unfused multi-pass reference, at any
-    // density. The default floor is exactly 1.0 (CI uses the same): the
-    // kernels do identical arithmetic, so any loss would be a pure
-    // blocking regression.
-    for &(density_pct, ratio) in &fused_ratios {
-        assert!(
-            ratio >= min_fused,
-            "fused timestep kernel must be >={min_fused:.2}x the unfused reference at \
-             {density_pct}% density, measured {ratio:.2}x"
-        );
-    }
-    println!(
-        "OK: fused vs unfused step = {} (target >={min_fused:.2}x at every density)",
-        fused_ratios
-            .iter()
-            .map(|(d, r)| format!("{r:.2}x@{d}%"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
 
     // Product acceptance: each sequence-blocked BPTT product must never
     // lose to its per-step loop (same arithmetic, so a loss would be a

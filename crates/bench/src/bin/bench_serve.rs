@@ -34,10 +34,10 @@
 //!    `max_batch = 1` versus one dispatch per micro-batch — which is
 //!    exactly the capacity a loaded server degrades into. The binary
 //!    asserts batched ≥ `--min-speedup`× single (default 2). A rider
-//!    gate measures the flight recorder's disarmed span-hook cost and
-//!    asserts the tracing-disabled observability overhead stays under
-//!    2% of the measured per-job cost; the fully-traced drain rate is
-//!    recorded alongside for the ratio.
+//!    gate times the flight recorder's disarmed span hook and a batched
+//!    drain in five alternating rounds and asserts the median ratio of
+//!    16 hooks to the per-job cost stays under 2%; the fully-traced
+//!    drain rate is recorded alongside for the ratio.
 //! 3. **Open-loop HTTP latency**: requests arrive on a fixed schedule at
 //!    a sweep of arrival rates; reports client-side p50/p99 latency
 //!    (measured from the *scheduled* send time, so queue build-up is not
@@ -320,6 +320,12 @@ fn soak_phase(
         failures: failures.load(Ordering::Relaxed),
         latencies_us,
     }
+}
+
+fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
 }
 
 fn percentile(sorted_us: &[u64], q: f64) -> u64 {
@@ -627,21 +633,24 @@ fn main() {
         }
 
         // ── 2. Scheduler drain capacity: the headline speedup ─────────────
+        // One burst: `burst` samples split over the concurrent clients.
+        let shards = || -> Vec<Vec<SpikeRaster>> {
+            let per_client = burst.div_ceil(concurrency).max(1);
+            (0..concurrency)
+                .map(|c| {
+                    (0..per_client)
+                        .map(|k| inputs[(c * per_client + k) % inputs.len()].clone())
+                        .collect()
+                })
+                .collect()
+        };
         let mut drain_rate = [0.0f64; 2];
         for (i, (label, max_batch)) in [("single", 1usize), ("batched", 64)].iter().enumerate() {
             let scheduler = Scheduler::start(engine(), policy(*max_batch, workers));
             // Warm the worker sessions.
             let warm = scheduler.submit(inputs[0].clone()).expect("warm");
             warm.wait().expect("warm answered");
-            let per_client = burst.div_ceil(concurrency).max(1);
-            let shards: Vec<Vec<SpikeRaster>> = (0..concurrency)
-                .map(|c| {
-                    (0..per_client)
-                        .map(|k| inputs[(c * per_client + k) % inputs.len()].clone())
-                        .collect()
-                })
-                .collect();
-            let (rate, mean_batch) = burst_drain(&scheduler, shards, false);
+            let (rate, mean_batch) = burst_drain(&scheduler, shards(), false);
             report.metric(&format!("scheduler_drain/{label}_jobs_per_sec"), rate);
             report.metric(&format!("scheduler_drain/{label}_mean_batch"), mean_batch);
             drain_rate[i] = rate;
@@ -660,22 +669,37 @@ fn main() {
         // layer in the engine). With tracing disabled each hook is one
         // relaxed atomic load; measure that disarmed cost directly and
         // assert it is invisible — a generous 16 hooks per request must
-        // stay under 2% of the measured per-job drain cost.
-        snn_obs::set_enabled(false);
-        let disarmed = report.run("obs/disarmed_span_ns", || {
-            std::hint::black_box(snn_obs::span("bench_serve_probe"));
-        });
-        let disarmed_ns = disarmed.ns_per_iter;
-        snn_obs::set_enabled(true);
-        let request_ns = 1e9 / drain_rate[1];
+        // stay under 2% of the per-job cost of a batched drain. A
+        // noisy host moves both timings, so they alternate over rounds
+        // and the gate reads the median of the per-round ratios.
         const HOOKS_PER_REQUEST: f64 = 16.0;
-        let overhead_pct = 100.0 * HOOKS_PER_REQUEST * disarmed_ns / request_ns;
+        const OVERHEAD_ROUNDS: usize = 5;
+        let scheduler = Scheduler::start(engine(), policy(64, workers));
+        let warm = scheduler.submit(inputs[0].clone()).expect("warm");
+        warm.wait().expect("warm answered");
+        let (mut span_ns, mut overhead) = (Vec::new(), Vec::new());
+        for _ in 0..OVERHEAD_ROUNDS {
+            snn_obs::set_enabled(false);
+            let disarmed = bench::timing::bench("obs/disarmed_span_ns", || {
+                std::hint::black_box(snn_obs::span("bench_serve_probe"));
+            });
+            snn_obs::set_enabled(true);
+            let (rate, _) = burst_drain(&scheduler, shards(), false);
+            span_ns.push(disarmed.ns_per_iter);
+            overhead.push(100.0 * HOOKS_PER_REQUEST * disarmed.ns_per_iter * rate / 1e9);
+        }
+        scheduler.shutdown();
+        let disarmed_ns = median(&span_ns);
+        let overhead_pct = median(&overhead);
+        report.metric("obs/disarmed_span_ns", disarmed_ns);
         report.metric("obs/disabled_overhead_pct_of_request", overhead_pct);
+        println!("obs overhead per round: {overhead:.3?} %");
         assert!(
             overhead_pct <= 2.0,
-            "tracing-disabled span hooks must cost <=2% of a request: \
-             {HOOKS_PER_REQUEST} hooks x {disarmed_ns:.1}ns against a \
-             {request_ns:.0}ns/job drain = {overhead_pct:.3}%"
+            "tracing-disabled span hooks must cost <=2% of a request: the median over \
+             {OVERHEAD_ROUNDS} rounds of {HOOKS_PER_REQUEST} hooks x the disarmed span \
+             ({disarmed_ns:.1}ns) against a batched drain's per-job time is \
+             {overhead_pct:.3}% (rounds: {overhead:.3?})"
         );
 
         // And the fully-traced drain (every job recording spans into the
@@ -684,15 +708,7 @@ fn main() {
         let scheduler = Scheduler::start(engine(), policy(64, workers));
         let warm = scheduler.submit(inputs[0].clone()).expect("warm");
         warm.wait().expect("warm answered");
-        let per_client = burst.div_ceil(concurrency).max(1);
-        let shards: Vec<Vec<SpikeRaster>> = (0..concurrency)
-            .map(|c| {
-                (0..per_client)
-                    .map(|k| inputs[(c * per_client + k) % inputs.len()].clone())
-                    .collect()
-            })
-            .collect();
-        let (traced_rate, _) = burst_drain(&scheduler, shards, true);
+        let (traced_rate, _) = burst_drain(&scheduler, shards(), true);
         scheduler.shutdown();
         report.metric("scheduler_drain/batched_traced_jobs_per_sec", traced_rate);
         report.metric(

@@ -203,7 +203,8 @@ fn f32_field(obj: &Json, key: &str) -> Result<f32, CheckpointError> {
 /// when a trailer disagrees with the payload,
 /// [`CheckpointError::NonFinite`] on NaN/Inf weights, and
 /// [`CheckpointError::Parse`] on malformed input, an unknown format tag,
-/// or inconsistent shapes.
+/// inconsistent shapes, or a time constant (`tau`, `tau_r`) that is not
+/// positive and finite.
 pub fn from_json(json: &str) -> Result<Network, CheckpointError> {
     let (json, _sealed) = integrity::verify(json)?;
     let doc = Json::parse(json).map_err(|e| parse_err(e.to_string()))?;
@@ -226,9 +227,22 @@ pub fn from_json(json: &str) -> Result<Network, CheckpointError> {
                 .ok_or_else(|| parse_err("kind is not a string"))?,
         )?;
         let pj = field(lj, "params")?;
+        // The decays e^{-1/τ} and e^{-1/τr} need positive, finite time
+        // constants; a forward asserts that, so the loader rejects the
+        // file instead of every inference panicking later.
+        let time_constant = |key: &str| {
+            let x = f32_field(pj, key)?;
+            if x.is_finite() && x > 0.0 {
+                Ok(x)
+            } else {
+                Err(parse_err(format!(
+                    "layer {i}: {key} must be a positive finite number, got {x}"
+                )))
+            }
+        };
         let params = NeuronParams {
-            tau: f32_field(pj, "tau")?,
-            tau_r: f32_field(pj, "tau_r")?,
+            tau: time_constant("tau")?,
+            tau_r: time_constant("tau_r")?,
             theta: f32_field(pj, "theta")?,
             v_th: f32_field(pj, "v_th")?,
         };
@@ -494,6 +508,26 @@ mod tests {
             matches!(err, CheckpointError::NonFinite { layer: 1 }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_time_constants_are_parse_errors() {
+        let json = to_json(&sample_net()).unwrap();
+        for key in ["tau", "tau_r"] {
+            let field = format!("\"{key}\":4,");
+            assert!(json.contains(&field), "{json}");
+            for bad in ["0", "-4", "1e39"] {
+                let mutated = json.replacen(&field, &format!("\"{key}\":{bad},"), 1);
+                let err = from_json(&mutated).unwrap_err();
+                let msg = err.to_string();
+                assert!(
+                    matches!(err, CheckpointError::Parse(_))
+                        && msg.contains("layer 0")
+                        && msg.contains(&format!("{key} must be a positive finite number")),
+                    "{key} = {bad}: {msg}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::scratch::LayerScratch;
 use crate::SpikeRaster;
 use snn_neuron::NeuronParams;
 use snn_tensor::kernels::{self, ColMajor};
+use snn_tensor::lanes::{self, Carry, Drive, Neuron};
 use snn_tensor::{Matrix, Rng};
 use std::ops::{Deref, DerefMut};
 
@@ -44,14 +45,6 @@ impl NeuronKind {
         }
     }
 }
-
-/// One timestep's `pre`, `v` and `o` record rows, each `None` when the
-/// record does not keep that matrix.
-type Rows<'a> = (
-    Option<&'a mut [f32]>,
-    Option<&'a mut [f32]>,
-    Option<&'a mut [f32]>,
-);
 
 /// Per-layer forward cache for one input sample.
 ///
@@ -97,24 +90,25 @@ impl LayerRecord {
         self.o.resize_zeroed(t_steps, n_out);
     }
 
-    /// Reshapes the cache for an inference rollout: `o` becomes
-    /// `t_steps × n_out`, zero-filled; `pre` and `v` become `0 × 0`.
-    pub(crate) fn resize_output(&mut self, t_steps: usize, n_out: usize) {
-        self.pre.resize_zeroed(0, 0);
-        self.v.resize_zeroed(0, 0);
-        self.o.resize_zeroed(t_steps, n_out);
-    }
-
-    /// Step `t`'s row of each matrix that holds one.
-    fn rows_mut(&mut self, t: usize) -> Rows<'_> {
-        fn row(m: &mut Matrix, t: usize) -> Option<&mut [f32]> {
-            (t < m.rows()).then(|| m.row_mut(t))
-        }
-        (
-            row(&mut self.pre, t),
-            row(&mut self.v, t),
-            row(&mut self.o, t),
-        )
+    /// Reshapes the cache for the rollout that fills it: all three
+    /// matrices when `full`, else `o` alone (`pre` and `v` become
+    /// `0 × 0`), reusing the buffers. Not zero-filled: the rollout writes
+    /// every element of each matrix it keeps.
+    pub(crate) fn resize_for_rollout(
+        &mut self,
+        t_steps: usize,
+        n_in: usize,
+        n_out: usize,
+        full: bool,
+    ) {
+        let (t_full, n_in, n_v) = if full {
+            (t_steps, n_in, n_out)
+        } else {
+            (0, 0, 0)
+        };
+        self.pre.resize_for_overwrite(t_full, n_in);
+        self.v.resize_for_overwrite(t_full, n_v);
+        self.o.resize_for_overwrite(t_steps, n_out);
     }
 }
 
@@ -259,7 +253,7 @@ impl DenseLayer {
         output: &mut SpikeRaster,
     ) {
         scratch.ensure(self.n_in(), self.n_out());
-        rec.resize_zeroed(input.steps(), self.n_in(), self.n_out());
+        rec.resize_for_rollout(input.steps(), self.n_in(), self.n_out(), true);
         self.run(Backend::Sparse, input, Some(rec), scratch, output);
     }
 
@@ -267,96 +261,98 @@ impl DenseLayer {
     /// `scratch`: zeroed by `LayerScratch::ensure` for an independent
     /// sample, or left as the previous call left it for a stream, which
     /// is what makes a chunked rollout bitwise identical to a single
-    /// one. `rec`, when given, receives each step's row of every matrix
-    /// the caller sized for the input's steps
-    /// ([`LayerRecord::resize_zeroed`] for all three,
-    /// `LayerRecord::resize_output` for `o` alone); `output` receives the
-    /// output spikes.
+    /// one. `rec`, when given, receives every matrix the caller sized for
+    /// the input's steps (`LayerRecord::resize_for_rollout`: all three,
+    /// or `o` alone), each element written; `output` receives the output
+    /// spikes.
+    ///
+    /// The only definition of each neuron kind's forward: the decay
+    /// constants are computed once, then [`lanes::tile_rollout`] runs the
+    /// whole sequence one 64-neuron tile at a time. The two [`Backend`]s
+    /// differ only in how the drive `W·k[t]` is formed — summed from the
+    /// active columns step by step inside the tile pass, or as a full
+    /// matrix–vector product per step before it — so they agree up to
+    /// the reassociation of that one sum.
     pub(crate) fn run(
         &self,
         backend: Backend,
         input: &SpikeRaster,
-        mut rec: Option<&mut LayerRecord>,
-        scratch: &mut LayerScratch,
+        rec: Option<&mut LayerRecord>,
+        s: &mut LayerScratch,
         output: &mut SpikeRaster,
     ) {
-        output.restart(self.n_out());
-        for t in 0..input.steps() {
-            let rows = match rec.as_deref_mut() {
-                Some(rec) => rec.rows_mut(t),
-                None => (None, None, None),
-            };
-            self.step(backend, input.step(t), scratch, rows);
-            output.push_step(&scratch.fired);
-        }
-    }
-
-    /// One timestep of the layer's dynamics over the state carried in
-    /// `s` — the only definition of each neuron kind's forward step.
-    ///
-    /// `active` lists this step's input spikes (ascending, no
-    /// duplicates). On return `s.fired` holds this step's output spikes
-    /// and `s.prev_fired` the previous step's. `pre`, `v` and `o`
-    /// receive this step's record rows, each only when given. The two
-    /// [`Backend`]s differ only in how `W·k[t]` is formed, so they agree
-    /// up to the reassociation of that one sum.
-    fn step(&self, backend: Backend, active: &[usize], s: &mut LayerScratch, (pre, v, o): Rows) {
+        let (steps, n_out) = (input.steps(), self.n_out());
         let p = &self.params;
+        // A record matrix is kept when the caller sized it for the input.
+        let kept = |m: &&mut Matrix| m.rows() == steps;
+        let (mut pre, v, o) = match rec {
+            Some(LayerRecord { pre, v, o }) => (
+                Some(pre).filter(kept),
+                Some(v).filter(kept).map(Matrix::as_mut_slice),
+                Some(o).filter(kept).map(Matrix::as_mut_slice),
+            ),
+            None => (None, None, None),
+        };
+        let alpha = p.synapse_decay();
         // Input trace k[t] = d·k[t−1] + x[t]: the synapse filter (eq. 9)
         // for the adaptive model, the raw spikes (d = 0) for hard reset.
         // For 0/1 spikes and a non-negative trace the unit charges are
         // bit-identical to a dense `d·k + 1.0·x`. The event-driven drive
-        // needs the trace only for the `pre` record.
+        // needs the trace only for the `pre` record; the dense drive is
+        // eq. 7 as a full matrix–vector product over it, one row per step.
         let decay = match self.kind {
-            NeuronKind::Adaptive => p.synapse_decay(),
+            NeuronKind::Adaptive => alpha,
             NeuronKind::HardReset | NeuronKind::HardResetMatched => 0.0,
         };
-        if pre.is_some() || backend == Backend::Dense {
-            kernels::decay_add_unit(decay, &mut s.trace_in, active);
-            if let Some(pre) = pre {
-                pre.copy_from_slice(&s.trace_in);
+        let dense = backend == Backend::Dense;
+        if dense {
+            // Every row is overwritten below.
+            s.drive_rows.resize(steps * n_out, 0.0);
+        }
+        if pre.is_some() || dense {
+            for t in 0..steps {
+                kernels::decay_add_unit(decay, &mut s.trace_in, input.step(t));
+                if let Some(pre) = pre.as_deref_mut() {
+                    pre.row_mut(t).copy_from_slice(&s.trace_in);
+                }
+                if dense {
+                    let row = &mut s.drive_rows[t * n_out..(t + 1) * n_out];
+                    self.weights.matvec_into(&s.trace_in, row);
+                }
             }
         }
-        match backend {
-            // W·k[t] = d·(W·k[t−1]) + Σ active columns (eq. 7, factored),
-            // decay and accumulation fused in one blocked traversal
-            Backend::Sparse => {
-                kernels::fused_decay_accumulate(decay, &self.cols, active, &mut s.drive)
-            }
-            // eq. 7 as a full matrix–vector product over the trace
-            Backend::Dense => self.weights.matvec_into(&s.trace_in, &mut s.drive),
-        }
-        std::mem::swap(&mut s.fired, &mut s.prev_fired);
-        match self.kind {
-            NeuronKind::Adaptive => {
-                // eq. 8: decay + last step's spikes charge h
-                kernels::decay_add_unit(p.reset_decay(), &mut s.trace_out, &s.prev_fired);
-                // eqs. 6 + 10: membrane, threshold and record writes fused
-                kernels::fused_adaptive_membrane(
-                    p.theta,
-                    p.v_th,
-                    &s.drive,
-                    &s.trace_out,
-                    v,
-                    o,
-                    &mut s.fired,
-                );
-            }
-            // eq. 1: decay + input gain + threshold + hard reset + record
-            // writes in one sweep (`v` caches the pre-reset potential)
-            NeuronKind::HardReset | NeuronKind::HardResetMatched => {
-                kernels::fused_hard_reset_membrane(
-                    p.synapse_decay(),
-                    self.kind.input_gain(p),
-                    p.v_th,
-                    &s.drive,
-                    &mut s.trace_out,
-                    v,
-                    o,
-                    &mut s.fired,
-                )
-            }
-        }
+        let drive = match backend {
+            // W·k[t] = d·(W·k[t−1]) + Σ active columns (eq. 7, factored)
+            Backend::Sparse => Drive::Events {
+                alpha: decay,
+                cols: self.cols.as_slice(),
+                offsets: input.offsets(),
+                ids: input.ids(),
+            },
+            Backend::Dense => Drive::Rows(&s.drive_rows),
+        };
+        let neuron = match self.kind {
+            // eqs. 6, 8 and 10: reset trace, membrane, adaptive threshold
+            NeuronKind::Adaptive => Neuron::Adaptive {
+                beta: p.reset_decay(),
+                theta: p.theta,
+                v_th: p.v_th,
+            },
+            // eq. 1: decay + input gain + threshold + hard reset (`v`
+            // records the pre-reset potential)
+            NeuronKind::HardReset | NeuronKind::HardResetMatched => Neuron::HardReset {
+                lambda: alpha,
+                gain: self.kind.input_gain(p),
+                v_th: p.v_th,
+            },
+        };
+        s.fired.resize(n_out.div_ceil(lanes::TILE) * steps, 0);
+        let carry = Carry {
+            drive: &mut s.drive,
+            trace: &mut s.trace_out,
+        };
+        lanes::tile_rollout(steps, neuron, drive, carry, v, o, &mut s.fired);
+        output.refill_from_fire_bits(steps, n_out, &s.fired);
     }
 }
 
@@ -580,6 +576,88 @@ mod tests {
         let clone = layer.clone();
         assert_eq!(clone.weights(), layer.weights());
         assert_ne!(sparse_matching_dense(&clone, &raster), before);
+    }
+
+    /// Steps `from..to` of `raster` as a raster of their own.
+    fn steps_of(raster: &SpikeRaster, from: usize, to: usize) -> SpikeRaster {
+        let events: Vec<_> = (from..to)
+            .flat_map(|t| raster.step(t).iter().map(move |&c| (t - from, c)))
+            .collect();
+        SpikeRaster::from_events(to - from, raster.channels(), &events)
+    }
+
+    /// Rolls `layer` over `input` in `chunk`-step pieces through one
+    /// carried scratch, and stitches the records (all three or `o`
+    /// alone) and the output spikes back together.
+    fn chunked(
+        layer: &DenseLayer,
+        backend: Backend,
+        input: &SpikeRaster,
+        chunk: usize,
+        full: bool,
+    ) -> (LayerRecord, SpikeRaster) {
+        let (steps, n_in, n_out) = (input.steps(), layer.n_in(), layer.n_out());
+        let mut scratch = LayerScratch::default();
+        scratch.ensure(n_in, n_out);
+        let (mut rec, mut out) = (LayerRecord::empty(), SpikeRaster::default());
+        let mut whole = LayerRecord::empty();
+        whole.resize_for_rollout(steps, n_in, n_out, full);
+        let mut events = Vec::new();
+        for from in (0..steps).step_by(chunk) {
+            let to = steps.min(from + chunk);
+            rec.resize_for_rollout(to - from, n_in, n_out, full);
+            let piece = steps_of(input, from, to);
+            layer.run(backend, &piece, Some(&mut rec), &mut scratch, &mut out);
+            for (part, all) in [
+                (&rec.pre, &mut whole.pre),
+                (&rec.v, &mut whole.v),
+                (&rec.o, &mut whole.o),
+            ] {
+                for t in 0..part.rows() {
+                    all.row_mut(from + t).copy_from_slice(part.row(t));
+                }
+            }
+            events.extend(out.events().into_iter().map(|(t, c)| (from + t, c)));
+        }
+        (whole, SpikeRaster::from_events(steps, n_out, &events))
+    }
+
+    #[test]
+    fn chunked_rollout_through_one_scratch_matches_single_shot() {
+        // 130 neurons: two full tiles and a tail with a lane remainder.
+        // Chunks of 1, 3 and 17 steps (the last one ragged) carry the
+        // drive and trace through one scratch between calls.
+        let mut rng = Rng::seed_from(16);
+        let params = NeuronParams::paper_defaults().with_v_th(0.3);
+        let events: Vec<_> = (0..60)
+            .flat_map(|t| (0..37).map(move |c| (t, c)))
+            .filter(|_| rng.coin(0.15))
+            .collect();
+        let input = SpikeRaster::from_events(60, 37, &events);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut spikes = 0;
+        for kind in [
+            NeuronKind::Adaptive,
+            NeuronKind::HardReset,
+            NeuronKind::HardResetMatched,
+        ] {
+            let layer = DenseLayer::new(37, 130, kind, params, &mut rng);
+            for backend in [Backend::Sparse, Backend::Dense] {
+                for full in [true, false] {
+                    let (want, want_out) = chunked(&layer, backend, &input, 60, full);
+                    spikes += want_out.spike_count();
+                    for chunk in [1, 3, 17] {
+                        let (got, got_out) = chunked(&layer, backend, &input, chunk, full);
+                        let ctx = format!("{kind:?} {backend:?} full {full} chunk {chunk}");
+                        assert_eq!(bits(&got.pre), bits(&want.pre), "pre, {ctx}");
+                        assert_eq!(bits(&got.v), bits(&want.v), "v, {ctx}");
+                        assert_eq!(bits(&got.o), bits(&want.o), "o, {ctx}");
+                        assert_eq!(got_out, want_out, "spikes, {ctx}");
+                    }
+                }
+            }
+        }
+        assert!(spikes > 0, "the layers must fire to carry a reset trace");
     }
 
     #[test]

@@ -288,7 +288,8 @@ impl Network {
     }
 
     /// Zeroes every layer's state, sizes the records (all three matrices
-    /// when `full`, else `o` alone), then runs the layers over the input.
+    /// when `full`, else `o` alone; the rollout writes every element),
+    /// then runs the layers over the input.
     fn rollout_records(
         &self,
         backend: Backend,
@@ -309,11 +310,7 @@ impl Network {
             .resize_with(self.layers.len(), LayerRecord::empty);
         let t_steps = input.steps();
         for (layer, rec) in self.layers.iter().zip(&mut fwd.records) {
-            if full {
-                rec.resize_zeroed(t_steps, layer.n_in(), layer.n_out());
-            } else {
-                rec.resize_output(t_steps, layer.n_out());
-            }
+            rec.resize_for_rollout(t_steps, layer.n_in(), layer.n_out(), full);
         }
         self.run_layers(backend, input, scratch, Some(&mut fwd.records));
     }

@@ -22,33 +22,31 @@ use crate::{Network, SpikeRaster};
 use snn_tensor::{GradRaster, Matrix};
 
 /// Per-layer forward-state buffers (synapse trace, reset trace / membrane
-/// potential, drive accumulator).
+/// potential, drive) and the staging of one rollout.
 #[derive(Debug, Clone, Default)]
 pub struct LayerScratch {
     /// Input-side trace `k[t]`: the synapse filter (adaptive) or the raw
     /// input spikes (hard reset) — length `n_in`. Maintained only when
     /// the dense drive or the `pre` record reads it.
     pub trace_in: Vec<f32>,
-    /// Output-side state: reset trace `h[t]` (adaptive) or membrane
-    /// potential (hard reset) — length `n_out`.
+    /// Output-side state: the reset trace `h` the next step reads
+    /// (adaptive: eq. 8's decay and last step's spikes already applied)
+    /// or the membrane potential (hard reset) — length `n_out`.
     pub trace_out: Vec<f32>,
-    /// Drive accumulator `g[t] = W·k[t]` (adaptive, maintained
-    /// incrementally) or the per-step current `W·x[t]` — length `n_out`.
+    /// Drive `g[t] = W·k[t]` of the last step (adaptive, maintained
+    /// incrementally) or its current `W·x[t]` — length `n_out`.
     pub drive: Vec<f32>,
-    /// The output spikes of the latest step (filled by the fused
-    /// membrane kernels, then appended to the layer's output raster).
-    pub fired: Vec<usize>,
-    /// The previous step's output spikes (swapped with
-    /// [`fired`](Self::fired) at the start of each step; the eq. 8
-    /// reset-trace charge reads it).
-    pub prev_fired: Vec<usize>,
+    /// The latest rollout's fire bits, tile-major (`steps` entries per
+    /// tile), from which its output raster is assembled.
+    pub(crate) fired: Vec<u64>,
+    /// The dense backend's per-step drive rows `W·k[t]`, `steps × n_out`.
+    pub(crate) drive_rows: Vec<f32>,
 }
 
 impl LayerScratch {
-    /// Sizes and zero-fills the three state buffers and clears the fired
-    /// staging lists (the single home of the buffer-initialization
-    /// invariant — called by `ScratchSpace::ensure_forward` and by the
-    /// `DenseLayer` rollouts).
+    /// Sizes and zero-fills the carried state (the single home of the
+    /// buffer-initialization invariant — called by
+    /// `ScratchSpace::ensure_forward` and by the `DenseLayer` rollouts).
     pub(crate) fn ensure(&mut self, n_in: usize, n_out: usize) {
         self.trace_in.clear();
         self.trace_in.resize(n_in, 0.0);
@@ -56,8 +54,6 @@ impl LayerScratch {
         self.trace_out.resize(n_out, 0.0);
         self.drive.clear();
         self.drive.resize(n_out, 0.0);
-        self.fired.clear();
-        self.prev_fired.clear();
     }
 }
 

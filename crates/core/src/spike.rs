@@ -8,6 +8,7 @@
 //! kernel utilities.
 
 use snn_json::{Json, JsonError, Kind, Reader};
+use snn_tensor::lanes;
 use std::fmt;
 
 /// Binary spike tensor of `steps` timesteps × `channels` spike trains,
@@ -108,20 +109,38 @@ impl SpikeRaster {
         ids.truncate(kept);
     }
 
-    /// Empties to `0 × channels`, keeping the buffers, ready for
-    /// [`push_step`](Self::push_step).
-    pub(crate) fn restart(&mut self, channels: usize) {
+    /// Refills as a `steps × channels` raster from fire bits laid out
+    /// tile-major, as `lanes::tile_rollout` writes them: bit `i` of
+    /// `bits[k·steps + t]` is channel `k·TILE + i` at step `t`. Reuses the
+    /// buffers.
+    pub(crate) fn refill_from_fire_bits(&mut self, steps: usize, channels: usize, bits: &[u64]) {
+        let tiles = channels.div_ceil(lanes::TILE);
+        debug_assert_eq!(bits.len(), tiles * steps, "fire bits for {steps} steps");
         self.channels = channels;
         self.offsets.clear();
         self.offsets.push(0);
         self.ids.clear();
+        for t in 0..steps {
+            for k in 0..tiles {
+                let mut b = bits[k * steps + t];
+                while b != 0 {
+                    self.ids.push(k * lanes::TILE + b.trailing_zeros() as usize);
+                    b &= b - 1;
+                }
+            }
+            self.offsets.push(self.ids.len());
+        }
     }
 
-    /// Appends one step whose spiking channels are `ids` (strictly
-    /// ascending, each below `channels`).
-    pub(crate) fn push_step(&mut self, ids: &[usize]) {
-        self.ids.extend_from_slice(ids);
-        self.offsets.push(self.ids.len());
+    /// Per-step boundaries into [`ids`](Self::ids): step `t`'s events
+    /// are `ids()[offsets()[t]..offsets()[t + 1]]`.
+    pub(crate) fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
+    /// Concatenated per-step channel ids.
+    pub(crate) fn ids(&self) -> &[usize] {
+        &self.ids
     }
 
     /// Number of timesteps.

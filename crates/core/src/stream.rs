@@ -4,19 +4,20 @@
 //! The engine's forward pass is already incremental (`g[t] = α·g[t−1] +
 //! Σ active columns`, eq. 7), so nothing forces a caller to ship a full
 //! raster and replay all `T` timesteps at once. A [`StreamSession`]
-//! keeps each layer's carried state (synaptic drive `g`, reset trace `h`
-//! or membrane potential `v`, and the previous step's output spikes)
-//! resident between calls, accepts events as `(dt, channel)` deltas,
-//! and commits timesteps on demand — the neuromorphic-native serving
-//! mode behind the `snn-serve` binary wire protocol.
+//! keeps each layer's carried state (synaptic drive `g`, and the reset
+//! trace `h` the next step reads, last step's spikes included, or the
+//! membrane potential `v`) resident between calls, accepts events as
+//! `(dt, channel)` deltas, and commits timesteps on demand — the
+//! neuromorphic-native serving mode behind the `snn-serve` binary wire
+//! protocol.
 //!
 //! The contract is strict: a chunked rollout is **bitwise identical** to
 //! a single-shot [`Session::classify`](crate::engine::Session::classify)
 //! of the concatenated raster, for every backend. Each `advance` is the
-//! batch rollout itself — the same per-layer loop over the same step
-//! function, minus the BPTT records, resumed from the carried state —
-//! and the readout accumulates spike counts in the same time-ascending
-//! order as `Forward::spike_counts_into`.
+//! batch rollout itself — the same per-layer tile pass, minus the
+//! records, resumed from the carried state — and the readout
+//! accumulates spike counts in the same time-ascending order as
+//! `Forward::spike_counts_into`.
 //!
 //! # Examples
 //!
@@ -134,8 +135,8 @@ impl Error for StreamError {}
 pub struct StreamSession {
     engine: Engine,
     n_in: usize,
-    /// The carried state: each layer's `LayerScratch` (traces, drive and
-    /// last fired list) persists across calls.
+    /// The carried state: each layer's `LayerScratch` (traces and drive)
+    /// persists across calls.
     scratch: ScratchSpace,
     /// One chunk of an [`advance`](Self::advance), staged as a raster.
     input: SpikeRaster,

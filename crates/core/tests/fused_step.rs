@@ -8,8 +8,13 @@
 //! unfused reference rollout across all three neuron kinds, a density
 //! grid, and randomized sequence lengths — plus scalar-fallback vs
 //! lane-path agreement and repeated-run determinism.
+//!
+//! The layer now rolls each 64-neuron tile over all timesteps
+//! (`lanes::tile_rollout`) under the same contract; the last case pins
+//! every tile and lane tail, both backends and both record shapes.
 
-use snn_core::{DenseLayer, LayerRecord, LayerScratch, NeuronKind, SpikeRaster};
+use snn_core::engine::{Backend, Engine};
+use snn_core::{DenseLayer, LayerRecord, LayerScratch, Network, NeuronKind, SpikeRaster};
 use snn_neuron::NeuronParams;
 use snn_tensor::{kernels, Matrix, Rng};
 
@@ -167,7 +172,7 @@ fn tall_layer_crosses_block_boundary_bitwise() {
     // An output wider than one BLOCK_ROWS tile forces the cache-blocked
     // accumulation through the multi-tile path.
     let mut rng = Rng::seed_from(41);
-    let n_out = kernels::BLOCK_ROWS + 199;
+    let n_out = 4096 + 199;
     let layer = DenseLayer::new(
         16,
         n_out,
@@ -237,4 +242,116 @@ fn repeated_rollouts_are_bitwise_deterministic() {
             }
         }
     }
+}
+
+/// The dense-drive reference: the same recurrences as
+/// [`reference_rollout`], with each step's drive formed as the full
+/// matrix–vector product `W·k[t]` over the input trace, as
+/// `Backend::Dense` and `Network::forward_dense_reference` form it.
+fn dense_reference_rollout(
+    layer: &DenseLayer,
+    active_in: &SpikeRaster,
+) -> (LayerRecord, SpikeRaster) {
+    let t_steps = active_in.steps();
+    let (n_in, n_out) = (layer.n_in(), layer.n_out());
+    let params = layer.params();
+    let mut rec = LayerRecord::empty();
+    rec.resize_zeroed(t_steps, n_in, n_out);
+    let mut active_out = SpikeRaster::zeros(t_steps, n_out);
+    let decay = match layer.kind() {
+        NeuronKind::Adaptive => params.synapse_decay(),
+        NeuronKind::HardReset | NeuronKind::HardResetMatched => 0.0,
+    };
+    let mut k = vec![0.0f32; n_in];
+    let mut state = vec![0.0f32; n_out];
+    let mut prev_fired = vec![false; n_out];
+    for t in 0..t_steps {
+        for kj in k.iter_mut() {
+            *kj *= decay;
+        }
+        for &j in active_in.step(t) {
+            k[j] += 1.0;
+        }
+        rec.pre.row_mut(t).copy_from_slice(&k);
+        let g = layer.weights().matvec(&k);
+        for i in 0..n_out {
+            let vi = match layer.kind() {
+                NeuronKind::Adaptive => {
+                    state[i] *= params.reset_decay();
+                    if prev_fired[i] {
+                        state[i] += 1.0;
+                    }
+                    g[i] - params.theta * state[i]
+                }
+                NeuronKind::HardReset | NeuronKind::HardResetMatched => {
+                    params.synapse_decay() * state[i] + layer.kind().input_gain(&params) * g[i]
+                }
+            };
+            let fire = vi >= params.v_th;
+            if layer.kind() != NeuronKind::Adaptive {
+                state[i] = if fire { 0.0 } else { vi };
+            }
+            rec.v.row_mut(t)[i] = vi;
+            if fire {
+                rec.o.row_mut(t)[i] = 1.0;
+                active_out.set(t, i, true);
+            }
+            prev_fired[i] = fire;
+        }
+    }
+    (rec, active_out)
+}
+
+#[test]
+fn every_tile_and_lane_tail_matches_the_reference_bitwise() {
+    // Widths below, at and past the 8-lane register and the 64-row tile,
+    // for every neuron kind and both backends, with the full records of
+    // a training rollout and the spikes-only record of inference.
+    let mut rng = Rng::seed_from(20261020);
+    let params = NeuronParams::paper_defaults().with_v_th(0.3);
+    let mut spikes = 0.0;
+    for n_out in [1usize, 7, 8, 9, 63, 64, 65, 130] {
+        for kind in KINDS {
+            let layer = DenseLayer::new(29, n_out, kind, params, &mut rng);
+            let t_steps = 5 + rng.below(30);
+            let active_in = random_active(t_steps, 29, 0.2, &mut rng);
+            let net = Network::from_layers(vec![layer.clone()]);
+            for backend in [Backend::Sparse, Backend::Dense] {
+                let ctx = format!("{kind:?} n_out {n_out} T {t_steps} {}", backend.label());
+                let (want, want_out) = match backend {
+                    Backend::Sparse => reference_rollout(&layer, &active_in),
+                    Backend::Dense => dense_reference_rollout(&layer, &active_in),
+                };
+                let full = match backend {
+                    Backend::Sparse => net.forward(&active_in),
+                    Backend::Dense => net.forward_dense_reference(&active_in),
+                };
+                let full = &full.records[0];
+                assert_bitwise_eq(&full.pre, &want.pre, "pre", &ctx);
+                assert_bitwise_eq(&full.v, &want.v, "v", &ctx);
+                assert_bitwise_eq(&full.o, &want.o, "o", &ctx);
+                let engine = Engine::from_network(net.clone())
+                    .backend(backend)
+                    .threads(1)
+                    .build();
+                let mut session = engine.session();
+                assert_bitwise_eq(
+                    &session.infer(&active_in).records[0].o,
+                    &want.o,
+                    "o only",
+                    &ctx,
+                );
+                assert_eq!(
+                    session.infer_raster(&active_in),
+                    &want_out,
+                    "spikes ({ctx})"
+                );
+                spikes += want.o.as_slice().iter().sum::<f32>();
+            }
+        }
+    }
+    assert!(
+        spikes > 0.0,
+        "the cases must fire to exercise the reset paths"
+    );
 }

@@ -13,11 +13,10 @@
 //! building a tree. It is RFC 8259's grammar, nested at most 128
 //! levels: numbers have no leading zeros and a digit on each side of
 //! any decimal point, strings hold no raw control characters, and
-//! nothing but whitespace may follow the value. (Two leniencies remain
-//! in `\u` escapes: the four characters go through
-//! `u32::from_str_radix`, which also takes a leading `+`, and a
-//! surrogate pair decodes to two U+FFFD.) Errors carry a byte offset
-//! and a [`JsonErrorKind`].
+//! nothing but whitespace may follow the value. A `\u` escape takes
+//! exactly four hex digits; a surrogate pair of escapes decodes to one
+//! character, and a lone surrogate to U+FFFD. Errors carry a byte
+//! offset and a [`JsonErrorKind`].
 //!
 //! # Examples
 //!
@@ -775,16 +774,26 @@ impl<'a> Reader<'a> {
                 if self.pos + 5 > self.bytes.len() {
                     return Err(self.err(JsonErrorKind::TruncatedEscape));
                 }
-                let hex = &self.bytes[self.pos + 1..self.pos + 5];
-                let hex = std::str::from_utf8(hex)
-                    .ok()
-                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                let unit = hex4(&self.bytes[self.pos + 1..self.pos + 5])
                     .ok_or_else(|| self.err(JsonErrorKind::BadUnicodeEscape))?;
                 self.pos += 4;
-                // Surrogate pairs are not needed for the data this repo
-                // writes; lone surrogates become the replacement
-                // character.
-                char::from_u32(hex).unwrap_or('\u{FFFD}')
+                // A high surrogate joins the low surrogate of an escape
+                // right after it; any other surrogate stands alone and
+                // becomes the replacement character.
+                let low = match self.bytes.get(self.pos + 1..self.pos + 7) {
+                    Some([b'\\', b'u', hex @ ..]) if (0xD800..0xDC00).contains(&unit) => {
+                        hex4(hex).filter(|low| (0xDC00..0xE000).contains(low))
+                    }
+                    _ => None,
+                };
+                match low {
+                    Some(low) => {
+                        self.pos += 6;
+                        char::from_u32(0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00))
+                            .expect("a surrogate pair encodes a scalar value")
+                    }
+                    None => char::from_u32(unit).unwrap_or('\u{FFFD}'),
+                }
             }
             _ => return Err(self.err(JsonErrorKind::BadEscape)),
         };
@@ -850,6 +859,15 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The value of a `\u` escape's four hex digits; `None` unless all four
+/// are ASCII hex digits (`u32::from_str_radix` would also take a sign).
+fn hex4(digits: &[u8]) -> Option<u32> {
+    digits.iter().try_fold(0, |acc, &d| {
+        let v = (d as char).to_digit(16)?;
+        Some(acc << 4 | v)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -912,6 +930,39 @@ mod tests {
         let v = Json::Str("a\"b\\c\nd\te\u{1}".to_string());
         let round = Json::parse(&v.to_string()).unwrap();
         assert_eq!(round, v);
+    }
+
+    #[test]
+    fn unicode_escapes_take_four_hex_digits_and_join_surrogate_pairs() {
+        for (src, want) in [
+            (r#""\u0041""#, "A"),
+            (r#""\u00e9\u00E9""#, "éé"),
+            (r#""\ud83d\ude00""#, "\u{1F600}"),
+            (r#""\uD83D\uDE00""#, "\u{1F600}"),
+            (r#""x\ud83d\ude00y""#, "x\u{1F600}y"),
+            (r#""\ud83d""#, "\u{FFFD}"),
+            (r#""\ud83dx""#, "\u{FFFD}x"),
+            (r#""\ud83d\u0041""#, "\u{FFFD}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{FFFD}\u{1F600}"),
+            (r#""\ude00""#, "\u{FFFD}"),
+            (r#""\ude00\ud83d""#, "\u{FFFD}\u{FFFD}"),
+            (r#""\ud83d\n""#, "\u{FFFD}\n"),
+        ] {
+            let got = Json::parse(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+            assert_eq!(got.as_str(), Some(want), "{src}");
+        }
+        for (src, kind) in [
+            (r#""\u+041""#, JsonErrorKind::BadUnicodeEscape),
+            (r#""\u-041""#, JsonErrorKind::BadUnicodeEscape),
+            (r#""\u 041""#, JsonErrorKind::BadUnicodeEscape),
+            (r#""\u004G""#, JsonErrorKind::BadUnicodeEscape),
+            (r#""\ud83d\u+e00""#, JsonErrorKind::BadUnicodeEscape),
+            (r#""\ud83d\ude0""#, JsonErrorKind::BadUnicodeEscape),
+            (r#""\ud83d\ude"#, JsonErrorKind::TruncatedEscape),
+        ] {
+            let err = Json::parse(src).expect_err(src);
+            assert_eq!(err.kind, kind, "{src}: {err}");
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Covers the reload contract end to end: a reload really swaps the
 //! serving weights (observable as a changed prediction on `/classify`
 //! and on a fresh stream session), every flavor of
-//! bad checkpoint (tampered, truncated, non-finite, wrong shape) is
-//! rejected with a typed status while the old engine keeps serving, and
+//! bad checkpoint (tampered, truncated, non-finite, a time constant out
+//! of range, wrong shape) is rejected with a typed status while the old
+//! engine keeps serving, and
 //! a graceful shutdown racing a concurrent reload neither hangs nor
 //! corrupts a single answered request.
 
@@ -233,6 +234,47 @@ fn reload_rejects_bad_checkpoints_and_keeps_serving() {
     for p in [tampered, truncated, nonfinite, mismatched] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+#[test]
+fn reload_rejects_non_positive_time_constants_and_keeps_serving() {
+    // A sealed checkpoint whose time constant is zero, negative or past
+    // the f32 range is a parse error: the reload answers 400 naming the
+    // field, and the running model keeps answering.
+    let server = serve(engine(60), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    let sample = &inputs(1, 61)[0];
+    let want = engine(60).classify_batch(std::slice::from_ref(sample))[0];
+    let sealed = checkpoint::to_sealed_json(&network(62)).unwrap();
+    let (payload, _) = integrity::verify(&sealed).unwrap();
+    let path = temp_path("time_constant");
+    let mut rejected = 0;
+    for key in ["tau", "tau_r"] {
+        let field = format!("\"{key}\":4,");
+        assert!(payload.contains(&field), "{payload}");
+        for bad in ["0", "-4", "1e39"] {
+            let mutated = payload.replacen(&field, &format!("\"{key}\":{bad},"), 1);
+            std::fs::write(&path, integrity::seal(&mutated)).unwrap();
+            let resp = client
+                .request("POST", "/admin/reload", reload_body(&path).as_bytes())
+                .unwrap();
+            assert_eq!(resp.status, 400, "{key} = {bad}: {}", resp.body_str());
+            assert!(
+                resp.body_str()
+                    .contains(&format!("{key} must be a positive finite number")),
+                "{key} = {bad}: {}",
+                resp.body_str()
+            );
+            assert_eq!(client.classify(sample).unwrap(), want, "{key} = {bad}");
+            rejected += 1;
+        }
+    }
+    let m = server.metrics();
+    assert_eq!(m.reloads_total.get(), 0);
+    assert_eq!(m.reload_failures_total.get(), rejected);
+    server.shutdown();
+    let _ = std::fs::remove_file(path);
 }
 
 #[test]

@@ -14,16 +14,16 @@
 //!   [`ColMajor::accumulate_columns`] computes `y += W·x` for a
 //!   **binary sparse** `x` by summing only the active columns:
 //!   `O(n_out · nnz)` instead of `O(n_out · n_in)`.
-//! * Fused per-timestep kernels — [`fused_decay_accumulate`] folds the
-//!   leak `g = α·g` and the event accumulation `g += Σ active cols`
-//!   into one cache-blocked traversal, and the membrane passes
-//!   ([`fused_adaptive_membrane`], laned in [`crate::lanes`];
-//!   [`fused_hard_reset_membrane`], scalar) do decay + threshold +
-//!   reset + record writes in a single sweep. The
-//!   layer's one timestep function — behind training, batch inference,
-//!   streaming and the dense reference alike — is built from these, and
-//!   the BPTT recursion from [`decay_axpy`], [`carry_decay_out`] and
-//!   [`scale_copy`].
+//! * The layer rollout — [`lanes::tile_rollout`] runs a layer over a
+//!   whole sequence one 64-neuron tile at a time: the tile's drive
+//!   stays in registers while each step's leak `g = α·g`, event-column
+//!   adds, neuron update, record writes and fire bits happen in one
+//!   pass. It reads the weights through [`ColMajor::as_slice`]. Behind
+//!   training, batch inference, streaming and the dense reference
+//!   alike; [`fused_decay_accumulate`] is its drive update over one
+//!   whole vector, [`decay_add_unit`] the input-trace update the `pre`
+//!   record and the dense drive read, and the BPTT recursion is built
+//!   from [`decay_axpy`], [`carry_decay_out`] and [`scale_copy`].
 //!
 //! The event-driven BPTT's weight products run through
 //! [`lanes::sparse_matmul_add`]; the binary-trace rank-1 updates of the
@@ -36,25 +36,18 @@
 //! float semantics. All kernels are individually deterministic — given
 //! the same inputs they produce bit-identical outputs on every run, on
 //! every dispatch path (AVX2 or portable), and at any thread count. The
-//! fused kernels perform the *same per-element operations in the same
-//! order* as the unfused multi-pass loops they replaced, so fusing is
-//! bitwise-neutral: only traversal order across cache blocks changes,
-//! never the arithmetic on any element.
+//! tile pass performs the *same per-element operations in the same
+//! order* as a step-at-a-time loop over whole vectors, so it is
+//! bitwise-neutral: only the traversal order (tiles outside, steps
+//! inside) differs, never the arithmetic on any element.
 
 use crate::lanes;
 use crate::Matrix;
 
 pub use crate::lanes::{
-    add_assign, axpy, carry_decay_out, decay_axpy, dot, fused_adaptive_membrane, reduce_max, scale,
-    scale_copy, set_force_scalar, simd_enabled, threshold_mask,
+    add_assign, axpy, carry_decay_out, decay_axpy, dot, reduce_max, scale, scale_copy,
+    set_force_scalar, simd_enabled, threshold_mask,
 };
-
-/// Output-row tile for the cache-blocked column accumulation: 4096
-/// `f32`s = 16 KiB per partial-sum segment, small enough that the `y`
-/// tile and a column tile coexist in L1 while every active column is
-/// drained into it, and large enough that the per-column segment jumps
-/// (one per tile per active column) stay cheap at high spike densities.
-pub const BLOCK_ROWS: usize = 4096;
 
 /// Square tile edge of the blocked transpose in
 /// [`ColMajor::refresh_from`]: a 32×32 `f32` tile is 4 KiB of source and
@@ -79,57 +72,18 @@ pub fn decay_add_unit(decay: f32, x: &mut [f32], events: &[usize]) {
     }
 }
 
-/// Fused leak + event accumulation: `y = alpha·y + Σ_{c ∈ active}
-/// cols.column(c)`, cache-blocked over [`BLOCK_ROWS`]-row output tiles
-/// so each partial-sum segment is decayed once and stays resident in L1
-/// while every active column drains into it — one traversal of `y`
-/// instead of the unfused decay pass plus one full-vector pass per
-/// column.
-///
-/// Bitwise-identical to `scale(alpha, y)` followed by
-/// [`ColMajor::accumulate_columns`]: each element still sees exactly
-/// one multiply followed by the active-column adds in the same order.
-/// `alpha == 0.0` clears the tile with an exact fill (matching the
-/// `fill(0.0)` of the unfused hard-reset path — `0.0 * x` would leave
-/// `-0.0`/NaN residue); `alpha == 1.0` skips the decay multiply.
+/// Leak + event accumulation over one vector: `y = alpha·y + Σ_{c ∈
+/// active} cols.column(c)` — one step of the layer drive (eq. 7,
+/// factored), which [`lanes::tile_rollout`] carries tile by tile with
+/// the same arithmetic. Each element sees one multiply, then the
+/// active-column adds in order. `alpha == 0.0` clears with an exact
+/// fill (`0.0 * x` would leave `-0.0`/NaN residue); `alpha == 1.0` skips
+/// the multiply.
 ///
 /// # Panics
 ///
 /// Panics if `y.len() != cols.rows()` or any index is out of range.
 pub fn fused_decay_accumulate(alpha: f32, cols: &ColMajor, active: &[usize], y: &mut [f32]) {
-    assert_eq!(y.len(), cols.rows, "fused_decay_accumulate: bad y");
-    let rows = cols.rows;
-    let mut start = 0;
-    while start < rows {
-        let end = (start + BLOCK_ROWS).min(rows);
-        let seg = &mut y[start..end];
-        if alpha == 0.0 {
-            seg.fill(0.0);
-        } else if alpha != 1.0 {
-            lanes::scale(alpha, seg);
-        }
-        for &c in active {
-            lanes::add_assign(&cols.column(c)[start..end], seg);
-        }
-        start = end;
-    }
-}
-
-/// Unblocked reference for [`fused_decay_accumulate`]: full-vector decay
-/// pass, then one full-vector pass per active column. Kept public so
-/// the property tests and the kernel bench's blocking sweep can compare
-/// the tiled kernel against it (they are bitwise-identical; only memory
-/// traffic differs).
-///
-/// # Panics
-///
-/// Panics if `y.len() != cols.rows()` or any index is out of range.
-pub fn fused_decay_accumulate_unblocked(
-    alpha: f32,
-    cols: &ColMajor,
-    active: &[usize],
-    y: &mut [f32],
-) {
     assert_eq!(y.len(), cols.rows, "fused_decay_accumulate: bad y");
     if alpha == 0.0 {
         y.fill(0.0);
@@ -138,66 +92,6 @@ pub fn fused_decay_accumulate_unblocked(
     }
     for &c in active {
         lanes::add_assign(cols.column(c), y);
-    }
-}
-
-/// Fused hard-reset membrane pass: for each neuron computes
-/// `v = λ·vm[i] + gain·current[i]`, fires where `v ≥ v_th`, applies the
-/// hard reset (`vm[i] = 0.0` on fire, else `vm[i] = v`), and in the
-/// same sweep writes the optional record rows and collects the fired
-/// indices (ascending; `fired` is cleared first). Scalar on every
-/// path: unlike [`fused_adaptive_membrane`], no benchmarked workload
-/// runs it.
-///
-/// # Panics
-///
-/// Panics if `current`/`vm` or any provided record row differ in
-/// length.
-// One scalar per circuit constant plus the two optional record rows and
-// the fired list; a params struct would just re-bundle what
-// NeuronParams already unpacked.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_hard_reset_membrane(
-    lambda: f32,
-    gain: f32,
-    v_th: f32,
-    current: &[f32],
-    vm: &mut [f32],
-    mut vrow: Option<&mut [f32]>,
-    mut orow: Option<&mut [f32]>,
-    fired: &mut Vec<usize>,
-) {
-    assert_eq!(current.len(), vm.len(), "fused_hard_reset_membrane: bad vm");
-    if let Some(v) = vrow.as_deref_mut() {
-        assert_eq!(
-            current.len(),
-            v.len(),
-            "fused_hard_reset_membrane: bad vrow"
-        );
-    }
-    if let Some(o) = orow.as_deref_mut() {
-        assert_eq!(
-            current.len(),
-            o.len(),
-            "fused_hard_reset_membrane: bad orow"
-        );
-    }
-    fired.clear();
-    for i in 0..current.len() {
-        let vi = lambda * vm[i] + gain * current[i];
-        let fire = vi >= v_th;
-        if let Some(v) = vrow.as_deref_mut() {
-            v[i] = vi;
-        }
-        if let Some(o) = orow.as_deref_mut() {
-            o[i] = if fire { 1.0 } else { 0.0 };
-        }
-        if fire {
-            vm[i] = 0.0;
-            fired.push(i);
-        } else {
-            vm[i] = vi;
-        }
     }
 }
 
@@ -225,24 +119,61 @@ pub fn fused_hard_reset_membrane(
 /// mirror.accumulate_columns(&[1], &mut y); // y += W·[0, 1]
 /// assert_eq!(y, vec![2.0, 4.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct ColMajor {
     rows: usize,
     cols: usize,
-    /// `data[c * rows + r]` is `W[r, c]`.
+    /// `data[start + c * rows + r]` is `W[r, c]`: `start` puts the first
+    /// column on a 64-byte line, so when `rows` is a multiple of 16 every
+    /// 64-row tile of every column is line-aligned and the tile pass's
+    /// `f32x8` loads never split a cache line.
+    start: usize,
     data: Vec<f32>,
+}
+
+/// Slack floats at the front of [`ColMajor`]'s buffer, enough to reach a
+/// 64-byte boundary.
+const LINE_FLOATS: usize = 16;
+
+impl Clone for ColMajor {
+    fn clone(&self) -> Self {
+        // A copy of the buffer lands wherever the allocator puts it, so
+        // align it afresh rather than copying `start`.
+        let mut out = Self {
+            rows: self.rows,
+            cols: self.cols,
+            start: 0,
+            data: Vec::new(),
+        };
+        out.reserve(self.rows * self.cols);
+        out.data[out.start..][..self.rows * self.cols].copy_from_slice(self.as_slice());
+        out
+    }
+}
+
+impl PartialEq for ColMajor {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols) && self.as_slice() == other.as_slice()
+    }
 }
 
 impl ColMajor {
     /// Builds a mirror of `m`.
     pub fn from_matrix(m: &Matrix) -> Self {
         let mut out = Self {
-            rows: m.rows(),
-            cols: m.cols(),
-            data: vec![0.0; m.rows() * m.cols()],
+            rows: 0,
+            cols: 0,
+            start: 0,
+            data: Vec::new(),
         };
         out.refresh_from(m);
         out
+    }
+
+    /// Sizes the buffer for `len` floats after a line-aligned `start`.
+    fn reserve(&mut self, len: usize) {
+        self.data.resize(len + LINE_FLOATS, 0.0);
+        self.start = self.data.as_ptr().align_offset(64).min(LINE_FLOATS);
     }
 
     /// Re-transposes `m` into the existing buffer (no allocation when the
@@ -255,7 +186,8 @@ impl ColMajor {
         let (rows, cols) = m.shape();
         self.rows = rows;
         self.cols = cols;
-        self.data.resize(rows * cols, 0.0);
+        self.reserve(rows * cols);
+        let dst = &mut self.data[self.start..self.start + rows * cols];
         let src = m.as_slice();
         // Copy tile by tile: each destination column of a tile is one
         // short sequential write, and the source rows it reads stay in L1
@@ -269,7 +201,7 @@ impl ColMajor {
             let band = &src[r0 * cols..r1 * cols];
             for c0 in (0..cols).step_by(TRANSPOSE_TILE) {
                 let c1 = (c0 + TRANSPOSE_TILE).min(cols);
-                for (c, column) in (c0..c1).zip(self.data.chunks_exact_mut(rows).skip(c0)) {
+                for (c, column) in (c0..c1).zip(dst.chunks_exact_mut(rows).skip(c0)) {
                     for (w, row) in column[r0..r1].iter_mut().zip(band.chunks_exact(cols)) {
                         *w = row[c];
                     }
@@ -288,6 +220,12 @@ impl ColMajor {
         self.cols
     }
 
+    /// The mirror's storage: column `c` at `c·rows()..(c + 1)·rows()`,
+    /// starting on a 64-byte boundary.
+    pub fn as_slice(&self) -> &[f32] {
+        &self.data[self.start..self.start + self.rows * self.cols]
+    }
+
     /// Column `c` of the mirrored matrix as a contiguous slice.
     ///
     /// # Panics
@@ -295,12 +233,12 @@ impl ColMajor {
     /// Panics if `c >= cols`.
     pub fn column(&self, c: usize) -> &[f32] {
         assert!(c < self.cols, "column {c} out of bounds ({})", self.cols);
-        &self.data[c * self.rows..(c + 1) * self.rows]
+        &self.as_slice()[c * self.rows..(c + 1) * self.rows]
     }
 
     /// `y += W·x` for a binary `x` given by its active indices:
-    /// sums the selected columns, cache-blocked over output-row tiles
-    /// (the `alpha = 1` case of [`fused_decay_accumulate`]).
+    /// sums the selected columns (the `alpha = 1` case of
+    /// [`fused_decay_accumulate`]).
     /// `O(rows · active.len())`.
     ///
     /// # Panics
@@ -312,21 +250,14 @@ impl ColMajor {
 
     /// `y += Σ_{c ∈ active} x[c] · column(c)` — the general (non-binary)
     /// sparse product, used when a spike vector carries magnitudes.
-    /// Cache-blocked like [`ColMajor::accumulate_columns`].
     ///
     /// # Panics
     ///
     /// Panics if `y.len() != rows` or any index is out of range.
     pub fn accumulate_columns_scaled(&self, active: &[usize], x: &[f32], y: &mut [f32]) {
         assert_eq!(y.len(), self.rows, "accumulate_columns_scaled: bad y");
-        let mut start = 0;
-        while start < self.rows {
-            let end = (start + BLOCK_ROWS).min(self.rows);
-            let seg = &mut y[start..end];
-            for &c in active {
-                lanes::axpy(x[c], &self.column(c)[start..end], seg);
-            }
-            start = end;
+        for &c in active {
+            lanes::axpy(x[c], self.column(c), y);
         }
     }
 }
@@ -463,29 +394,10 @@ mod tests {
         assert_eq!(y, vec![5.0; 3]);
     }
 
-    /// Tall mirror (several [`BLOCK_ROWS`] tiles plus a ragged tail) for
-    /// the blocking tests.
+    /// A seeded Xavier mirror of a `rows × cols` matrix.
     fn tall_mirror(rows: usize, cols: usize, seed: u64) -> ColMajor {
         let mut rng = Rng::seed_from(seed);
         ColMajor::from_matrix(&Matrix::xavier_uniform(rows, cols, &mut rng))
-    }
-
-    #[test]
-    fn blocked_fused_matches_unblocked_bitwise() {
-        let rows = 2 * BLOCK_ROWS + 313; // exercises full tiles + tail
-        let cm = tall_mirror(rows, 19, 6);
-        let active = [0usize, 2, 3, 7, 18];
-        let mut rng = Rng::seed_from(7);
-        for alpha in [0.0f32, 0.37, 1.0] {
-            let y0: Vec<f32> = (0..rows).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let mut y_blocked = y0.clone();
-            let mut y_ref = y0;
-            fused_decay_accumulate(alpha, &cm, &active, &mut y_blocked);
-            fused_decay_accumulate_unblocked(alpha, &cm, &active, &mut y_ref);
-            for (a, b) in y_blocked.iter().zip(&y_ref) {
-                assert_eq!(a.to_bits(), b.to_bits(), "alpha {alpha}");
-            }
-        }
     }
 
     #[test]
@@ -510,29 +422,11 @@ mod tests {
 
     #[test]
     fn fused_decay_accumulate_alpha_zero_is_exact_clear() {
-        let cm = tall_mirror(BLOCK_ROWS + 5, 3, 10);
-        let mut y = vec![f32::NAN; BLOCK_ROWS + 5];
+        let cm = tall_mirror(101, 3, 10);
+        let mut y = vec![f32::NAN; 101];
         fused_decay_accumulate(0.0, &cm, &[1], &mut y);
         // NaN residue would survive `0.0 * NaN`; the exact clear must not.
         for (a, b) in y.iter().zip(cm.column(1)) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn blocked_scaled_accumulate_matches_unblocked_bitwise() {
-        let rows = BLOCK_ROWS + 77;
-        let cm = tall_mirror(rows, 9, 11);
-        let mut rng = Rng::seed_from(12);
-        let x: Vec<f32> = (0..9).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let active = [0usize, 4, 8];
-        let mut y_blocked = vec![0.25f32; rows];
-        let mut y_ref = y_blocked.clone();
-        cm.accumulate_columns_scaled(&active, &x, &mut y_blocked);
-        for &c in &active {
-            axpy(x[c], cm.column(c), &mut y_ref);
-        }
-        for (a, b) in y_blocked.iter().zip(&y_ref) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -549,69 +443,5 @@ mod tests {
         for (a, b) in x.iter().zip(&x_ref) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn adaptive_membrane_matches_unfused_reference() {
-        let g = [0.5f32, -0.2, 1.4, 0.0, 0.9];
-        let h = [0.1f32, 0.0, 0.5, 0.0, 2.0];
-        let (theta, v_th) = (0.3f32, 0.4f32);
-        let mut vrow = [0.0f32; 5];
-        let mut orow = [0.0f32; 5];
-        let mut fired = vec![9usize]; // must be cleared
-        fused_adaptive_membrane(
-            theta,
-            v_th,
-            &g,
-            &h,
-            Some(&mut vrow),
-            Some(&mut orow),
-            &mut fired,
-        );
-        for i in 0..5 {
-            let vi = g[i] - theta * h[i];
-            assert_eq!(vrow[i].to_bits(), vi.to_bits());
-            assert_eq!(orow[i], if vi >= v_th { 1.0 } else { 0.0 });
-        }
-        assert_eq!(fired, vec![0, 2]);
-        // Record-free variant (stream path) agrees on the fired set.
-        let mut fired2 = Vec::new();
-        fused_adaptive_membrane(theta, v_th, &g, &h, None, None, &mut fired2);
-        assert_eq!(fired, fired2);
-    }
-
-    #[test]
-    fn hard_reset_membrane_matches_unfused_reference() {
-        let current = [0.5f32, 0.0, 2.0, -1.0, 0.45];
-        let vm0 = [0.1f32, 0.4, 0.0, 0.2, 0.05];
-        let (lambda, gain, v_th) = (0.9f32, 0.1f32, 0.5f32);
-        let mut vm = vm0;
-        let mut vrow = [0.0f32; 5];
-        let mut orow = [0.0f32; 5];
-        let mut fired = Vec::new();
-        fused_hard_reset_membrane(
-            lambda,
-            gain,
-            v_th,
-            &current,
-            &mut vm,
-            Some(&mut vrow),
-            Some(&mut orow),
-            &mut fired,
-        );
-        let mut fired_ref = Vec::new();
-        for i in 0..5 {
-            let vi = lambda * vm0[i] + gain * current[i];
-            assert_eq!(vrow[i].to_bits(), vi.to_bits());
-            if vi >= v_th {
-                fired_ref.push(i);
-                assert_eq!(orow[i], 1.0);
-                assert_eq!(vm[i], 0.0);
-            } else {
-                assert_eq!(orow[i], 0.0);
-                assert_eq!(vm[i].to_bits(), vi.to_bits());
-            }
-        }
-        assert_eq!(fired, fired_ref);
     }
 }

@@ -26,13 +26,26 @@
 //!   intermediate rounding step, so an FMA path would fork the float
 //!   semantics between AVX2 hosts and the portable fallback.
 //!
-//! Elementwise kernels ([`axpy`], [`scale`], [`add_assign`],
-//! [`fused_adaptive_membrane`], …) do not reassociate anything, so
-//! laning them is bitwise-neutral by construction; only the [`dot`]
-//! reduction defines new canonical semantics (8 lanes instead of the
-//! previous 4-way unroll). The sparse
+//! Elementwise kernels ([`axpy`], [`scale`], [`add_assign`], …) do not
+//! reassociate anything, so laning them is bitwise-neutral by
+//! construction; only the [`dot`] reduction defines new canonical
+//! semantics (8 lanes instead of the previous 4-way unroll). The sparse
 //! product [`sparse_matmul_add`] does not reassociate either: it only
 //! keeps partial sums in registers across terms, in term order.
+//!
+//! # The layer tile pass
+//!
+//! [`tile_rollout`] is the forward of every spiking layer — training,
+//! inference, streaming and the dense reference — one kernel per neuron
+//! kind ([`Neuron`]). It turns the step-at-a-time loop inside out:
+//! tiles of [`TILE`] = 64 output neurons outside, timesteps inside, so
+//! a tile's drive stays in eight `f32x8` registers for the whole
+//! sequence while each step's leak, event-column adds (or dense drive
+//! row, [`Drive`]), neuron update, record writes and fire bits happen
+//! in one pass over the tile. The carried state ([`Carry`]) is read at
+//! tile entry and written at exit, so a chunked rollout equals a single
+//! one bit for bit. Every element still sees the same operations in
+//! the same order, so the tile pass reassociates nothing either.
 //!
 //! # Forcing the scalar fallback
 //!
@@ -257,52 +270,191 @@ pub fn prune_indices(x: &mut [f32], eps: f32, out: &mut Vec<usize>) {
     portable::prune_indices(x, eps, 0, out);
 }
 
-/// Fused adaptive-threshold membrane pass: for each neuron computes
-/// `v = g[i] − ϑ·h[i]`, fires where `v ≥ v_th`, and in the same sweep
-/// writes the optional potential/output record rows and collects the
-/// fired indices (ascending; `fired` is cleared first). A fired neuron's
-/// output entry is `1.0`, every other entry `+0.0`, and a NaN potential
-/// never fires.
+/// Width of a register tile, eight `f32x8` registers: the output rows
+/// [`tile_rollout`] carries through a whole sequence (one `u64` of fire
+/// bits per step), and the columns [`sparse_matmul_add`] keeps in
+/// registers across a row's terms.
+pub const TILE: usize = 8 * LANES;
+
+/// One neuron kind's per-step update in [`tile_rollout`], with the
+/// constants of one layer run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Neuron {
+    /// The adaptive threshold (eqs. 6, 8 and 10) over the carried reset
+    /// trace `h`: the potential is `v = g − ϑ·h`, and the trace the next
+    /// step reads is `β·h`, plus 1 where the neuron fired.
+    Adaptive {
+        /// Reset-trace decay `β`.
+        beta: f32,
+        /// Reset charge `ϑ`.
+        theta: f32,
+        /// Firing threshold.
+        v_th: f32,
+    },
+    /// The hard-reset LIF (eq. 1) over the carried potential `u`: the
+    /// potential is `v = λ·u + gain·g`, and `u` becomes `+0.0` where the
+    /// neuron fires, else `v`.
+    HardReset {
+        /// Membrane decay `λ`.
+        lambda: f32,
+        /// Input gain.
+        gain: f32,
+        /// Firing threshold.
+        v_th: f32,
+    },
+}
+
+/// How [`tile_rollout`] forms each step's drive `g[t]`.
+#[derive(Debug, Clone, Copy)]
+pub enum Drive<'a> {
+    /// Event-driven: `g = α·g` (`+0.0` exactly when `α = 0`, whatever
+    /// `g` held), then `g += column(c)` for each of the step's events in
+    /// the order listed. `cols` holds the weights column-major (column
+    /// `c` at `c·n_out`); step `t`'s events are
+    /// `ids[offsets[t]..offsets[t + 1]]`.
+    Events {
+        /// Drive decay `α`.
+        alpha: f32,
+        /// Column-major weights, `n_out` rows per column.
+        cols: &'a [f32],
+        /// Per-step boundaries into `ids`; one more entry than steps.
+        offsets: &'a [usize],
+        /// Concatenated per-step input events (column indices).
+        ids: &'a [usize],
+    },
+    /// Precomputed: `g[t]` is row `t` of a row-major `steps × n_out`
+    /// matrix.
+    Rows(&'a [f32]),
+}
+
+/// The state a layer carries from one [`tile_rollout`] into the next.
+/// Each tile reads its rows on entry and writes them back on exit, so a
+/// sequence rolled out in chunks gives the same bits as in one call.
+#[derive(Debug)]
+pub struct Carry<'a> {
+    /// The drive `g` of the last step; `n_out` long.
+    pub drive: &'a mut [f32],
+    /// The reset trace the next step reads (adaptive) or the potential
+    /// `u` (hard reset); `n_out` long.
+    pub trace: &'a mut [f32],
+}
+
+/// Rolls a layer of `n_out` neurons (the width of `carry`) over `steps`
+/// timesteps, tiles of [`TILE`] neurons outside and timesteps inside: a
+/// tile's drive stays in registers for the whole sequence, and each
+/// step's drive update, neuron update, record writes and fire bits
+/// happen in one pass over the tile.
 ///
-/// On AVX2 the potential is a separate `vmulps` + `vsubps` (never FMA),
-/// the fire test an ordered `>=` compare, the output row the compare
-/// mask ANDed with `1.0`, and the fired list a movemask scan; the scalar
-/// loop is the portable path and handles the tail, so the paths agree
-/// bitwise.
+/// Every element sees one step's operations in the order [`Drive`] and
+/// [`Neuron`] give them, the spike where `v ≥ v_th` (ordered: a NaN
+/// potential never fires), one multiply and one add at a time and never
+/// fused. `v` and `o`, when given, are row-major `steps × n_out` records
+/// of the potential and of the spikes (`1.0`, else `+0.0`), and every
+/// element is written. `fired` receives the fire bits tile-major: bit
+/// `i` of `fired[k·steps + t]` is set when neuron `k·TILE + i` spikes at
+/// step `t`.
+///
+/// On AVX2 the first `8·⌊w/8⌋` rows of each `w`-row tile run in `f32x8`
+/// registers (`vmulps`/`vaddps`/`vsubps`, an ordered `>=` compare, a
+/// blend for the reset-trace charge and a mask for the leak) and the
+/// scalar loop, which is the portable path, handles the rest, so the
+/// paths agree bitwise.
 ///
 /// # Panics
 ///
-/// Panics if `g`/`h` or any provided record row differ in length.
-pub fn fused_adaptive_membrane(
-    theta: f32,
-    v_th: f32,
-    g: &[f32],
-    h: &[f32],
-    vrow: Option<&mut [f32]>,
-    orow: Option<&mut [f32]>,
-    fired: &mut Vec<usize>,
+/// Panics if a buffer's length disagrees with `steps` and `n_out`, if
+/// the event offsets decrease or overrun `ids`, or if an event is not a
+/// column of `cols`.
+pub fn tile_rollout(
+    steps: usize,
+    neuron: Neuron,
+    drive: Drive,
+    carry: Carry,
+    v: Option<&mut [f32]>,
+    o: Option<&mut [f32]>,
+    fired: &mut [u64],
 ) {
-    assert_eq!(g.len(), h.len(), "fused_adaptive_membrane: bad h");
-    if let Some(v) = vrow.as_deref() {
-        assert_eq!(g.len(), v.len(), "fused_adaptive_membrane: bad vrow");
+    let n_out = carry.drive.len();
+    assert_eq!(carry.trace.len(), n_out, "tile_rollout: bad trace");
+    assert_eq!(
+        fired.len(),
+        n_out.div_ceil(TILE) * steps,
+        "tile_rollout: bad fired"
+    );
+    for rec in [v.as_deref(), o.as_deref()].into_iter().flatten() {
+        assert_eq!(rec.len(), steps * n_out, "tile_rollout: bad record");
     }
-    if let Some(o) = orow.as_deref() {
-        assert_eq!(g.len(), o.len(), "fused_adaptive_membrane: bad orow");
+    match drive {
+        Drive::Events {
+            cols, offsets, ids, ..
+        } => {
+            assert_eq!(offsets.len(), steps + 1, "tile_rollout: bad offsets");
+            assert!(
+                offsets.windows(2).all(|w| w[0] <= w[1]) && offsets[steps] <= ids.len(),
+                "tile_rollout: bad offsets"
+            );
+            let n_cols = cols.len().checked_div(n_out).unwrap_or(0);
+            assert_eq!(cols.len(), n_cols * n_out, "tile_rollout: bad cols");
+            assert!(
+                n_out == 0 || ids[offsets[0]..offsets[steps]].iter().all(|&c| c < n_cols),
+                "tile_rollout: event out of range"
+            );
+        }
+        Drive::Rows(rows) => assert_eq!(rows.len(), steps * n_out, "tile_rollout: bad rows"),
     }
-    fired.clear();
-    #[cfg(target_arch = "x86_64")]
-    if simd_enabled() {
-        // SAFETY: gated on AVX2 detection; every row was checked to be as
-        // long as `g` above.
-        unsafe { avx2::adaptive_membrane(theta, v_th, g, h, vrow, orow, fired) };
+    if steps == 0 {
         return;
     }
-    portable::adaptive_membrane(theta, v_th, g, h, vrow, orow, 0, fired);
+    let mut run = Run {
+        n_out,
+        neuron,
+        drive,
+        v,
+        o,
+    };
+    let tiles = carry
+        .drive
+        .chunks_mut(TILE)
+        .zip(carry.trace.chunks_mut(TILE));
+    for (k, ((g, trace), fired)) in tiles.zip(fired.chunks_exact_mut(steps)).enumerate() {
+        fired.fill(0);
+        let mut laned = 0;
+        #[cfg(target_arch = "x86_64")]
+        if simd_enabled() {
+            laned = g.len() / LANES * LANES;
+            // SAFETY: gated on AVX2 detection; the checks above cover
+            // every row, record, event and column the tile reads.
+            unsafe {
+                avx2::tile(
+                    &mut run,
+                    k * TILE,
+                    &mut g[..laned],
+                    &mut trace[..laned],
+                    fired,
+                )
+            };
+        }
+        if laned < g.len() {
+            portable::tile(
+                &mut run,
+                k * TILE + laned,
+                laned,
+                &mut g[laned..],
+                &mut trace[laned..],
+                fired,
+            );
+        }
+    }
 }
 
-/// Columns per register tile of [`sparse_matmul_add`]: eight `f32x8`
-/// accumulators.
-const TILE: usize = 8 * LANES;
+/// The shared inputs of one [`tile_rollout`], after its checks.
+struct Run<'a, 'r> {
+    n_out: usize,
+    neuron: Neuron,
+    drive: Drive<'a>,
+    v: Option<&'r mut [f32]>,
+    o: Option<&'r mut [f32]>,
+}
 
 /// A sparse matrix in compressed-row form: row `i` holds the terms
 /// `(idx[k], coef[k])` for `k` in `offsets[i]..offsets[i + 1]`, in that
@@ -435,7 +587,7 @@ pub fn reduce_max(x: &[f32]) -> f32 {
 /// Portable chunk loops — the always-correct fallback and the canonical
 /// definition of every kernel's float semantics.
 mod portable {
-    use super::{LANES, TILE};
+    use super::{Drive, Neuron, Run, LANES, TILE};
 
     #[inline]
     pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -573,35 +725,80 @@ mod portable {
         }
     }
 
-    /// [`super::fused_adaptive_membrane`] with the fired indices offset
-    /// by `first`, so the AVX2 path can hand it its tail.
-    // One scalar per circuit constant, the state and record rows, and
-    // the tail offset: the portable body of a public kernel.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub fn adaptive_membrane(
-        theta: f32,
-        v_th: f32,
-        g: &[f32],
-        h: &[f32],
-        mut vrow: Option<&mut [f32]>,
-        mut orow: Option<&mut [f32]>,
-        first: usize,
-        fired: &mut Vec<usize>,
+    /// Rows `r0..r0 + g.len()` of one [`super::tile_rollout`] tile
+    /// (`g` and `trace` are their carried state), whose fire bits are
+    /// ORed into `fired` from bit `bit0` on, so the AVX2 path can hand
+    /// it its tail rows.
+    pub fn tile(
+        run: &mut Run,
+        r0: usize,
+        bit0: usize,
+        g_carry: &mut [f32],
+        trace: &mut [f32],
+        fired: &mut [u64],
     ) {
-        for i in 0..g.len() {
-            let vi = g[i] - theta * h[i];
-            let fire = vi >= v_th;
-            if let Some(v) = vrow.as_deref_mut() {
-                v[i] = vi;
+        let w = g_carry.len();
+        let n_out = run.n_out;
+        let mut g = [0.0f32; TILE];
+        let g = &mut g[..w];
+        g.copy_from_slice(g_carry);
+        for (t, fired) in fired.iter_mut().enumerate() {
+            match run.drive {
+                Drive::Events {
+                    alpha,
+                    cols,
+                    offsets,
+                    ids,
+                } => {
+                    for x in g.iter_mut() {
+                        *x = if alpha == 0.0 { 0.0 } else { alpha * *x };
+                    }
+                    for &c in &ids[offsets[t]..offsets[t + 1]] {
+                        let col = &cols[c * n_out + r0..][..w];
+                        for (x, y) in g.iter_mut().zip(col) {
+                            *x += y;
+                        }
+                    }
+                }
+                Drive::Rows(rows) => g.copy_from_slice(&rows[t * n_out + r0..][..w]),
             }
-            if let Some(o) = orow.as_deref_mut() {
-                o[i] = if fire { 1.0 } else { 0.0 };
+            // The step's potentials and spikes (1.0 or +0.0), in
+            // branch-free loops the compiler can vectorize.
+            let (mut v, mut o) = ([0.0f32; TILE], [0.0f32; TILE]);
+            let elements = g.iter().zip(trace.iter_mut()).zip(v.iter_mut().zip(&mut o));
+            match run.neuron {
+                Neuron::Adaptive { beta, theta, v_th } => {
+                    for ((&g, h), (v, o)) in elements {
+                        *v = g - theta * *h;
+                        let fire = *v >= v_th;
+                        *o = if fire { 1.0 } else { 0.0 };
+                        let bh = beta * *h;
+                        *h = if fire { bh + 1.0 } else { bh };
+                    }
+                }
+                Neuron::HardReset { lambda, gain, v_th } => {
+                    for ((&g, u), (v, o)) in elements {
+                        *v = lambda * *u + gain * g;
+                        let fire = *v >= v_th;
+                        *o = if fire { 1.0 } else { 0.0 };
+                        *u = if fire { 0.0 } else { *v };
+                    }
+                }
             }
-            if fire {
-                fired.push(first + i);
+            let at = t * n_out + r0;
+            if let Some(row) = run.v.as_deref_mut() {
+                row[at..at + w].copy_from_slice(&v[..w]);
             }
+            if let Some(row) = run.o.as_deref_mut() {
+                row[at..at + w].copy_from_slice(&o[..w]);
+            }
+            let bits = o[..w]
+                .iter()
+                .enumerate()
+                .fold(0u64, |bits, (i, &x)| bits | u64::from(x != 0.0) << i);
+            *fired |= bits << bit0;
         }
+        g_carry.copy_from_slice(g);
     }
 
     /// Columns `c0..c0 + acc.len()` of one tile of
@@ -627,7 +824,7 @@ mod portable {
 /// function here is bit-identical to its portable counterpart.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{portable, LANES, TILE};
+    use super::{portable, Drive, Neuron, Run, LANES, TILE};
     use std::arch::x86_64::*;
 
     /// # Safety
@@ -783,60 +980,202 @@ mod avx2 {
         portable::prune_indices(&mut x[chunks * LANES..], eps, chunks * LANES, out);
     }
 
+    /// The first `g.len()` rows (a multiple of 8, at most [`TILE`]) of
+    /// one [`super::tile_rollout`] tile from row `r0`, in `g.len() / 8`
+    /// drive registers; `g` and `trace` are their carried state.
+    ///
     /// # Safety
     ///
-    /// Requires AVX2 (callers gate on `simd_enabled`), `h` as long as
-    /// `g`, and each provided row as long as `g`.
+    /// Requires AVX2, and `run` checked by `tile_rollout`: rows
+    /// `r0..r0 + g.len()` inside every record, row and column.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn adaptive_membrane(
-        theta: f32,
-        v_th: f32,
-        g: &[f32],
-        h: &[f32],
-        mut vrow: Option<&mut [f32]>,
-        mut orow: Option<&mut [f32]>,
-        fired: &mut Vec<usize>,
+    pub unsafe fn tile(
+        run: &mut Run,
+        r0: usize,
+        g: &mut [f32],
+        trace: &mut [f32],
+        fired: &mut [u64],
     ) {
-        let chunks = g.len() / LANES;
-        let vtheta = _mm256_set1_ps(theta);
-        let vth = _mm256_set1_ps(v_th);
+        // SAFETY: each arm covers 8·R = g.len() rows; the caller's
+        // contract covers the rest.
+        unsafe {
+            match g.len() / LANES {
+                0 => {}
+                1 => regs::<1>(run, r0, g, trace, fired),
+                2 => regs::<2>(run, r0, g, trace, fired),
+                3 => regs::<3>(run, r0, g, trace, fired),
+                4 => regs::<4>(run, r0, g, trace, fired),
+                5 => regs::<5>(run, r0, g, trace, fired),
+                6 => regs::<6>(run, r0, g, trace, fired),
+                7 => regs::<7>(run, r0, g, trace, fired),
+                _ => regs::<8>(run, r0, g, trace, fired),
+            }
+        }
+    }
+
+    /// `R` drive registers over rows `r0..r0 + 8·R`, held across every
+    /// step, with the neuron kind's update.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `g.len() == trace.len() == 8·R`, and the contract
+    /// of [`tile`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn regs<const R: usize>(
+        run: &mut Run,
+        r0: usize,
+        g: &mut [f32],
+        trace: &mut [f32],
+        fired: &mut [u64],
+    ) {
         let one = _mm256_set1_ps(1.0);
-        for i in 0..chunks {
-            let at = i * LANES;
-            // SAFETY: at + LANES <= g.len(), which the caller guarantees
-            // is the length of `h` and of every provided row.
-            unsafe {
-                let vg = _mm256_loadu_ps(g.as_ptr().add(at));
-                let vh = _mm256_loadu_ps(h.as_ptr().add(at));
-                // mul + sub, not FMA, as in the scalar `g − θ·h`.
-                let v = _mm256_sub_ps(vg, _mm256_mul_ps(vtheta, vh));
-                // Ordered compare: a NaN potential never fires.
-                let fire = _mm256_cmp_ps::<_CMP_GE_OQ>(v, vth);
-                if let Some(row) = vrow.as_deref_mut() {
-                    _mm256_storeu_ps(row.as_mut_ptr().add(at), v);
+        // SAFETY: each update reads and writes the 8 floats of carried
+        // trace `steps` points it at (the caller's contract).
+        unsafe {
+            match run.neuron {
+                Neuron::Adaptive { beta, theta, v_th } => {
+                    let (beta, theta, v_th) = (
+                        _mm256_set1_ps(beta),
+                        _mm256_set1_ps(theta),
+                        _mm256_set1_ps(v_th),
+                    );
+                    steps::<R>(run, r0, g, trace, fired, |g, hp| {
+                        let h = _mm256_loadu_ps(hp);
+                        // mul + sub, not FMA, as in the scalar `g − θ·h`.
+                        let v = _mm256_sub_ps(g, _mm256_mul_ps(theta, h));
+                        // Ordered compare: a NaN potential never fires.
+                        let fire = _mm256_cmp_ps::<_CMP_GE_OQ>(v, v_th);
+                        // The next step's trace: β·h, plus 1 where the
+                        // lane fired (the blend keeps the others' product
+                        // as it is).
+                        let bh = _mm256_mul_ps(beta, h);
+                        _mm256_storeu_ps(hp, _mm256_blendv_ps(bh, _mm256_add_ps(bh, one), fire));
+                        (v, fire)
+                    })
                 }
-                if let Some(row) = orow.as_deref_mut() {
-                    // All-ones lanes keep 1.0; the rest store +0.0.
-                    _mm256_storeu_ps(row.as_mut_ptr().add(at), _mm256_and_ps(fire, one));
-                }
-                let mut bits = _mm256_movemask_ps(fire) as u32;
-                while bits != 0 {
-                    fired.push(at + bits.trailing_zeros() as usize);
-                    bits &= bits - 1;
+                Neuron::HardReset { lambda, gain, v_th } => {
+                    let (lambda, gain, v_th) = (
+                        _mm256_set1_ps(lambda),
+                        _mm256_set1_ps(gain),
+                        _mm256_set1_ps(v_th),
+                    );
+                    steps::<R>(run, r0, g, trace, fired, |g, up| {
+                        let v = _mm256_add_ps(
+                            _mm256_mul_ps(lambda, _mm256_loadu_ps(up)),
+                            _mm256_mul_ps(gain, g),
+                        );
+                        let fire = _mm256_cmp_ps::<_CMP_GE_OQ>(v, v_th);
+                        // The hard reset: +0.0 where the lane fired.
+                        _mm256_storeu_ps(up, _mm256_andnot_ps(fire, v));
+                        (v, fire)
+                    })
                 }
             }
         }
-        let c0 = chunks * LANES;
-        portable::adaptive_membrane(
-            theta,
-            v_th,
-            &g[c0..],
-            &h[c0..],
-            vrow.map(|row| &mut row[c0..]),
-            orow.map(|row| &mut row[c0..]),
-            c0,
-            fired,
-        );
+    }
+
+    /// The step loop of [`regs`]: `update` turns one register of drive
+    /// and the 8 floats of carried trace it points at (read and written
+    /// in place) into the potential and the fire mask.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and the contract of [`regs`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn steps<const R: usize>(
+        run: &mut Run,
+        r0: usize,
+        g_carry: &mut [f32],
+        trace: &mut [f32],
+        fired: &mut [u64],
+        update: impl Fn(__m256, *mut f32) -> (__m256, __m256),
+    ) {
+        let stride = run.n_out;
+        let v_rec = run.v.as_deref_mut().map(|v| v[r0..].as_mut_ptr());
+        let o_rec = run.o.as_deref_mut().map(|o| o[r0..].as_mut_ptr());
+        let (run, tp) = (&*run, trace.as_mut_ptr());
+        let one = _mm256_set1_ps(1.0);
+        // SAFETY: the pointers cover 8·R floats of the carried state and,
+        // at `t·stride`, of each record row (the caller's contract).
+        unsafe {
+            let mut g = [_mm256_setzero_ps(); R];
+            for (k, r) in g.iter_mut().enumerate() {
+                *r = _mm256_loadu_ps(g_carry.as_ptr().add(k * LANES));
+            }
+            for (t, fired) in fired.iter_mut().enumerate() {
+                drive_step(&mut g, run, r0, t);
+                let mut bits = 0u64;
+                for (k, &gk) in g.iter().enumerate() {
+                    let (v, fire) = update(gk, tp.add(k * LANES));
+                    let at = t * stride + k * LANES;
+                    if let Some(p) = v_rec {
+                        _mm256_storeu_ps(p.add(at), v);
+                    }
+                    if let Some(p) = o_rec {
+                        // All-ones lanes keep 1.0; the rest store +0.0.
+                        _mm256_storeu_ps(p.add(at), _mm256_and_ps(fire, one));
+                    }
+                    bits |= lane_bits(fire) << (k * LANES);
+                }
+                *fired |= bits;
+            }
+            for (k, r) in g.iter().enumerate() {
+                _mm256_storeu_ps(g_carry.as_mut_ptr().add(k * LANES), *r);
+            }
+        }
+    }
+
+    /// One step's drive in `R` registers over rows `r0..r0 + 8·R`: the
+    /// leak `α·g` (`vmulps`, then a mask that clears it to `+0.0` when
+    /// `α = 0`) and one `vaddps` per event column, or a load of the
+    /// step's row.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and the contract of [`tile`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn drive_step<const R: usize>(g: &mut [__m256; R], run: &Run, r0: usize, t: usize) {
+        // SAFETY: every event is a column of `cols` and rows
+        // `r0..r0 + 8·R` lie inside `n_out` (the caller's contract).
+        unsafe {
+            match run.drive {
+                Drive::Events {
+                    alpha,
+                    cols,
+                    offsets,
+                    ids,
+                } => {
+                    let keep =
+                        _mm256_cmp_ps::<_CMP_NEQ_UQ>(_mm256_set1_ps(alpha), _mm256_setzero_ps());
+                    let alpha = _mm256_set1_ps(alpha);
+                    for r in g.iter_mut() {
+                        *r = _mm256_and_ps(_mm256_mul_ps(alpha, *r), keep);
+                    }
+                    for &c in &ids[offsets[t]..offsets[t + 1]] {
+                        let col = cols.as_ptr().add(c * run.n_out + r0);
+                        for (k, r) in g.iter_mut().enumerate() {
+                            *r = _mm256_add_ps(*r, _mm256_loadu_ps(col.add(k * LANES)));
+                        }
+                    }
+                }
+                Drive::Rows(rows) => {
+                    let row = rows.as_ptr().add(t * run.n_out + r0);
+                    for (k, r) in g.iter_mut().enumerate() {
+                        *r = _mm256_loadu_ps(row.add(k * LANES));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The fire bits of one register's lanes, lane `l` at bit `l`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn lane_bits(fire: __m256) -> u64 {
+        u64::from(_mm256_movemask_ps(fire) as u32)
     }
 
     /// One row tile of [`super::sparse_matmul_add`]: `acc.len() <= TILE`
@@ -1104,80 +1443,293 @@ mod tests {
         }
     }
 
-    #[test]
-    fn adaptive_membrane_lanes_match_scalar_loop_bitwise() {
-        let theta = 0.3f32;
-        let mut rng = Rng::seed_from(10);
-        for v_th in [0.4f32, 0.0] {
-            for len in LENS {
-                let mut g = vec_rng(len, &mut rng);
-                let mut h = vec_rng(len, &mut rng);
-                for i in 0..len {
-                    // Exact threshold hits, signed zeros, ±inf and NaN in
-                    // every lane position across the lengths.
-                    let (gi, hi) = match i % 10 {
-                        0 => (v_th, 0.0),
-                        1 => (0.0, 0.0),
-                        2 => (-0.0, 0.0),
-                        3 => (0.0, -0.0),
-                        4 => (f32::INFINITY, h[i]),
-                        5 => (f32::NEG_INFINITY, h[i]),
-                        6 => (g[i], f32::INFINITY),
-                        7 => (f32::NAN, h[i]),
-                        8 => (g[i], f32::NAN),
-                        _ => (g[i], h[i]),
-                    };
-                    (g[i], h[i]) = (gi, hi);
+    /// One [`tile_rollout`] problem: `n_out` neurons over `steps` steps
+    /// of events on `n_in` inputs (or of precomputed drive rows), from a
+    /// carried state with exact threshold hits, signed zeros, ±inf and
+    /// NaN in every lane position.
+    struct TileCase {
+        steps: usize,
+        n_out: usize,
+        cols: Vec<f32>,
+        offsets: Vec<usize>,
+        ids: Vec<usize>,
+        rows: Vec<f32>,
+        g: Vec<f32>,
+        trace: Vec<f32>,
+    }
+
+    /// What a rollout leaves: the carried state, both records and the
+    /// fire bits.
+    #[derive(Debug, PartialEq)]
+    struct TileOut {
+        g: Vec<u32>,
+        trace: Vec<u32>,
+        v: Vec<u32>,
+        o: Vec<u32>,
+        fired: Vec<u64>,
+    }
+
+    const TILE_WIDTHS: [usize; 8] = [1, 7, 8, 9, 63, 64, 65, 130];
+
+    fn tile_case(n_out: usize, steps: usize, v_th: f32, rng: &mut Rng) -> TileCase {
+        let n_in = 11;
+        let (mut offsets, mut ids) = (vec![0usize], Vec::new());
+        for _ in 0..steps {
+            ids.extend((0..n_in).filter(|_| rng.coin(0.3)));
+            offsets.push(ids.len());
+        }
+        let mut g = vec_rng(n_out, rng);
+        let mut trace: Vec<f32> = (0..n_out).map(|_| rng.uniform(0.0, 2.0)).collect();
+        for i in 0..n_out {
+            (g[i], trace[i]) = match i % 10 {
+                0 => (v_th, 0.0),
+                1 => (0.0, 0.0),
+                2 => (-0.0, 0.0),
+                3 => (0.0, -0.0),
+                4 => (f32::INFINITY, trace[i]),
+                5 => (f32::NEG_INFINITY, trace[i]),
+                6 => (g[i], f32::INFINITY),
+                7 => (f32::NAN, trace[i]),
+                8 => (g[i], f32::NAN),
+                _ => (g[i], trace[i]),
+            };
+        }
+        let mut rows = vec_rng(steps * n_out, rng);
+        for (i, x) in rows.iter_mut().enumerate() {
+            match i % 7 {
+                0 => *x = v_th,
+                1 => *x = -0.0,
+                _ => {}
+            }
+        }
+        TileCase {
+            steps,
+            n_out,
+            cols: vec_rng(n_in * n_out, rng),
+            offsets,
+            ids,
+            rows,
+            g,
+            trace,
+        }
+    }
+
+    fn to_bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|x| x.to_bits()).collect()
+    }
+
+    impl TileCase {
+        fn drive(&self, rows: bool, alpha: f32) -> Drive<'_> {
+            if rows {
+                Drive::Rows(&self.rows)
+            } else {
+                Drive::Events {
+                    alpha,
+                    cols: &self.cols,
+                    offsets: &self.offsets,
+                    ids: &self.ids,
                 }
-                let mut want_v = vec![0.0f32; len];
-                let mut want_o = vec![0.0f32; len];
-                let mut want = Vec::new();
-                for i in 0..len {
-                    want_v[i] = g[i] - theta * h[i];
-                    let fire = want_v[i] >= v_th;
-                    want_o[i] = if fire { 1.0 } else { 0.0 };
-                    if fire {
-                        want.push(i);
+            }
+        }
+
+        /// [`tile_rollout`] from this case's state; records not asked
+        /// for come back as the `9.0` they were filled with.
+        fn run(&self, neuron: Neuron, drive: Drive, records: (bool, bool)) -> TileOut {
+            let (g, trace) = (&mut self.g.clone(), &mut self.trace.clone());
+            let len = self.steps * self.n_out;
+            let (mut v, mut o) = (vec![9.0f32; len], vec![9.0f32; len]);
+            let mut fired = vec![u64::MAX; self.n_out.div_ceil(TILE) * self.steps];
+            let carry = Carry { drive: g, trace };
+            tile_rollout(
+                self.steps,
+                neuron,
+                drive,
+                carry,
+                records.0.then_some(v.as_mut_slice()),
+                records.1.then_some(o.as_mut_slice()),
+                &mut fired,
+            );
+            TileOut {
+                g: to_bits(g),
+                trace: to_bits(trace),
+                v: to_bits(&v),
+                o: to_bits(&o),
+                fired,
+            }
+        }
+
+        /// [`tile_rollout`] as its docs define it: one step at a time
+        /// over whole vectors, with both records.
+        fn reference(&self, neuron: Neuron, drive: Drive) -> TileOut {
+            let (steps, n) = (self.steps, self.n_out);
+            let (mut g, mut trace) = (self.g.clone(), self.trace.clone());
+            let (mut v, mut o) = (vec![0.0f32; steps * n], vec![0.0f32; steps * n]);
+            let mut fired = vec![0u64; n.div_ceil(TILE) * steps];
+            for t in 0..steps {
+                match drive {
+                    Drive::Rows(rows) => g.copy_from_slice(&rows[t * n..(t + 1) * n]),
+                    Drive::Events {
+                        alpha,
+                        cols,
+                        offsets,
+                        ids,
+                    } => {
+                        for x in g.iter_mut() {
+                            *x = if alpha == 0.0 { 0.0 } else { alpha * *x };
+                        }
+                        for &c in &ids[offsets[t]..offsets[t + 1]] {
+                            for i in 0..n {
+                                g[i] += cols[c * n + i];
+                            }
+                        }
                     }
                 }
-                for force in [false, true] {
-                    for (with_v, with_o) in
-                        [(true, true), (true, false), (false, true), (false, false)]
-                    {
-                        let (mut v, mut o) = (vec![9.0f32; len], vec![9.0f32; len]);
-                        let mut got = vec![len + 1]; // must be cleared
-                        set_force_scalar(force);
-                        fused_adaptive_membrane(
-                            theta,
-                            v_th,
-                            &g,
-                            &h,
-                            with_v.then_some(v.as_mut_slice()),
-                            with_o.then_some(o.as_mut_slice()),
-                            &mut got,
-                        );
-                        set_force_scalar(false);
-                        let case = format!(
-                            "v_th {v_th}, len {len}, scalar {force}, rows {with_v}/{with_o}"
-                        );
-                        assert_eq!(got, want, "fired, {case}");
-                        let bits = |a: &[f32], b: &[f32]| {
-                            a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-                        };
-                        if with_v {
-                            assert!(bits(&v, &want_v), "v row, {case}");
-                        } else {
-                            assert!(v.iter().all(|&x| x == 9.0), "untouched v row, {case}");
+                for i in 0..n {
+                    let (vi, fire) = match neuron {
+                        Neuron::Adaptive { beta, theta, v_th } => {
+                            let vi = g[i] - theta * trace[i];
+                            trace[i] *= beta;
+                            if vi >= v_th {
+                                trace[i] += 1.0;
+                            }
+                            (vi, vi >= v_th)
                         }
-                        if with_o {
-                            assert!(bits(&o, &want_o), "o row, {case}");
-                        } else {
-                            assert!(o.iter().all(|&x| x == 9.0), "untouched o row, {case}");
+                        Neuron::HardReset { lambda, gain, v_th } => {
+                            let vi = lambda * trace[i] + gain * g[i];
+                            let fire = vi >= v_th;
+                            trace[i] = if fire { 0.0 } else { vi };
+                            (vi, fire)
+                        }
+                    };
+                    v[t * n + i] = vi;
+                    o[t * n + i] = if fire { 1.0 } else { 0.0 };
+                    if fire {
+                        fired[i / TILE * steps + t] |= 1 << (i % TILE);
+                    }
+                }
+            }
+            TileOut {
+                g: to_bits(&g),
+                trace: to_bits(&trace),
+                v: to_bits(&v),
+                o: to_bits(&o),
+                fired,
+            }
+        }
+    }
+
+    /// Every width, drive source and record combination of one neuron
+    /// kind against the step-at-a-time reference, on both paths.
+    fn tile_matches_step_reference(neuron: impl Fn(f32) -> Neuron, seed: u64) {
+        let mut rng = Rng::seed_from(seed);
+        for n_out in TILE_WIDTHS {
+            for v_th in [0.4f32, 0.0] {
+                let case = tile_case(n_out, 13, v_th, &mut rng);
+                let neuron = neuron(v_th);
+                for (rows, alpha) in [(false, 0.37f32), (false, 0.0), (false, 1.0), (true, 0.0)] {
+                    let drive = case.drive(rows, alpha);
+                    let want = case.reference(neuron, drive);
+                    for force in [false, true] {
+                        for records in [(true, true), (true, false), (false, true), (false, false)]
+                        {
+                            set_force_scalar(force);
+                            let got = case.run(neuron, drive, records);
+                            set_force_scalar(false);
+                            let at = format!(
+                                "{neuron:?}, n_out {n_out}, rows {rows}, alpha {alpha}, \
+                                 scalar {force}, records {records:?}"
+                            );
+                            let nine = to_bits(&vec![9.0; case.steps * n_out]);
+                            assert_eq!(got.g, want.g, "drive, {at}");
+                            assert_eq!(got.trace, want.trace, "trace, {at}");
+                            assert_eq!(got.fired, want.fired, "fire bits, {at}");
+                            assert_eq!(&got.v, if records.0 { &want.v } else { &nine }, "v, {at}");
+                            assert_eq!(&got.o, if records.1 { &want.o } else { &nine }, "o, {at}");
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn adaptive_tile_matches_step_reference_bitwise() {
+        tile_matches_step_reference(
+            |v_th| Neuron::Adaptive {
+                beta: 0.8,
+                theta: 0.3,
+                v_th,
+            },
+            10,
+        );
+    }
+
+    #[test]
+    fn hard_reset_tile_matches_step_reference_bitwise() {
+        tile_matches_step_reference(
+            |v_th| Neuron::HardReset {
+                lambda: 0.9,
+                gain: 0.25,
+                v_th,
+            },
+            11,
+        );
+    }
+
+    #[test]
+    fn tile_kernels_avx2_match_portable_bitwise() {
+        if !simd_enabled() {
+            return; // nothing to cross-check on this host
+        }
+        let mut rng = Rng::seed_from(12);
+        for n_out in TILE_WIDTHS {
+            let case = tile_case(n_out, 17, 0.4, &mut rng);
+            for neuron in [
+                Neuron::Adaptive {
+                    beta: 0.8,
+                    theta: 0.3,
+                    v_th: 0.4,
+                },
+                Neuron::HardReset {
+                    lambda: 0.9,
+                    gain: 0.25,
+                    v_th: 0.4,
+                },
+            ] {
+                for (rows, alpha) in [(false, 0.37f32), (false, 0.0), (false, 1.0), (true, 0.0)] {
+                    let drive = case.drive(rows, alpha);
+                    let lanes = case.run(neuron, drive, (true, true));
+                    set_force_scalar(true);
+                    let portable = case.run(neuron, drive, (true, true));
+                    set_force_scalar(false);
+                    assert_eq!(
+                        lanes, portable,
+                        "{neuron:?}, n_out {n_out}, rows {rows}, alpha {alpha}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "event out of range")]
+    fn tile_rollout_rejects_an_event_outside_cols() {
+        let carry = Carry {
+            drive: &mut [0.0; 3],
+            trace: &mut [0.0; 3],
+        };
+        let neuron = Neuron::HardReset {
+            lambda: 0.5,
+            gain: 1.0,
+            v_th: 1.0,
+        };
+        let drive = Drive::Events {
+            alpha: 0.0,
+            cols: &[0.0; 6],
+            offsets: &[0, 1],
+            ids: &[2],
+        };
+        tile_rollout(1, neuron, drive, carry, None, None, &mut [0]);
     }
 
     /// [`sparse_matmul_add`] as its docs define it: each term in row

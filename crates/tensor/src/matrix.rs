@@ -347,6 +347,17 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Reshapes in place to `rows × cols` for a caller that writes
+    /// every element before reading any: unlike
+    /// [`resize_zeroed`](Self::resize_zeroed), the entries the buffer
+    /// already held keep their stale values (only growth is zero-filled),
+    /// which saves a pass over the matrix.
+    pub fn resize_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Matrix–matrix product `C = A B`.
     ///
     /// # Errors
@@ -472,6 +483,20 @@ impl IndexMut<(usize, usize)> for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn resize_for_overwrite_keeps_the_buffer_and_zero_fills_growth() {
+        let mut m = Matrix::full(2, 3, 7.0);
+        let buffer = m.as_slice().as_ptr();
+        m.resize_for_overwrite(3, 2);
+        assert_eq!(m.shape(), (3, 2));
+        assert_eq!(m.as_slice(), &[7.0; 6]);
+        assert_eq!(m.as_slice().as_ptr(), buffer, "same buffer");
+        m.resize_for_overwrite(2, 4);
+        assert_eq!(m.as_slice(), &[7.0, 7.0, 7.0, 7.0, 7.0, 7.0, 0.0, 0.0]);
+        m.resize_for_overwrite(1, 1);
+        assert_eq!(m.as_slice(), &[7.0]);
+    }
 
     #[test]
     fn zeros_and_shape() {

@@ -9,16 +9,19 @@
 //!   densities (the headline: ≥3× at 5% density),
 //! * the inference rollout (warm `Session::infer`, which writes only the
 //!   output-spike records) vs. the record-writing forward at the same
-//!   densities (gated at 5%: `--min-infer-speedup`, default 1.1),
+//!   densities (gated at 5% on the median of alternating rounds:
+//!   `--min-infer-speedup`, default 1.1),
 //! * the lane-dispatch sweep: the same `matvec` and 5%-density forward
 //!   with the runtime SIMD dispatch pinned to the portable scalar
 //!   fallback (bitwise-identical outputs; pure speed comparison),
-//! * dense vs. **event-driven BPTT backward** at the same densities
-//!   (the training headline: ≥2× at 5% density), plus a loss-vs-ε
-//!   accuracy sweep across every [`SparsityPolicy`],
+//! * dense vs. **event-driven BPTT backward** on the paper's
+//!   700-400-400-20 network over synthetic SHD samples (the training
+//!   headline: ≥2×), plus a loss-vs-ε accuracy sweep across every
+//!   [`SparsityPolicy`],
 //! * the two BPTT weight products at paper width (400×700 and 400×400,
-//!   T = 100, ~0.8 event density), per-step loop vs one sparse product
-//!   per sequence (gated: the sequence product must never lose),
+//!   T = 100): `dW` per step over the dense trace vs over the input
+//!   events (gated ≥5×), and the input adjoint per step vs one sparse
+//!   product per sequence over ~0.8-dense error events (gated ≥1×),
 //! * epoch wall-clock scaling at 1/2/4 trainer threads.
 //!
 //! The report's notes record where it ran: host, OS, architecture,
@@ -28,16 +31,21 @@
 //! Usage: `cargo run --release --bin bench_kernels
 //!         [-- --out PATH --min-backward-speedup X --min-infer-speedup Y]`
 
-use bench::timing::Report;
+use bench::timing::{self, median, Measurement, Report};
 use bench::Args;
 use snn_core::engine::Engine;
 use snn_core::train::{backward_into, backward_sparse_into, ClassificationLoss, SparsityPolicy};
 use snn_core::train::{Gradients, Optimizer, RateCrossEntropy, Trainer, TrainerConfig};
 use snn_core::{Forward, Network, NeuronKind, ScratchSpace, SpikeRaster};
-use snn_neuron::NeuronParams;
-use snn_tensor::lanes::{self, SparseRows};
+use snn_data::shd::{self, ShdConfig};
+use snn_neuron::{NeuronParams, Surrogate};
+use snn_tensor::lanes::{self, ChannelEvents};
 use snn_tensor::{kernels, GradRaster, Matrix, Rng};
 use std::hint::black_box;
+use std::time::Instant;
+
+/// Alternating rounds behind each median-gated ratio.
+const ROUNDS: usize = 5;
 
 fn random_raster(steps: usize, channels: usize, density: f32, seed: u64) -> SpikeRaster {
     let mut rng = Rng::seed_from(seed);
@@ -152,12 +160,43 @@ fn main() {
     report.metric("forward_sparse_5pct_baseline_ratio", 145_000.0 / sparse);
     // Inference writes only the output-spike records, and the
     // event-driven step then skips the input-trace update that only the
-    // `pre` record reads; gated after the report is written.
-    let infer = report
-        .get("forward_256x256x10_T100/infer_5pct")
-        .expect("infer measured")
-        .ns_per_iter;
-    let infer_speedup = sparse / infer;
+    // `pre` record reads. The rows above are one timing each, and a
+    // noisy neighbour moves one without the other, so the gated ratio
+    // is the median over alternating rounds that time both forwards on
+    // the 5% input.
+    let infer_rounds: Vec<f64> = {
+        let input = random_raster(t_steps, 256, 0.05, 8);
+        let mut fwd = Forward::empty();
+        let mut scratch = ScratchSpace::new();
+        let mut record = || {
+            timing::bench("record", || {
+                net.forward_into(black_box(&input), &mut fwd, &mut scratch);
+                black_box(&fwd);
+            })
+            .ns_per_iter
+        };
+        let mut infer = || {
+            timing::bench("infer", || {
+                black_box(session.infer(black_box(&input)));
+            })
+            .ns_per_iter
+        };
+        (0..ROUNDS)
+            .map(|round| {
+                // Each forward goes first in every other round.
+                let (rec, inf) = if round % 2 == 0 {
+                    let rec = record();
+                    (rec, infer())
+                } else {
+                    let inf = infer();
+                    (record(), inf)
+                };
+                rec / inf
+            })
+            .collect()
+    };
+    println!("inference vs record-writing forward per round: {infer_rounds:.3?}");
+    let infer_speedup = median(&infer_rounds);
     report.metric("forward_infer_speedup_5pct", infer_speedup);
 
     // --- Lane dispatch: forced-scalar fallback vs lane path ------------
@@ -201,87 +240,127 @@ fn main() {
     report.metric("lane_speedup_matvec", scalar_matvec / lane_matvec);
     report.metric("lane_speedup_forward_5pct", scalar_fwd / lane_fwd);
 
-    // --- BPTT: dense vs event-driven backward --------------------------
-    // The thresholded policy the sweep below shows is accuracy-neutral
-    // (1e-3 is ~1% of a typical rate-cross-entropy loss gradient).
+    // --- BPTT: dense vs event-driven backward at paper width ----------
+    // The paper's 700-400-400-20 network over synthetic SHD samples
+    // (T = 100, ~2.7% input density), the dense per-step backward vs the
+    // event-driven pass under a threshold the sweep below shows is
+    // accuracy-neutral (1e-3 is ~1% of a typical rate-cross-entropy loss
+    // gradient). Both form `dW` over the input events, so the gap is
+    // what pruning skips of the input adjoint `P = DV·W` of layers 1 and
+    // 2. Each sample's forward runs untimed before its two backwards;
+    // a row is the best of ROUNDS rounds over the samples, per sample.
     let bench_policy = SparsityPolicy::Thresholded(1e-3);
-    let mut backward_speedup_at_5pct = 0.0f64;
-    for density_pct in [1usize, 5, 20] {
-        let input = random_raster(
-            t_steps,
-            256,
-            density_pct as f32 / 100.0,
-            11 + density_pct as u64,
-        );
+    let shd = shd::generate(&ShdConfig::paper(), 5);
+    let samples: Vec<&(SpikeRaster, usize)> = shd
+        .samples
+        .iter()
+        .step_by(shd.samples.len() / 64)
+        .take(64)
+        .collect();
+    let paper_net = {
+        let mut rng = Rng::seed_from(9);
+        Network::mlp(
+            &[700, 400, 400, 20],
+            NeuronKind::Adaptive,
+            NeuronParams::paper_defaults(),
+            &mut rng,
+        )
+    };
+    let label = "bptt_shd_700x400x400x20_T100";
+    let (mut dense_us, mut sparse_us) = (Vec::new(), Vec::new());
+    let (mut kept, mut examined) = (0usize, 0usize);
+    {
         let mut fwd = Forward::empty();
         let mut scratch = ScratchSpace::new();
-        net.forward_into(&input, &mut fwd, &mut scratch);
-        let (_, d_out) = RateCrossEntropy.loss_and_grad(fwd.output(), 3);
-        let mut grads = Gradients::zeros_like(&net);
-        let dense_m = report.run(
-            &format!("bptt_256x256x10_T100/backward_dense_{density_pct}pct"),
-            || {
+        let mut grads = Gradients::zeros_like(&paper_net);
+        let mut d_out = Matrix::zeros(0, 0);
+        let sur = Surrogate::paper_default();
+        for _ in 0..ROUNDS {
+            let (mut dense_s, mut sparse_s) = (0.0, 0.0);
+            for (input, class) in &samples {
+                paper_net.forward_into(input, &mut fwd, &mut scratch);
+                RateCrossEntropy.loss_and_grad_into(fwd.output(), *class, &mut d_out);
                 grads.reset();
-                backward_into(
-                    &net,
-                    &fwd,
-                    &d_out,
-                    snn_neuron::Surrogate::paper_default(),
-                    &mut grads,
-                    &mut scratch,
-                );
+                let start = Instant::now();
+                backward_into(&paper_net, &fwd, &d_out, sur, &mut grads, &mut scratch);
+                dense_s += start.elapsed().as_secs_f64();
                 black_box(&grads);
-            },
-        );
-        let dense_ns = dense_m.ns_per_iter;
-        let sparse_m = report.run(
-            &format!("bptt_256x256x10_T100/backward_sparse_{density_pct}pct"),
-            || {
                 grads.reset();
+                let start = Instant::now();
                 backward_sparse_into(
-                    &net,
+                    &paper_net,
                     &fwd,
                     &d_out,
-                    snn_neuron::Surrogate::paper_default(),
+                    sur,
                     bench_policy,
                     &mut grads,
                     &mut scratch,
                 );
+                sparse_s += start.elapsed().as_secs_f64();
                 black_box(&grads);
-            },
-        );
-        let speedup = dense_ns / sparse_m.ns_per_iter;
-        report.metric(
-            &format!("backward_speedup_at_{density_pct}pct_density"),
-            speedup,
-        );
-        report.metric(
-            &format!("backward_event_density_at_{density_pct}pct"),
-            scratch.backward_events().density(),
-        );
-        if density_pct == 5 {
-            backward_speedup_at_5pct = speedup;
+                kept += scratch.backward_events().nnz();
+                examined += scratch.backward_events().candidates();
+            }
+            dense_us.push(dense_s * 1e6 / samples.len() as f64);
+            sparse_us.push(sparse_s * 1e6 / samples.len() as f64);
         }
     }
+    let rounds_row = |name: &str, us: &[f64]| {
+        let mut sorted = us.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        Measurement {
+            name: format!("{label}/{name}"),
+            ns_per_iter: sorted[0] * 1e3,
+            iters: samples.len() as u64,
+            p50_ns: median(us) * 1e3,
+            p99_ns: sorted[sorted.len() - 1] * 1e3,
+            samples: us.len() as u32,
+        }
+    };
+    let dense_ns = report
+        .record(rounds_row("backward_dense", &dense_us))
+        .ns_per_iter;
+    let sparse_ns = report
+        .record(rounds_row("backward_sparse_eps1e-3", &sparse_us))
+        .ns_per_iter;
+    let backward_speedup = dense_ns / sparse_ns;
+    report.metric("backward_speedup_shd_700x400x400x20", backward_speedup);
+    report.metric(
+        "backward_event_density_shd_700x400x400x20",
+        kept as f64 / examined.max(1) as f64,
+    );
 
-    // --- BPTT weight products: per step vs once per sequence ----------
-    // The two products of an adaptive layer's event-driven backward at
-    // paper width (T = 100, 400 neurons over 700 or 400 inputs), on
-    // synthetic adjoints at the ~0.8 event density `Auto` keeps on SHD:
-    // `dW += DVᵀ·K` and `P = DV·W`, first as the per-step rank-1 /
-    // `Wᵀ·dv` loop of the dense reference, then as one sparse product
-    // over the recorded events. Both give the same bits (asserted
-    // here); the sparse product must never lose (gated after the report
-    // is written, floor 1.0 like the fused kernel).
+    // --- BPTT weight products at paper width ----------------------------
+    // The two products of an adaptive layer's backward at paper width
+    // (T = 100, 400 neurons over 700 or 400 inputs), on a binary input
+    // raster at SHD's ~2.7% density and synthetic adjoints at the ~0.8
+    // event density `Auto` keeps on SHD.
+    // * `dW`: the per-step rank-1 loop `dW += dv[t] ⊗ k[t]` over the
+    //   dense synapse trace `k[t] = α·k[t−1] + x[t]`, against the event
+    //   form the backward runs: the reverse filter `e[t] = dv[t] +
+    //   α·e[t+1]`, the raster regrouped by channel, and one add of
+    //   `e[s]` into column `c` per input spike `(s, c)`. The sum is
+    //   reassociated, so the two agree to a relative Frobenius
+    //   difference of 1e-6 (asserted here), not bit for bit; the event
+    //   form is gated at ≥5×.
+    // * `P = DV·W`: the per-step `Wᵀ·dv` loop against one sparse
+    //   product over the recorded error events, bit for bit (asserted
+    //   here), gated at ≥1×.
+    const DW_EVENTS_FLOOR: f64 = 5.0;
+    let alpha = NeuronParams::paper_defaults().synapse_decay();
     let mut product_ratios = Vec::new();
     for (n_out, n_in) in [(400usize, 700usize), (400, 400)] {
         let mut rng = Rng::seed_from(31 + n_in as u64);
         let w = Matrix::xavier_uniform(n_out, n_in, &mut rng);
-        let k = Matrix::from_vec(
-            t_steps,
-            n_in,
-            (0..t_steps * n_in).map(|_| rng.uniform(0.0, 2.0)).collect(),
-        );
+        let (mut offsets, mut ids) = (vec![0usize], Vec::new());
+        let mut k = Matrix::zeros(t_steps, n_in);
+        let mut trace = vec![0.0f32; n_in];
+        for t in 0..t_steps {
+            ids.extend((0..n_in).filter(|_| rng.coin(0.027)));
+            offsets.push(ids.len());
+            kernels::decay_add_unit(alpha, &mut trace, &ids[offsets[t]..]);
+            k.row_mut(t).copy_from_slice(&trace);
+        }
         // Events recorded as BPTT records them: t descending.
         let mut dv = Matrix::zeros(t_steps, n_out);
         let mut events = GradRaster::new();
@@ -296,24 +375,11 @@ fn main() {
             events.push_step_pruned(dv.row_mut(t), 0.0);
         }
         let steps = events.rows(0..t_steps);
-        let (mut offsets, mut times, mut values) = (vec![0usize], Vec::new(), Vec::new());
-        for r in 0..n_out {
-            for t in (0..t_steps).rev() {
-                if dv.row(t)[r] != 0.0 {
-                    times.push(t);
-                    values.push(dv.row(t)[r]);
-                }
-            }
-            offsets.push(times.len());
-        }
-        let by_neuron = SparseRows {
-            offsets: &offsets,
-            idx: &times,
-            coef: &values,
-        };
         let label = format!("bptt_products_{n_out}x{n_in}_T{t_steps}");
-        let (mut dw_step, mut dw_seq) = (Matrix::zeros(n_out, n_in), Matrix::zeros(n_out, n_in));
+        let (mut dw_step, mut dw_events) = (Matrix::zeros(n_out, n_in), Matrix::zeros(n_out, n_in));
         let (mut p_step, mut p_seq) = (Matrix::zeros(t_steps, n_in), Matrix::zeros(t_steps, n_in));
+        let (mut e, mut e_next) = (Matrix::zeros(t_steps, n_out), vec![0.0f32; n_out]);
+        let mut by_channel = ChannelEvents::default();
         let mut pack = Vec::new();
         let dw_step_ns = report
             .run(&format!("{label}/dw_per_step"), || {
@@ -324,17 +390,16 @@ fn main() {
                 black_box(&dw_step);
             })
             .ns_per_iter;
-        let dw_seq_ns = report
-            .run(&format!("{label}/dw_sequence"), || {
-                dw_seq.fill_zero();
-                lanes::sparse_matmul_add(
-                    dw_seq.as_mut_slice(),
-                    n_in,
-                    &by_neuron,
-                    k.as_slice(),
-                    &mut pack,
-                );
-                black_box(&dw_seq);
+        let dw_events_ns = report
+            .run(&format!("{label}/dw_events"), || {
+                dw_events.fill_zero();
+                e_next.fill(0.0);
+                for t in (0..t_steps).rev() {
+                    kernels::carry_decay_out(alpha, dv.row(t), &mut e_next, e.row_mut(t));
+                }
+                by_channel.regroup(n_in, &offsets, &ids);
+                lanes::add_event_columns(dw_events.as_mut_slice(), e.as_slice(), &by_channel);
+                black_box(&dw_events);
             })
             .ns_per_iter;
         let p_step_ns = report
@@ -358,7 +423,13 @@ fn main() {
                 black_box(&p_seq);
             })
             .ns_per_iter;
-        assert_eq!(dw_step, dw_seq, "{label}: dW products differ");
+        let mut diff = dw_events.clone();
+        diff.add_scaled(-1.0, &dw_step);
+        let relative = diff.frobenius_norm() / dw_step.frobenius_norm();
+        assert!(
+            relative <= 1e-6,
+            "{label}: event-form dW differs from the per-step dW by {relative:e} (relative Frobenius)"
+        );
         for t in 0..t_steps {
             // The raster's row k is timestep T−1−k.
             assert_eq!(
@@ -367,12 +438,20 @@ fn main() {
                 "{label}: P row {t}"
             );
         }
-        for (name, ratio) in [("dw", dw_step_ns / dw_seq_ns), ("p", p_step_ns / p_seq_ns)] {
-            report.metric(
-                &format!("sequence_vs_step_speedup_{name}_{n_out}x{n_in}"),
-                ratio,
-            );
-            product_ratios.push((format!("{name} {n_out}x{n_in}"), ratio));
+        report.metric(
+            &format!("dw_events_relative_difference_{n_out}x{n_in}"),
+            relative as f64,
+        );
+        for (name, ratio, floor) in [
+            (
+                "events_vs_step_speedup_dw",
+                dw_step_ns / dw_events_ns,
+                DW_EVENTS_FLOOR,
+            ),
+            ("sequence_vs_step_speedup_p", p_step_ns / p_seq_ns, 1.0),
+        ] {
+            report.metric(&format!("{name}_{n_out}x{n_in}"), ratio);
+            product_ratios.push((format!("{name}_{n_out}x{n_in}"), ratio, floor));
         }
     }
 
@@ -487,47 +566,46 @@ fn main() {
     println!("OK: forward speedup at 5% density = {speedup:.2}x (target >=3x)");
 
     // Inference acceptance: the record-free session pass must beat the
-    // record-writing forward at 5% density. Both rows share the event
-    // accumulation, and a noisy neighbour moves them apart: the ratio
-    // read 1.29-1.96 across five runs of one build on a 2-vCPU AVX2
-    // host. The default floor sits below that range, and CI passes 1.0
-    // to tolerate noisy shared runners.
+    // record-writing forward at 5% density, on the median of the
+    // alternating rounds (one slow round no longer decides it). CI
+    // passes 1.0 to tolerate noisy shared runners.
     assert!(
         infer_speedup >= min_infer,
         "inference rollout must be >={min_infer:.2}x the record-writing forward at 5% density, \
-         measured {infer_speedup:.2}x"
+         measured {infer_speedup:.2}x (median of {ROUNDS} rounds: {infer_rounds:.3?})"
     );
     println!("OK: inference vs record-writing forward at 5% density = {infer_speedup:.2}x (target >={min_infer:.2}x)");
 
-    // Product acceptance: each sequence-blocked BPTT product must never
-    // lose to its per-step loop (same arithmetic, so a loss would be a
-    // pure blocking regression).
-    for (name, ratio) in &product_ratios {
+    // Product acceptance: the event-form `dW` must be ≥5× its per-step
+    // loop (a fixed floor: the saving is in the arithmetic, not in the
+    // host), and the sequence-blocked `P` must never lose to its
+    // per-step loop (same arithmetic, so a loss would be a pure
+    // blocking regression).
+    for (name, ratio, floor) in &product_ratios {
         assert!(
-            *ratio >= 1.0,
-            "sequence-blocked BPTT product {name} must be >=1.0x the per-step loop, \
-             measured {ratio:.2}x"
+            ratio >= floor,
+            "BPTT product {name} must be >={floor:.1}x, measured {ratio:.2}x"
         );
     }
     println!(
-        "OK: sequence vs per-step BPTT products = {} (target >=1.0x)",
+        "OK: BPTT products {}",
         product_ratios
             .iter()
-            .map(|(n, r)| format!("{r:.2}x {n}"))
+            .map(|(n, r, f)| format!("{n} = {r:.2}x (target >={f:.1}x)"))
             .collect::<Vec<_>>()
             .join(", ")
     );
 
-    // Backward acceptance: ≥2x at 5% density by default; CI passes a
+    // Backward acceptance: ≥2x at paper width by default; CI passes a
     // floor of 1.0 to tolerate noisy shared runners (the committed
     // BENCH_kernels.json records the full margin).
     assert!(
-        backward_speedup_at_5pct >= min_backward,
-        "event-driven backward must be >={min_backward:.1}x the dense backward at 5% density, \
-         measured {backward_speedup_at_5pct:.2}x"
+        backward_speedup >= min_backward,
+        "event-driven backward must be >={min_backward:.1}x the dense backward on the \
+         700-400-400-20 SHD network, measured {backward_speedup:.2}x"
     );
     println!(
-        "OK: backward speedup at 5% density = {backward_speedup_at_5pct:.2}x \
+        "OK: backward speedup on the 700-400-400-20 SHD network = {backward_speedup:.2}x \
          (target >={min_backward:.1}x)"
     );
 

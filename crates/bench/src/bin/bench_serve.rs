@@ -61,7 +61,7 @@
 //! [--fault-seed N] [--panic-rate P] [--latency-rate P]
 //! [--inject-latency-ms MS] [--corrupt-rate P]`
 
-use bench::timing::Report;
+use bench::timing::{median, Report};
 use bench::Args;
 use snn_core::{Network, NeuronKind, SpikeRaster};
 use snn_data::shd::{self, ShdConfig};
@@ -322,12 +322,6 @@ fn soak_phase(
     }
 }
 
-fn median(xs: &[f64]) -> f64 {
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    sorted[sorted.len() / 2]
-}
-
 fn percentile(sorted_us: &[u64], q: f64) -> u64 {
     if sorted_us.is_empty() {
         return 0;
@@ -414,11 +408,7 @@ fn decode_medians(rounds: usize) -> (f64, f64) {
             tree_us.push(time(&tree));
         }
     }
-    let median = |mut xs: Vec<f64>| {
-        xs.sort_by(f64::total_cmp);
-        xs[xs.len() / 2]
-    };
-    (median(tree_us), median(one_pass_us))
+    (median(&tree_us), median(&one_pass_us))
 }
 
 fn main() {

@@ -79,6 +79,18 @@ pub fn bench_with<F: FnMut()>(name: &str, budget_ms: f64, samples: u32, mut f: F
     }
 }
 
+/// The middle value of `xs` (the upper one of an even count), for
+/// gates that read the median of alternating rounds.
+///
+/// # Panics
+///
+/// Panics if `xs` is empty.
+pub fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
+}
+
 /// Nearest-rank percentile over an ascending-sorted slice.
 fn percentile(sorted: &[f64], pct: f64) -> f64 {
     if sorted.is_empty() {
@@ -110,7 +122,13 @@ impl Report {
 
     /// Runs a benchmark, prints a one-line summary, and records it.
     pub fn run<F: FnMut()>(&mut self, name: &str, f: F) -> &Measurement {
-        let m = bench(name, f);
+        self.record(bench(name, f))
+    }
+
+    /// Records a measurement the caller timed itself (a loop with
+    /// untimed work between iterations, which [`bench()`] cannot express)
+    /// and prints its one-line summary.
+    pub fn record(&mut self, m: Measurement) -> &Measurement {
         println!("{:<44} {:>12.0} ns/iter", m.name, m.ns_per_iter);
         self.measurements.push(m);
         self.measurements.last().expect("just pushed")
@@ -206,6 +224,13 @@ mod tests {
         assert_eq!(m.samples, 2);
         assert!(m.p50_ns >= m.ns_per_iter);
         assert!(m.p99_ns >= m.p50_ns);
+    }
+
+    #[test]
+    fn median_takes_the_middle_of_any_order() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 3.0);
+        assert_eq!(median(&[5.0]), 5.0);
     }
 
     #[test]

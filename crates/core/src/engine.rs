@@ -184,9 +184,9 @@ impl Engine {
     /// Runs one input through the backend into caller-owned buffers (the
     /// inference rollout behind every [`Session`] call).
     ///
-    /// An inference pass fills only each layer's `o` record; `pre` and
-    /// `v` stay empty. BPTT needs all three: train from
-    /// [`Network::forward_into`] instead.
+    /// An inference pass fills only each layer's `o` record; `pre`, `v`
+    /// and the input rasters stay empty. BPTT needs `v`, `o` and the
+    /// rasters: train from [`Network::forward_into`] instead.
     ///
     /// # Panics
     ///

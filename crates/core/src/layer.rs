@@ -50,8 +50,9 @@ impl NeuronKind {
 ///
 /// A training rollout ([`Network::forward_into`](crate::Network::forward_into),
 /// [`Network::forward_dense_reference`](crate::Network::forward_dense_reference))
-/// fills all three matrices, `T × width` each (row per timestep):
-/// everything BPTT needs. An inference pass (every
+/// fills all three matrices, `T × width` each (row per timestep); BPTT
+/// reads `v` and `o`, with the input rasters the
+/// [`Forward`](crate::Forward) keeps. An inference pass (every
 /// [`Session`](crate::engine::Session) call and
 /// [`Engine::forward_into`](crate::engine::Engine::forward_into)) fills
 /// only `o`, and leaves `pre` and `v` empty (`0 × 0`).

@@ -48,29 +48,33 @@ fn note_layer_density(l: usize, fired: &SpikeRaster) -> u64 {
     snn_obs::pack_density_payload(fired.steps(), ppm)
 }
 
-/// Forward pass result: one [`LayerRecord`] per layer, bottom to top.
+/// Forward pass result: one [`LayerRecord`] per layer, bottom to top,
+/// and each layer's input raster.
 ///
 /// [`Network::forward`], [`Network::forward_into`] and
 /// [`Network::forward_dense_reference`] fill every record's `pre`, `v`
-/// and `o` (what BPTT reads). An inference pass — every
+/// and `o`, and keep the raster each layer read: the network input for
+/// the first, the spikes of the layer below for the rest. BPTT reads
+/// `v`, `o` and the rasters. An inference pass — every
 /// [`Session`](crate::engine::Session) call and
 /// [`Engine::forward_into`](crate::engine::Engine::forward_into) — fills
-/// only each layer's `o` and leaves `pre` and `v` empty; [`output`](Self::output),
-/// the spike counts and the output raster read `o` alone, so they are
-/// the same either way.
+/// only each layer's `o` and leaves `pre`, `v` and the rasters empty;
+/// [`output`](Self::output), the spike counts and the output raster read
+/// `o` alone, so they are the same either way.
 #[derive(Debug, Clone, Default)]
 pub struct Forward {
     /// Per-layer caches, `records[0]` is the first hidden layer.
     pub records: Vec<LayerRecord>,
+    /// `inputs[l]` is the raster layer `l` read, refilled in place by
+    /// each record-writing rollout; empty after an inference pass.
+    pub(crate) inputs: Vec<SpikeRaster>,
 }
 
 impl Forward {
     /// An empty pass, ready to be filled by
     /// [`Network::forward_into`] (reusable across samples).
     pub fn empty() -> Self {
-        Self {
-            records: Vec::new(),
-        }
+        Self::default()
     }
 
     /// The output layer's spike matrix (`T × n_classes`/`T × n_out`).
@@ -289,7 +293,8 @@ impl Network {
 
     /// Zeroes every layer's state, sizes the records (all three matrices
     /// when `full`, else `o` alone; the rollout writes every element),
-    /// then runs the layers over the input.
+    /// then runs the layers over the input. When `full`, each layer's
+    /// input raster is copied into `fwd.inputs`, reusing its buffers.
     fn rollout_records(
         &self,
         backend: Backend,
@@ -313,6 +318,16 @@ impl Network {
             rec.resize_for_rollout(t_steps, layer.n_in(), layer.n_out(), full);
         }
         self.run_layers(backend, input, scratch, Some(&mut fwd.records));
+        if full {
+            let below = std::iter::once(input).chain(&scratch.spikes);
+            fwd.inputs
+                .resize_with(self.layers.len(), SpikeRaster::default);
+            for (kept, raster) in fwd.inputs.iter_mut().zip(below) {
+                kept.clone_from(raster);
+            }
+        } else {
+            fwd.inputs.clear();
+        }
     }
 
     /// Runs every layer over `input`, from the state carried in
@@ -392,6 +407,45 @@ mod tests {
                 assert!((a - b).abs() < 1e-5);
             }
         }
+    }
+
+    #[test]
+    fn record_writing_rollouts_keep_each_layers_input_raster() {
+        let mut rng = Rng::seed_from(11);
+        let params = NeuronParams::paper_defaults().with_v_th(0.2);
+        let net = Network::mlp(&[6, 10, 3], NeuronKind::Adaptive, params, &mut rng);
+        let events: Vec<(usize, usize)> =
+            (0..8).flat_map(|t| [(t, t % 6), (t, 5 - t % 6)]).collect();
+        let input = SpikeRaster::from_events(8, 6, &events);
+        let check = |fwd: &Forward, rollout: &str| {
+            assert_eq!(fwd.inputs.len(), 2, "{rollout}");
+            assert_eq!(fwd.inputs[0], input, "{rollout}: layer 0 reads the input");
+            let below = Forward {
+                records: fwd.records[..1].to_vec(),
+                inputs: Vec::new(),
+            };
+            assert!(below.output_raster().spike_count() > 0, "layer 0 is silent");
+            assert_eq!(
+                fwd.inputs[1],
+                below.output_raster(),
+                "{rollout}: layer 1 reads layer 0's spikes"
+            );
+        };
+        let mut fwd = Forward::empty();
+        net.forward_into(&input, &mut fwd, &mut ScratchSpace::new());
+        check(&fwd, "forward_into");
+        check(
+            &net.forward_dense_reference(&input),
+            "forward_dense_reference",
+        );
+        let engine = crate::engine::Engine::from_network(net.clone()).build();
+        engine.forward_into(&input, &mut fwd, &mut ScratchSpace::new());
+        assert!(
+            fwd.inputs.is_empty(),
+            "an inference pass kept input rasters"
+        );
+        net.forward_into(&input, &mut fwd, &mut ScratchSpace::new());
+        check(&fwd, "forward_into after an inference pass");
     }
 
     #[test]

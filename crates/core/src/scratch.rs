@@ -19,6 +19,7 @@
 //! `d_output` gradient into a scratch matrix the caller provides).
 
 use crate::{Network, SpikeRaster};
+use snn_tensor::lanes::ChannelEvents;
 use snn_tensor::{GradRaster, Matrix};
 
 /// Per-layer forward-state buffers (synapse trace, reset trace / membrane
@@ -83,7 +84,8 @@ pub struct ScratchSpace {
     pub(crate) d_pre: Matrix,
     /// `dv[t]` adjoint of the membrane potential — length ≥ widest layer.
     pub(crate) dv: Vec<f32>,
-    /// Next-step `dv` carry (hard reset) — length ≥ widest layer.
+    /// Next-step carry: `dv[t + 1]` (hard reset) or the event-form
+    /// adjoint `e[t + 1]` (adaptive) — length ≥ widest layer.
     pub(crate) dv_next: Vec<f32>,
     /// Reset-trace adjoint carry `dh[t + 1]` — length ≥ widest layer.
     pub(crate) dh_next: Vec<f32>,
@@ -92,20 +94,17 @@ pub struct ScratchSpace {
     /// `Wᵀ·dv` staging buffer of the per-step dense pass — length ≥
     /// widest layer.
     pub(crate) wt_dv: Vec<f32>,
-    /// Active-index staging for sparse rank-1 gradient updates.
-    pub(crate) active_tmp: Vec<usize>,
     /// Per-timestep surviving error-event lists recorded by
     /// [`backward_sparse_into`](crate::train::backward_sparse_into)
     /// (cleared at the start of each backward pass; steps are recorded
     /// in reverse-time order, all layers concatenated).
     pub(crate) grad_events: GradRaster,
-    /// The current layer's error events regrouped by neuron for the
-    /// sparse pass's `dW` product (`DVᵀ` in compressed rows): offsets,
-    /// timesteps (descending within a neuron) and adjoint values.
-    pub(crate) dvt_offsets: Vec<usize>,
-    pub(crate) dvt_steps: Vec<usize>,
-    pub(crate) dvt_values: Vec<f32>,
-    /// Packed-tile buffer of the sparse weight products.
+    /// The current layer's event-form adjoint rows `e[t]` (`T × n_out`),
+    /// whose sum over the layer's input events is its weight gradient.
+    pub(crate) e: Matrix,
+    /// The current layer's input events regrouped by channel.
+    pub(crate) input_events: ChannelEvents,
+    /// Packed-tile buffer of the sparse input-adjoint product.
     pub(crate) pack: Vec<f32>,
     /// Scratch `d_output` the trainer hands to the losses.
     pub(crate) d_loss: Matrix,

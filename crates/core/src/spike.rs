@@ -32,7 +32,7 @@ use std::fmt;
 /// assert_eq!(r.step(2), &[1]);
 /// assert_eq!(r, SpikeRaster::from_events(5, 3, &[(2, 1), (2, 1)]));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct SpikeRaster {
     channels: usize,
     /// `offsets[t]..offsets[t + 1]` indexes `ids` for step `t`; there
@@ -353,6 +353,24 @@ impl SpikeRaster {
             out.push('\n');
         }
         out
+    }
+}
+
+impl Clone for SpikeRaster {
+    fn clone(&self) -> Self {
+        Self {
+            channels: self.channels,
+            offsets: self.offsets.clone(),
+            ids: self.ids.clone(),
+        }
+    }
+
+    /// Copies `source` into this raster's buffers, allocating only when
+    /// they are too small.
+    fn clone_from(&mut self, source: &Self) {
+        self.channels = source.channels;
+        self.offsets.clone_from(&source.offsets);
+        self.ids.clone_from(&source.ids);
     }
 }
 

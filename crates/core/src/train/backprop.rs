@@ -17,17 +17,35 @@
 //!
 //! which is exactly eq. 13 with the synapse-filter chain made explicit.
 //! The hard-reset model uses the standard stop-gradient-through-reset
-//! convention: `dv[t] = dOᵉˣᵗ[t]·ε[t] + λ(1−O[t])·dv[t+1]`.
+//! convention, `dv[t] = dOᵉˣᵗ[t]·ε[t] + λ(1−O[t])·dv[t+1]`, and its trace
+//! is the raw input scaled by the input gain `g`: `dW += g·dv[t] ⊗ x[t]`.
+//!
+//! The weight gradient is formed over the layer's input events, not
+//! over the dense trace. `k[t] = α·k[t−1] + x[t]` is linear in the
+//! binary input `x`, so the sum moves onto the input spikes:
+//!
+//! ```text
+//! Σ_t dv[t] ⊗ k[t] = Σ_s e[s] ⊗ x[s],   e[s] = dv[s] + α·e[s+1],   e[T] = 0
+//! ```
+//!
+//! (hard reset: `e[s] = g·dv[s]`). The recursion writes each step's `e`
+//! row as it goes, a reverse-time filter of the adjoint, and
+//! [`lanes::add_event_columns`] then adds `e[s]` into column `c` of `dW`
+//! for every input spike `(s, c)`: one add per input event and output
+//! neuron, where the dense form costs `n_out × n_in` per step. The
+//! rasters come from the [`Forward`]; `dW` sums each element's terms
+//! per input channel, a reassociation of the dense form.
 //!
 //! The input layer's `dx` would feed no parameter, so neither entry
 //! point forms it; at the widest layer it is the costliest product of
 //! the pass.
 //!
 //! Two entry points run these recursions: [`backward_into`], the plain
-//! per-step reference (one rank-1 `dW` update and one `Wᵀ·dv` pass at
-//! every step), and [`backward_sparse_into`], which prunes `dv` into
-//! error events and forms both weight products once per sequence over
-//! them — three phases per layer, described on the function.
+//! per-step reference (one `Wᵀ·dv` pass at every step), and
+//! [`backward_sparse_into`], which prunes `dv` into error events and
+//! forms the input adjoint once per sequence over them — three phases
+//! per layer, described on the function. Both form `dW` with the same
+//! event kernel.
 
 use crate::scratch::ScratchSpace;
 use crate::{Forward, Network, NeuronKind};
@@ -52,7 +70,7 @@ pub enum SparsityPolicy {
     /// `ε = 0`: only exact zeros are skipped, which the dense kernels
     /// do anyway — gradients are **bit-identical** to
     /// [`backward_into`] (property-tested), the pass just routes the
-    /// surviving entries through the sparse weight products.
+    /// surviving entries through the sparse input-adjoint product.
     Exact,
     /// Fixed absolute threshold on `|dv|`. The gradient error it
     /// introduces is bounded by `ε` times the pruned volume (see the
@@ -207,11 +225,12 @@ pub fn backward(
 /// intermediate adjoint. See [`ScratchSpace`](crate::ScratchSpace) for
 /// the ownership rules.
 ///
-/// This is the plain per-step dense pass: at every timestep one rank-1
-/// update over `dW` and one `Wᵀ·dv` projection over `W`. It is the
-/// reference the event-driven [`backward_sparse_into`] is pinned to
-/// (bit for bit under [`SparsityPolicy::Exact`]) and the dense baseline
-/// the kernel bench measures against.
+/// This is the plain pass: no pruning, and at every timestep one
+/// `Wᵀ·dv` projection over `W` for the input adjoint. The weight
+/// gradient is the event form of the module docs, as in
+/// [`backward_sparse_into`]. It is the reference the event-driven pass
+/// is pinned to (bit for bit under [`SparsityPolicy::Exact`]) and the
+/// dense baseline the kernel bench measures against.
 ///
 /// Accumulating here (rather than returning fresh gradients that the
 /// caller adds up) is what removes the two per-sample matrix allocations
@@ -222,7 +241,7 @@ pub fn backward(
 /// # Panics
 ///
 /// Panics if `d_output`'s shape does not match the output layer record,
-/// if `fwd` lacks the `pre` and `v` records of
+/// if `fwd` lacks the `v` records and input rasters of
 /// [`Network::forward_into`] (an inference pass keeps only `o`), or if
 /// `grads` does not match the network's layer shapes.
 pub fn backward_into(
@@ -239,25 +258,25 @@ pub fn backward_into(
 /// Event-driven BPTT: like [`backward_into`], but each timestep's
 /// membrane adjoint `dv` is pruned to the entries with `|dv| > ε`
 /// (per [`SparsityPolicy`]) and only those **error events** drive the
-/// weight products. Each layer runs in three phases:
+/// input adjoint. Each layer runs in three phases:
 ///
 /// 1. the `dv` recursion, which involves no weights, over all `T` steps,
-///    recording each step's surviving events (index and value);
-/// 2. `dW += DVᵀ·K` and `P = DV·W` once per sequence, as sparse-times-
-///    dense products over those events
-///    ([`lanes::sparse_matmul_add`]): pruned entries cost nothing, and
-///    every element keeps the per-step order of its sum (`t` descending
-///    for `dW`, rows ascending for `P`), so the bits do not change.
-///    Hard-reset layers keep their per-step `dW` update over (error row
-///    × spike column) index pairs, as their presynaptic trace is binary;
+///    recording each step's surviving events (index and value) and
+///    writing the event-form adjoint row `e[t]` from the pruned `dv`;
+/// 2. `dW += Σ_s e[s] ⊗ x[s]` over the layer's input spikes
+///    ([`lanes::add_event_columns`], the same kernel as
+///    [`backward_into`]), and `P = DV·W` once per sequence, a
+///    sparse-times-dense product over the error events
+///    ([`lanes::sparse_matmul_add`]) in which pruned entries cost
+///    nothing and every element keeps the per-step order of its sum;
 /// 3. the `dk` carry (adaptive) or input-gain scale (hard reset) over
 ///    `P`, giving the adjoint handed to the layer below — skipped at
 ///    the input layer, like every write of its adjoint.
 ///
 /// With [`SparsityPolicy::Exact`] the gradients are bit-identical to
-/// [`backward_into`] (the dense kernels skip exact zeros); the
+/// [`backward_into`] (pruning exact zeros changes no sum); the
 /// thresholded policies trade a bounded gradient perturbation for
-/// skipping most of the backward work. Like `backward_into`, this
+/// skipping most of the input-adjoint work. Like `backward_into`, this
 /// **accumulates** into `grads` and performs no per-sample heap
 /// allocation once `scratch` is warm. The surviving event lists remain
 /// readable afterwards via
@@ -266,7 +285,7 @@ pub fn backward_into(
 /// # Panics
 ///
 /// Panics if `d_output`'s shape does not match the output layer record,
-/// if `fwd` lacks the `pre` and `v` records of
+/// if `fwd` lacks the `v` records and input rasters of
 /// [`Network::forward_into`] (an inference pass keeps only `o`), or if
 /// `grads` does not match the network's layer shapes.
 pub fn backward_sparse_into(
@@ -282,8 +301,8 @@ pub fn backward_sparse_into(
 }
 
 /// The one BPTT recursion behind [`backward_into`] (`policy = None`:
-/// no pruning, both weight products at every step) and
-/// [`backward_sparse_into`] (pruning, then the products once per
+/// no pruning, the input adjoint at every step) and
+/// [`backward_sparse_into`] (pruning, then the input adjoint once per
 /// sequence over the recorded events).
 fn bptt(
     net: &Network,
@@ -302,14 +321,17 @@ fn bptt(
     );
     for (l, (rec, layer)) in fwd.records.iter().zip(layers).enumerate() {
         let t = rec.steps();
+        let input = fwd
+            .inputs
+            .get(l)
+            .map_or((0, 0), |x| (x.steps(), x.channels()));
         assert!(
-            rec.pre.shape() == (t, layer.n_in()) && rec.v.shape() == (t, layer.n_out()),
+            input == (t, layer.n_in()) && rec.v.shape() == (t, layer.n_out()),
             "layer {l}: BPTT needs a training forward from Network::forward_into \
-             (pre {t}×{} and v {t}×{}), got pre {:?} and v {:?}; an inference \
-             pass records only o",
+             (input raster {t}×{} and v {t}×{}), got input {input:?} and v {:?}; an \
+             inference pass records only o",
             layer.n_in(),
             layer.n_out(),
-            rec.pre.shape(),
             rec.v.shape()
         );
     }
@@ -343,11 +365,9 @@ fn bptt(
         dh_next,
         dk_next,
         wt_dv,
-        active_tmp,
         grad_events,
-        dvt_offsets,
-        dvt_steps,
-        dvt_values,
+        e,
+        input_events,
         pack,
         ..
     } = scratch;
@@ -376,7 +396,6 @@ fn bptt(
         let params = layer.params();
         let v_th = params.v_th;
         let weights = layer.weights();
-        let dw = &mut grads.per_layer[l];
         // Per-layer threshold: `d_o` holds this layer's upstream
         // adjoint ∂E/∂O_l (the loss gradient for the top layer), so
         // `Auto` tracks the adjoint scale as it attenuates down the
@@ -388,6 +407,8 @@ fn bptt(
         if input_adjoint {
             d_pre.resize_zeroed(t_steps, n_in);
         }
+        // Phase 1 writes every row.
+        e.resize_for_overwrite(t_steps, n_out);
         let dv = &mut dv[..n_out];
         let wt_dv = &mut wt_dv[..n_in];
 
@@ -398,8 +419,10 @@ fn bptt(
                 let theta = params.theta;
                 let dh_next = &mut dh_next[..n_out];
                 let dk_next = &mut dk_next[..n_in];
+                let e_next = &mut dv_next[..n_out];
                 dh_next.fill(0.0);
                 dk_next.fill(0.0);
+                e_next.fill(0.0);
 
                 for t in (0..t_steps).rev() {
                     let vrow = rec.v.row(t);
@@ -415,38 +438,22 @@ fn bptt(
                     // adds −ϑ·0 = −0.0, which leaves its carry bitwise
                     // unchanged.
                     kernels::decay_axpy(-theta, dv, beta, dh_next);
-                    if eps.is_none() {
-                        dw.add_outer(1.0, dv, rec.pre.row(t));
-                        if input_adjoint {
-                            weights.matvec_t_into(dv, wt_dv);
-                            // dk[t] = Wᵀ·dv + α·dk[t+1], written through
-                            // to the downstream adjoint row
-                            kernels::carry_decay_out(alpha, wt_dv, dk_next, d_pre.row_mut(t));
-                        }
+                    // e[t] = dv[t] + α·e[t+1], the synapse filter's
+                    // adjoint run backwards in time
+                    kernels::carry_decay_out(alpha, dv, e_next, e.row_mut(t));
+                    if eps.is_none() && input_adjoint {
+                        weights.matvec_t_into(dv, wt_dv);
+                        // dk[t] = Wᵀ·dv + α·dk[t+1], written through
+                        // to the downstream adjoint row
+                        kernels::carry_decay_out(alpha, wt_dv, dk_next, d_pre.row_mut(t));
                     }
                 }
-                if eps.is_some() {
-                    let dvt = events_by_neuron(
-                        &grad_events.rows(steps.clone()),
-                        n_out,
-                        dvt_offsets,
-                        dvt_steps,
-                        dvt_values,
-                    );
-                    lanes::sparse_matmul_add(
-                        dw.as_mut_slice(),
-                        n_in,
-                        &dvt,
-                        rec.pre.as_slice(),
-                        pack,
-                    );
-                    if input_adjoint {
-                        // The upstream adjoint is dead after phase 1: its
-                        // buffer takes `P`.
-                        let p = events_times_weights(d_o, &grad_events.rows(steps), weights, pack);
-                        for (k, t) in (0..t_steps).rev().enumerate() {
-                            kernels::carry_decay_out(alpha, p.row(k), dk_next, d_pre.row_mut(t));
-                        }
+                if eps.is_some() && input_adjoint {
+                    // The upstream adjoint is dead after phase 1: its
+                    // buffer takes `P`.
+                    let p = events_times_weights(d_o, &grad_events.rows(steps), weights, pack);
+                    for (k, t) in (0..t_steps).rev().enumerate() {
+                        kernels::carry_decay_out(alpha, p.row(k), dk_next, d_pre.row_mut(t));
                     }
                 }
             }
@@ -464,28 +471,15 @@ fn bptt(
                         dv[i] = ext[i] * surrogate.grad(vrow[i] - v_th)
                             + lambda * (1.0 - orow[i]) * dv_next[i];
                     }
-                    // The presynaptic trace of a hard-reset layer is the
-                    // raw binary spike raster: use the index-list rank-1
-                    // update. The list is rebuilt from the record (an
-                    // O(n_in) scan, minor next to the O(nnz·n_out)
-                    // update) rather than read from the scratch's spike
-                    // rasters, so a `Forward` from any source — including
-                    // the dense reference path — differentiates correctly.
-                    kernels::threshold_mask(rec.pre.row(t), 0.0, active_tmp);
-                    match eps {
-                        Some(eps) => {
-                            let events = grad_events.push_step_pruned(dv, eps);
-                            dw.add_outer_indexed_pairs(gain, dv, events, active_tmp);
-                        }
-                        None => {
-                            dw.add_outer_indexed(gain, dv, active_tmp);
-                            if input_adjoint {
-                                weights.matvec_t_into(dv, wt_dv);
-                                // dx[t] = gain·(Wᵀ·dv), laned
-                                kernels::scale_copy(gain, wt_dv, d_pre.row_mut(t));
-                            }
-                        }
+                    if let Some(eps) = eps {
+                        grad_events.push_step_pruned(dv, eps);
+                    } else if input_adjoint {
+                        weights.matvec_t_into(dv, wt_dv);
+                        // dx[t] = gain·(Wᵀ·dv), laned
+                        kernels::scale_copy(gain, wt_dv, d_pre.row_mut(t));
                     }
+                    // The trace is the raw input: e[t] = gain·dv[t].
+                    kernels::scale_copy(gain, dv, e.row_mut(t));
                     // Only surviving events propagate through the
                     // reset-gated carry (dv was pruned in place).
                     dv_next.copy_from_slice(dv);
@@ -498,57 +492,15 @@ fn bptt(
                 }
             }
         }
+        // dW += Σ_s e[s] ⊗ x[s] over the layer's input spikes.
+        let input = &fwd.inputs[l];
+        input_events.regroup(n_in, input.offsets(), input.ids());
+        lanes::add_event_columns(
+            grads.per_layer[l].as_mut_slice(),
+            e.as_slice(),
+            input_events,
+        );
         std::mem::swap(d_o, d_pre);
-    }
-}
-
-/// Regroups a layer's error events by neuron. `steps` holds them one row
-/// per step in push order (row `k` is timestep `T−1−k`); the result's
-/// row `r` lists the timesteps at which neuron `r` carried an event,
-/// descending, with its adjoint values — `DVᵀ` as a sparse matrix over
-/// the rows of the presynaptic trace `K`. A counting sort, `O(nnz +
-/// n_out)`. The term buffers grow to the largest layer's candidate
-/// count, so their capacity depends only on the network's shape.
-fn events_by_neuron<'a>(
-    steps: &SparseRows,
-    n_out: usize,
-    offsets: &'a mut Vec<usize>,
-    times: &'a mut Vec<usize>,
-    values: &'a mut Vec<f32>,
-) -> SparseRows<'a> {
-    let t_steps = steps.rows();
-    offsets.clear();
-    offsets.resize(n_out + 1, 0);
-    for k in 0..t_steps {
-        for &r in steps.row(k).0 {
-            offsets[r + 1] += 1;
-        }
-    }
-    for r in 0..n_out {
-        offsets[r + 1] += offsets[r];
-    }
-    // Grow only: layers of different widths alternate every pass.
-    let candidates = t_steps * n_out;
-    if times.len() < candidates {
-        times.resize(candidates, 0);
-        values.resize(candidates, 0.0);
-    }
-    // `offsets[r]` serves as row r's write cursor, ending at the start
-    // of row r + 1; the shift afterwards restores the starts.
-    for k in 0..t_steps {
-        let (rows, dv) = steps.row(k);
-        for (&r, &v) in rows.iter().zip(dv) {
-            times[offsets[r]] = t_steps - 1 - k;
-            values[offsets[r]] = v;
-            offsets[r] += 1;
-        }
-    }
-    offsets.copy_within(0..n_out, 1);
-    offsets[0] = 0;
-    SparseRows {
-        offsets,
-        idx: times,
-        coef: values,
     }
 }
 
@@ -653,7 +605,10 @@ mod tests {
             x = o.clone();
             records.push(LayerRecord { pre, v, o });
         }
-        Forward { records }
+        Forward {
+            records,
+            ..Forward::empty()
+        }
     }
 
     /// Backward pass identical to `backward` but with the logistic
@@ -1042,6 +997,143 @@ mod tests {
             "auto policy should prune far-from-threshold adjoints, density {density}"
         );
         assert!(grads.max_abs() > 0.0, "gradients must still flow");
+    }
+
+    /// BPTT as the module docs define it, in `f64`, with the weight
+    /// gradient taken over the dense trace: `dW = Σ_t dv[t] ⊗ k[t]` from
+    /// `rec.pre` (times the input gain for hard reset), and the input
+    /// adjoint through `Wᵀ·dv` at every step.
+    fn f64_trace_reference(
+        net: &Network,
+        fwd: &Forward,
+        d_output: &Matrix,
+        sur: Surrogate,
+    ) -> Vec<Vec<f64>> {
+        let rows = |m: &Matrix| -> Vec<Vec<f64>> {
+            (0..m.rows())
+                .map(|t| m.row(t).iter().map(|&x| x as f64).collect())
+                .collect()
+        };
+        let mut d_o = rows(d_output);
+        let mut grads = Vec::new();
+        for (layer, rec) in net.layers().iter().zip(&fwd.records).rev() {
+            let p = layer.params();
+            let (n_in, n_out, t_steps) = (layer.n_in(), layer.n_out(), rec.steps());
+            let w = layer.weights();
+            let alpha = p.synapse_decay() as f64;
+            let gain = layer.kind().input_gain(&p) as f64;
+            let pre = rows(&rec.pre);
+            let (mut dw, mut d_pre) = (
+                vec![0.0f64; n_out * n_in],
+                vec![vec![0.0f64; n_in]; t_steps],
+            );
+            let (mut carry_out, mut dk) = (vec![0.0f64; n_out], vec![0.0f64; n_in]);
+            for t in (0..t_steps).rev() {
+                let sg = |i: usize| sur.grad(rec.v.row(t)[i] - p.v_th) as f64;
+                let dv: Vec<f64> = match layer.kind() {
+                    NeuronKind::Adaptive => {
+                        let dv: Vec<f64> = (0..n_out)
+                            .map(|i| (d_o[t][i] + carry_out[i]) * sg(i))
+                            .collect();
+                        for i in 0..n_out {
+                            carry_out[i] =
+                                -(p.theta as f64) * dv[i] + p.reset_decay() as f64 * carry_out[i];
+                        }
+                        dv
+                    }
+                    NeuronKind::HardReset | NeuronKind::HardResetMatched => {
+                        let dv: Vec<f64> = (0..n_out)
+                            .map(|i| {
+                                d_o[t][i] * sg(i)
+                                    + alpha * (1.0 - rec.o.row(t)[i] as f64) * carry_out[i]
+                            })
+                            .collect();
+                        carry_out.copy_from_slice(&dv);
+                        dv
+                    }
+                };
+                for i in 0..n_out {
+                    for j in 0..n_in {
+                        dw[i * n_in + j] += gain * dv[i] * pre[t][j];
+                    }
+                }
+                for j in 0..n_in {
+                    let wt_dv: f64 = (0..n_out).map(|i| w[(i, j)] as f64 * dv[i]).sum();
+                    d_pre[t][j] = match layer.kind() {
+                        NeuronKind::Adaptive => {
+                            dk[j] = wt_dv + alpha * dk[j];
+                            dk[j]
+                        }
+                        _ => gain * wt_dv,
+                    };
+                }
+            }
+            grads.push(dw);
+            d_o = d_pre;
+        }
+        grads.reverse();
+        grads
+    }
+
+    #[test]
+    fn event_form_weight_gradient_matches_f64_dense_trace_reference() {
+        let sur = Surrogate::paper_default();
+        for (kind, v_th) in [
+            (NeuronKind::Adaptive, 0.3),
+            (NeuronKind::HardReset, 0.05),
+            (NeuronKind::HardResetMatched, 0.4),
+        ] {
+            let mut rng = Rng::seed_from(17);
+            // Widths cross the 8-row and 8-channel blocks of the event
+            // kernel with ragged tails.
+            let net = Network::mlp(
+                &[11, 17, 9, 4],
+                kind,
+                NeuronParams::paper_defaults().with_v_th(v_th),
+                &mut rng,
+            );
+            let input = patterned_raster(31, 11, 23, 0.3);
+            let mut d_out = Matrix::zeros(31, 4);
+            d_out.map_inplace(|_| rng.uniform(-1.0, 1.0));
+            // The dense reference rollout keeps its input rasters too, so
+            // its `Forward` differentiates like the event-driven one's.
+            for (rollout, fwd) in [
+                ("forward", net.forward(&input)),
+                (
+                    "forward_dense_reference",
+                    net.forward_dense_reference(&input),
+                ),
+            ] {
+                for (l, rec) in fwd.records.iter().enumerate().take(2) {
+                    let spikes = rec.o.as_slice().iter().filter(|&&o| o != 0.0).count();
+                    assert!(spikes > 0, "{kind:?} {rollout}: layer {l} is silent");
+                }
+                let want = f64_trace_reference(&net, &fwd, &d_out, sur);
+                let dense = backward(&net, &fwd, &d_out, sur);
+                let exact = backward_sparse(&net, &fwd, &d_out, sur, SparsityPolicy::Exact);
+                for (pass, got) in [("backward", &dense), ("Exact", &exact)] {
+                    for (l, (g, w)) in got.per_layer.iter().zip(&want).enumerate() {
+                        let norm = w.iter().map(|x| x * x).sum::<f64>().sqrt();
+                        let diff = g
+                            .as_slice()
+                            .iter()
+                            .zip(w)
+                            .map(|(&a, b)| (a as f64 - b).powi(2))
+                            .sum::<f64>()
+                            .sqrt();
+                        assert!(
+                            norm > 0.0,
+                            "{kind:?} {rollout} {pass}: layer {l} zero gradient"
+                        );
+                        assert!(
+                            diff <= 1e-5 * norm,
+                            "{kind:?} {rollout} {pass}: layer {l} relative difference {}",
+                            diff / norm
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// A network and an inference pass over it, which records only `o`.

@@ -54,11 +54,13 @@ pub struct TrainerConfig {
     /// the dense backward pass; every policy keeps epoch gradients
     /// bitwise identical across thread counts.
     pub sparsity: SparsityPolicy,
-    /// Route the backward pass through the dense [`backward_into`]
-    /// kernel, ignoring `sparsity`. This is the measurement baseline
-    /// for the `bench_train` policy grid (wall-clock comparisons need
-    /// the genuinely dense pass, not `Exact`'s indexed equivalent);
-    /// training results are the same as `Exact` bit-for-bit.
+    /// Route the backward pass through [`backward_into`], ignoring
+    /// `sparsity`: no pruning, and the input adjoint `Wᵀ·dv` formed
+    /// densely at every step. This is the measurement baseline for the
+    /// `bench_train` policy grid. The weight gradient is the same
+    /// event-form sum over the input spikes on either path, so only the
+    /// input adjoint differs in cost; training results are the same as
+    /// `Exact` bit-for-bit.
     pub dense_backward: bool,
 }
 

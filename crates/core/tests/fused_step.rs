@@ -1,17 +1,16 @@
-//! Property tests for the fused timestep kernels.
+//! Property tests for the layer's fused forward pass.
 //!
-//! The fused per-timestep pass (`kernels::fused_decay_accumulate` + the
-//! fused membrane kernels) replaced the unfused multi-pass loops in
-//! `DenseLayer`. The contract is **bitwise** equivalence: fusing changes
-//! traversal and memory traffic, never the per-element arithmetic or its
-//! order. These tests pin that contract against a naive, scalar,
-//! unfused reference rollout across all three neuron kinds, a density
-//! grid, and randomized sequence lengths — plus scalar-fallback vs
-//! lane-path agreement and repeated-run determinism.
-//!
-//! The layer now rolls each 64-neuron tile over all timesteps
-//! (`lanes::tile_rollout`) under the same contract; the last case pins
-//! every tile and lane tail, both backends and both record shapes.
+//! `DenseLayer` rolls each 64-neuron tile over all timesteps in one
+//! pass (`lanes::tile_rollout`): the drive update, neuron update,
+//! record writes and fire bits of a step happen together, where the
+//! original layer ran separate multi-pass loops. The contract is
+//! **bitwise** equivalence: fusing changes traversal and memory
+//! traffic, never the per-element arithmetic or its order. These tests
+//! pin that contract against a naive, scalar, unfused reference rollout
+//! across all three neuron kinds, a density grid, and randomized
+//! sequence lengths — plus scalar-fallback vs lane-path agreement and
+//! repeated-run determinism. The last case pins every tile and lane
+//! tail, both backends and both record shapes.
 
 use snn_core::engine::{Backend, Engine};
 use snn_core::{DenseLayer, LayerRecord, LayerScratch, Network, NeuronKind, SpikeRaster};
@@ -169,8 +168,8 @@ fn fused_rollout_matches_unfused_reference_bitwise() {
 
 #[test]
 fn tall_layer_crosses_block_boundary_bitwise() {
-    // An output wider than one BLOCK_ROWS tile forces the cache-blocked
-    // accumulation through the multi-tile path.
+    // An output thousands of rows tall crosses many 64-neuron tiles of
+    // the tile pass and ends in a ragged one.
     let mut rng = Rng::seed_from(41);
     let n_out = 4096 + 199;
     let layer = DenseLayer::new(

@@ -8,8 +8,8 @@
 //! values. [`GradRaster`] is the CSR-style mirror of the forward pass's
 //! spike event lists (`SpikeRaster` in `snn-core`): each
 //! recorded step holds the sorted indices and the values of the entries
-//! with `|dv| > ε`, and the BPTT weight products
-//! ([`lanes::sparse_matmul_add`](crate::lanes::sparse_matmul_add)) walk
+//! with `|dv| > ε`, and the BPTT input adjoint `P = DV·W`
+//! ([`lanes::sparse_matmul_add`](crate::lanes::sparse_matmul_add)) walks
 //! those lists so a backward timestep costs `O(nnz · width)` instead of
 //! `O(n_out · n_in)`.
 //!

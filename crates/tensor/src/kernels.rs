@@ -25,10 +25,9 @@
 //!   record and the dense drive read, and the BPTT recursion is built
 //!   from [`decay_axpy`], [`carry_decay_out`] and [`scale_copy`].
 //!
-//! The event-driven BPTT's weight products run through
-//! [`lanes::sparse_matmul_add`]; the binary-trace rank-1 updates of the
-//! hard-reset layers live on [`Matrix`] itself
-//! ([`Matrix::add_outer_indexed`], [`Matrix::add_outer_indexed_pairs`]).
+//! The BPTT weight gradient runs over the layer's input events through
+//! [`lanes::add_event_columns`], and the event-driven input adjoint
+//! `P = DV·W` through [`lanes::sparse_matmul_add`].
 //!
 //! Numerical note: the lane kernels reassociate floating-point sums, so
 //! results may differ from a naive loop by a few ULPs; the lane

@@ -31,7 +31,10 @@
 //! construction; only the [`dot`] reduction defines new canonical
 //! semantics (8 lanes instead of the previous 4-way unroll). The sparse
 //! product [`sparse_matmul_add`] does not reassociate either: it only
-//! keeps partial sums in registers across terms, in term order.
+//! keeps partial sums in registers across terms, in term order. The
+//! event-form weight gradient [`add_event_columns`] defines its own
+//! order, each channel's terms summed in step order and added once,
+//! and keeps it on both paths.
 //!
 //! # The layer tile pass
 //!
@@ -496,7 +499,7 @@ impl SparseRows<'_> {
 ///
 /// one multiply then one add per term and no FMA, so every element is
 /// bit-identical to one [`axpy`] per term — the per-step loop this
-/// replaces in the BPTT weight products `dW += DVᵀ·K` and `P = DV·W`.
+/// replaces in the BPTT input adjoint `P = DV·W`.
 /// Only the listed terms are touched, so a pruned entry costs nothing.
 ///
 /// The speed comes from register blocking: the product runs over
@@ -559,6 +562,142 @@ pub fn sparse_matmul_add(
     }
 }
 
+/// A binary event raster regrouped by channel, the layout
+/// [`add_event_columns`] reads: channel `c` fired at the steps
+/// `at[offsets[c]..offsets[c + 1]]`, ascending. Reusable: the buffers
+/// grow to the largest raster seen and then stop allocating.
+#[derive(Debug, Clone, Default)]
+pub struct ChannelEvents {
+    /// Timesteps of the raster.
+    steps: usize,
+    /// Per-channel boundaries into `at`; one more entry than channels.
+    offsets: Vec<usize>,
+    /// Concatenated per-channel spike steps.
+    at: Vec<u32>,
+}
+
+impl ChannelEvents {
+    /// Refills from a raster of `offsets.len() − 1` steps given
+    /// time-major, as [`Drive::Events`] lists it (step `t`'s channels are
+    /// `ids[offsets[t]..offsets[t + 1]]`): a counting sort by channel,
+    /// `O(events + channels)`, that keeps each channel's steps ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offsets` is empty, decreases or overruns `ids`, if an
+    /// event's channel is not below `channels`, or if the step count does
+    /// not fit in a `u32`.
+    pub fn regroup(&mut self, channels: usize, offsets: &[usize], ids: &[usize]) {
+        let steps = offsets.len().checked_sub(1).expect("regroup: no offsets");
+        assert!(
+            offsets.windows(2).all(|w| w[0] <= w[1]) && offsets[steps] <= ids.len(),
+            "regroup: bad offsets"
+        );
+        assert!(u32::try_from(steps).is_ok(), "regroup: too many steps");
+        let events = &ids[offsets[0]..offsets[steps]];
+        assert!(
+            events.iter().all(|&c| c < channels),
+            "regroup: channel out of range"
+        );
+        self.steps = steps;
+        let starts = &mut self.offsets;
+        starts.clear();
+        starts.resize(channels + 1, 0);
+        for &c in events {
+            starts[c + 1] += 1;
+        }
+        for c in 0..channels {
+            starts[c + 1] += starts[c];
+        }
+        self.at.clear();
+        self.at.resize(events.len(), 0);
+        // `starts[c]` serves as channel c's write cursor, ending at the
+        // start of channel c + 1; the shift afterwards restores the starts.
+        for t in 0..steps {
+            for &c in &ids[offsets[t]..offsets[t + 1]] {
+                self.at[starts[c]] = t as u32;
+                starts[c] += 1;
+            }
+        }
+        starts.copy_within(0..channels, 1);
+        starts[0] = 0;
+    }
+
+    /// Timesteps of the raster.
+    pub fn steps(&self) -> usize {
+        self.steps
+    }
+
+    /// Number of channels.
+    pub fn channels(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Whether the raster holds no event.
+    pub fn is_empty(&self) -> bool {
+        self.at.is_empty()
+    }
+
+    /// The steps at which channel `c` fired, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c >= channels()`.
+    pub fn channel(&self, c: usize) -> &[u32] {
+        &self.at[self.offsets[c]..self.offsets[c + 1]]
+    }
+}
+
+/// `dw += Σ_s e[s] ⊗ x[s]` for a binary raster `x` given by its
+/// [`ChannelEvents`]: for every spike of channel `c` at step `s`, row `s`
+/// of `e` (`steps × n_out`, row-major) goes into column `c` of `dw`
+/// (`n_out × channels`, row-major). Per element, a channel's terms are
+/// summed in step order and the sum is added once:
+///
+/// ```text
+/// dw[r][c] += (e[s₀][r] + e[s₁][r]) + …   over c's steps s₀ < s₁ < …
+/// ```
+///
+/// This is the BPTT weight gradient in event form. A presynaptic trace
+/// `k[t] = α·k[t−1] + x[t]` is linear in `x`, so
+/// `Σ_t dv[t] ⊗ k[t] = Σ_s e[s] ⊗ x[s]` with `e[s] = dv[s] + α·e[s+1]`:
+/// the work is one add per event and output row instead of a dense
+/// `n_out × n_in` product per step.
+///
+/// The sums start from `−0.0`, the exact identity of IEEE addition, so
+/// a channel with no event leaves its column bitwise unchanged (signed
+/// zeros included) whether a path skips it or adds its empty sum. On
+/// AVX2, blocks of 8 rows × 8 channels are summed in 8 registers, one
+/// per channel, transposed in registers and added into 8 row segments
+/// of `dw`, so `dw` is written in its own layout; blocks without an
+/// event are skipped. The portable loop handles the last `n_out mod 8`
+/// rows, and all of them without AVX2; the paths agree bitwise.
+///
+/// # Panics
+///
+/// Panics if `dw.len()` is not a multiple of `events.channels()` or `e`
+/// is not `events.steps()` rows of `dw.len() / events.channels()`.
+pub fn add_event_columns(dw: &mut [f32], e: &[f32], events: &ChannelEvents) {
+    let n_in = events.channels();
+    let n_out = dw.len().checked_div(n_in).unwrap_or(0);
+    assert_eq!(dw.len(), n_out * n_in, "add_event_columns: bad dw");
+    assert_eq!(e.len(), events.steps() * n_out, "add_event_columns: bad e");
+    if n_out == 0 || events.is_empty() {
+        return;
+    }
+    let mut r0 = 0;
+    #[cfg(target_arch = "x86_64")]
+    if simd_enabled() {
+        r0 = n_out / LANES * LANES;
+        // SAFETY: gated on AVX2 detection; the checks above make every
+        // event step a row of `e` and every channel a column of `dw`.
+        unsafe { avx2::event_columns(dw, e, events, r0) };
+    }
+    for r0 in (r0..n_out).step_by(LANES) {
+        portable::event_columns(dw, e, events, r0..n_out.min(r0 + LANES));
+    }
+}
+
 /// Maximum over a slice, laned. Returns `f32::NEG_INFINITY` for an
 /// empty slice. `max` is associative and commutative, so the lane
 /// reduction is exact; NaN entries are skipped (`f32::max` semantics).
@@ -587,7 +726,7 @@ pub fn reduce_max(x: &[f32]) -> f32 {
 /// Portable chunk loops — the always-correct fallback and the canonical
 /// definition of every kernel's float semantics.
 mod portable {
-    use super::{Drive, Neuron, Run, LANES, TILE};
+    use super::{ChannelEvents, Drive, Neuron, Run, LANES, TILE};
 
     #[inline]
     pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -817,6 +956,35 @@ mod portable {
         }
         acc.copy_from_slice(&tile[..w]);
     }
+
+    /// Rows `rows` (at most [`LANES`]) of [`super::add_event_columns`],
+    /// one channel at a time; channels without events are skipped.
+    pub fn event_columns(
+        dw: &mut [f32],
+        e: &[f32],
+        events: &ChannelEvents,
+        rows: std::ops::Range<usize>,
+    ) {
+        let n_in = events.channels();
+        let n_out = e.len() / events.steps();
+        let (r0, w) = (rows.start, rows.len());
+        for c in 0..n_in {
+            let at = events.channel(c);
+            if at.is_empty() {
+                continue;
+            }
+            let mut acc = [-0.0f32; LANES];
+            for &s in at {
+                let row = &e[s as usize * n_out + r0..][..w];
+                for (a, &x) in acc.iter_mut().zip(row) {
+                    *a += x;
+                }
+            }
+            for (i, &a) in acc[..w].iter().enumerate() {
+                dw[(r0 + i) * n_in + c] += a;
+            }
+        }
+    }
 }
 
 /// AVX2 intrinsics paths. Separate multiply + add throughout (no FMA)
@@ -824,7 +992,7 @@ mod portable {
 /// function here is bit-identical to its portable counterpart.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{portable, Drive, Neuron, Run, LANES, TILE};
+    use super::{portable, ChannelEvents, Drive, Neuron, Run, LANES, TILE};
     use std::arch::x86_64::*;
 
     /// # Safety
@@ -1244,6 +1412,94 @@ mod avx2 {
                 _mm256_storeu_ps(out.add(k * LANES), *r);
             }
         }
+    }
+
+    /// Rows `0..rows` (a multiple of 8) of [`super::add_event_columns`]
+    /// in blocks of 8 rows × 8 channels: one register per channel sums
+    /// its steps' row segments, [`transpose`] turns the 8 channel sums
+    /// into 8 row segments, and each is added into `dw` with one load,
+    /// add and store (scalar adds for the last `channels mod 8`
+    /// columns). A block whose channels have no event is skipped.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `rows <= n_out`, and `dw` and `e` of the shapes
+    /// [`super::add_event_columns`] checks, with every event step a row
+    /// of `e`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn event_columns(dw: &mut [f32], e: &[f32], events: &ChannelEvents, rows: usize) {
+        let n_in = events.channels();
+        let n_out = e.len() / events.steps();
+        let empty = _mm256_set1_ps(-0.0);
+        // SAFETY: every step indexes a row of `e`, every row `r0 + i` is
+        // below `n_out` and every column `c0 + j` below `n_in` (the
+        // caller's contract).
+        unsafe {
+            for r0 in (0..rows).step_by(LANES) {
+                let segment = e.as_ptr().add(r0);
+                for c0 in (0..n_in).step_by(LANES) {
+                    let cw = LANES.min(n_in - c0);
+                    let starts = &events.offsets[c0..=c0 + cw];
+                    if starts[0] == starts[cw] {
+                        continue;
+                    }
+                    let mut sums = [empty; LANES];
+                    for (j, sum) in sums.iter_mut().enumerate().take(cw) {
+                        for &s in &events.at[starts[j]..starts[j + 1]] {
+                            *sum = _mm256_add_ps(
+                                *sum,
+                                _mm256_loadu_ps(segment.add(s as usize * n_out)),
+                            );
+                        }
+                    }
+                    transpose(&mut sums);
+                    for (i, sum) in sums.iter().enumerate() {
+                        let out = dw.as_mut_ptr().add((r0 + i) * n_in + c0);
+                        if cw == LANES {
+                            _mm256_storeu_ps(out, _mm256_add_ps(_mm256_loadu_ps(out), *sum));
+                        } else {
+                            let mut lanes = [0.0f32; LANES];
+                            _mm256_storeu_ps(lanes.as_mut_ptr(), *sum);
+                            for (j, &x) in lanes[..cw].iter().enumerate() {
+                                *out.add(j) += x;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Transposes 8 registers as the rows of an 8×8 matrix: afterwards
+    /// lane `j` of register `i` holds what lane `i` of register `j` held.
+    /// Pure data movement, so no bit changes.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn transpose(r: &mut [__m256; LANES]) {
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        r[0] = _mm256_permute2f128_ps::<0x20>(u0, u4);
+        r[1] = _mm256_permute2f128_ps::<0x20>(u1, u5);
+        r[2] = _mm256_permute2f128_ps::<0x20>(u2, u6);
+        r[3] = _mm256_permute2f128_ps::<0x20>(u3, u7);
+        r[4] = _mm256_permute2f128_ps::<0x31>(u0, u4);
+        r[5] = _mm256_permute2f128_ps::<0x31>(u1, u5);
+        r[6] = _mm256_permute2f128_ps::<0x31>(u2, u6);
+        r[7] = _mm256_permute2f128_ps::<0x31>(u3, u7);
     }
 }
 
@@ -1798,6 +2054,138 @@ mod tests {
             coef: &[1.0],
         };
         sparse_matmul_add(&mut [0.0; 3], 3, &a, &[0.0; 6], &mut Vec::new());
+    }
+
+    /// A `steps × channels` raster in time-major event lists, spiking
+    /// with probability `density`, plus every step on the channels that
+    /// are multiples of `busy` (when given).
+    fn event_raster(
+        steps: usize,
+        channels: usize,
+        density: f32,
+        busy: Option<usize>,
+        rng: &mut Rng,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let (mut offsets, mut ids) = (vec![0usize], Vec::new());
+        for _ in 0..steps {
+            ids.extend(
+                (0..channels).filter(|&c| busy.is_some_and(|b| c % b == 0) || rng.coin(density)),
+            );
+            offsets.push(ids.len());
+        }
+        (offsets, ids)
+    }
+
+    /// [`add_event_columns`] as its docs define it: per element, the
+    /// channel's terms in step order from `−0.0`, added once — to every
+    /// element, so a channel without events adds its empty sum.
+    fn event_columns_reference(
+        dw: &mut [f32],
+        e: &[f32],
+        offsets: &[usize],
+        ids: &[usize],
+        n_in: usize,
+    ) {
+        let n_out = dw.len() / n_in;
+        let mut sums = vec![-0.0f32; n_out * n_in];
+        for t in 0..offsets.len() - 1 {
+            for &c in &ids[offsets[t]..offsets[t + 1]] {
+                for r in 0..n_out {
+                    sums[r * n_in + c] += e[t * n_out + r];
+                }
+            }
+        }
+        for (w, s) in dw.iter_mut().zip(&sums) {
+            *w += s;
+        }
+    }
+
+    #[test]
+    fn channel_events_regroup_by_channel_in_step_order() {
+        let mut rng = Rng::seed_from(13);
+        let mut events = ChannelEvents::default();
+        assert_eq!((events.steps(), events.channels()), (0, 0));
+        assert!(events.is_empty());
+        // Shrinking and growing through one value reuses its buffers.
+        for (steps, channels, density) in
+            [(30, 11, 0.3f32), (4, 3, 0.0), (1, 9, 1.0), (50, 70, 0.05)]
+        {
+            let (offsets, ids) = event_raster(steps, channels, density, None, &mut rng);
+            events.regroup(channels, &offsets, &ids);
+            assert_eq!((events.steps(), events.channels()), (steps, channels));
+            assert_eq!(events.is_empty(), ids.is_empty());
+            for c in 0..channels {
+                let want: Vec<u32> = (0..steps)
+                    .filter(|&t| ids[offsets[t]..offsets[t + 1]].contains(&c))
+                    .map(|t| t as u32)
+                    .collect();
+                assert_eq!(events.channel(c), want, "channel {c} of {channels}");
+            }
+        }
+        // Offsets may start past 0, as in a row range of a larger list.
+        events.regroup(4, &[2, 3, 5], &[9, 9, 1, 0, 3]);
+        assert_eq!(events.steps(), 2);
+        let lists: Vec<&[u32]> = (0..4).map(|c| events.channel(c)).collect();
+        assert_eq!(lists, [&[1u32][..], &[0], &[], &[1]]);
+    }
+
+    #[test]
+    fn event_columns_avx2_and_portable_match_the_definition_bitwise() {
+        let mut rng = Rng::seed_from(14);
+        let mut events = ChannelEvents::default();
+        for n_out in [1usize, 7, 8, 9, 63, 64, 65, 400] {
+            for n_in in [1usize, 7, 8, 9, 700] {
+                for steps in [1usize, 100] {
+                    for (fill, density, busy) in [
+                        ("empty", 0.0f32, None),
+                        ("sparse", 0.027, None),
+                        ("busy channels", 0.01, Some(5)),
+                    ] {
+                        let (offsets, ids) = event_raster(steps, n_in, density, busy, &mut rng);
+                        events.regroup(n_in, &offsets, &ids);
+                        // Signed zeros in both operands: a -0.0 sum keeps a
+                        // -0.0 entry, a +0.0 term flips it to +0.0.
+                        let mut e = vec_rng(steps * n_out, &mut rng);
+                        for (i, x) in e.iter_mut().enumerate() {
+                            match i % 5 {
+                                0 => *x = -0.0,
+                                1 => *x = 0.0,
+                                _ => {}
+                            }
+                        }
+                        let mut dw0 = vec_rng(n_out * n_in, &mut rng);
+                        for (i, x) in dw0.iter_mut().enumerate() {
+                            match i % 3 {
+                                0 => *x = -0.0,
+                                1 => *x = 0.0,
+                                _ => {}
+                            }
+                        }
+                        let mut want = dw0.clone();
+                        event_columns_reference(&mut want, &e, &offsets, &ids, n_in);
+                        let mut got = Vec::new();
+                        for force in [false, true] {
+                            set_force_scalar(force);
+                            let mut dw = dw0.clone();
+                            add_event_columns(&mut dw, &e, &events);
+                            set_force_scalar(false);
+                            got.push(to_bits(&dw));
+                        }
+                        let at = format!("n_out {n_out}, n_in {n_in}, steps {steps}, {fill}");
+                        assert_eq!(got[0], got[1], "AVX2 vs portable, {at}");
+                        assert_eq!(got[1], to_bits(&want), "definition, {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "add_event_columns: bad e")]
+    fn add_event_columns_rejects_e_of_the_wrong_shape() {
+        let mut events = ChannelEvents::default();
+        events.regroup(3, &[0, 1, 1], &[2]);
+        add_event_columns(&mut [0.0; 6], &[0.0; 3], &events);
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //!   700-400-400-20 network over synthetic SHD samples (the training
 //!   headline: ≥2×), plus a loss-vs-ε accuracy sweep across every
 //!   [`SparsityPolicy`],
+//! * BPTT phase 1 on the same network and samples: the fused laned
+//!   pass (`lanes::adjoint_step`) against the scalar loop it replaced
+//!   (libm `expf` per neuron and step, then the prune and the carries),
+//!   gated on the median of alternating rounds (`--min-phase1-speedup`,
+//!   default 3),
 //! * the two BPTT weight products at paper width (400×700 and 400×400,
 //!   T = 100): `dW` per step over the dense trace vs over the input
 //!   events (gated ≥5×), and the input adjoint per step vs one sparse
@@ -29,7 +34,8 @@
 //! profile.
 //!
 //! Usage: `cargo run --release --bin bench_kernels
-//!         [-- --out PATH --min-backward-speedup X --min-infer-speedup Y]`
+//!         [-- --out PATH --min-backward-speedup X --min-infer-speedup Y
+//!          --min-phase1-speedup Z]`
 
 use bench::timing::{self, median, Measurement, Report};
 use bench::Args;
@@ -61,12 +67,18 @@ fn random_raster(steps: usize, channels: usize, density: f32, seed: u64) -> Spik
 }
 
 fn main() {
-    let args = Args::parse(&["out", "min-infer-speedup", "min-backward-speedup"]);
+    let args = Args::parse(&[
+        "out",
+        "min-infer-speedup",
+        "min-backward-speedup",
+        "min-phase1-speedup",
+    ]);
     let out_path = args.get("out", "BENCH_kernels.json").to_string();
     // The gate floors are read before the timing, so a bad value fails
     // at once rather than after minutes of benchmarking.
     let min_infer = args.get_f32("min-infer-speedup", 1.1) as f64;
     let min_backward = args.get_f32("min-backward-speedup", 2.0) as f64;
+    let min_phase1 = args.get_f32("min-phase1-speedup", 3.0) as f64;
     let mut report = Report::new();
 
     bench::banner("neurosnn kernel bench");
@@ -328,6 +340,158 @@ fn main() {
     report.metric(
         "backward_event_density_shd_700x400x400x20",
         kept as f64 / examined.max(1) as f64,
+    );
+
+    // --- BPTT phase 1 at paper width -----------------------------------
+    // Phase 1 of every layer's backward (the membrane adjoint through the
+    // erfc surrogate, pruning into error events, the reset-trace carry and
+    // the event-form rows e[t]) over the paper network's v records on the
+    // same samples, against the scalar loop `lanes::adjoint_step`
+    // replaced: libm `expf` and two divisions per neuron and step, then
+    // `GradRaster::push_step_pruned`, a scalar `dh` loop and
+    // `carry_decay_out`. The upstream adjoints are synthetic (uniform
+    // ±0.01 per layer) and the threshold is `Auto`'s, 1e-3 of their
+    // largest entry. Each sample's forward runs untimed; the two loops
+    // alternate which runs first, round by round, and the gated ratio is
+    // the median of the rounds' ratios.
+    let phase1_label = "bptt_phase1_700x400x400x20_T100";
+    let phase1_eps = 1e-5f32;
+    let Surrogate::Erfc { sigma } = Surrogate::paper_default() else {
+        unreachable!("the paper's surrogate is the erfc one")
+    };
+    let s = sigma.max(1e-6);
+    let root_tau = std::f32::consts::TAU.sqrt();
+    // The constants `Surrogate::grad` resolves, and its pre-change form.
+    let pseudo = lanes::Pseudo::Gauss {
+        k: -0.5 / (s * s),
+        peak: 1.0 / (root_tau * s),
+    };
+    let libm_grad = |x: f32| (-x * x / (2.0 * s * s)).exp() / (root_tau * s);
+    let params = NeuronParams::paper_defaults();
+    let (alpha, beta, theta) = (params.synapse_decay(), params.reset_decay(), params.theta);
+    let v_th = params.v_th;
+    let neuron = lanes::Adjoint::Adaptive {
+        alpha,
+        beta,
+        theta,
+        v_th,
+    };
+    let steps = samples[0].0.steps();
+    let widths: Vec<usize> = paper_net.layers().iter().map(|l| l.n_out()).collect();
+    let ext: Vec<Matrix> = widths
+        .iter()
+        .enumerate()
+        .map(|(l, &n)| {
+            let mut rng = Rng::seed_from(60 + l as u64);
+            let mut m = Matrix::zeros(steps, n);
+            m.map_inplace(|_| rng.uniform(-0.01, 0.01));
+            m
+        })
+        .collect();
+    let (mut e_libm, mut e_laned): (Vec<Matrix>, Vec<Matrix>) = widths
+        .iter()
+        .map(|&n| (Matrix::zeros(steps + 1, n), Matrix::zeros(steps + 1, n)))
+        .unzip();
+    let (mut libm_events, mut laned_events) = (GradRaster::new(), GradRaster::new());
+    let (mut dv, mut dh) = (vec![0.0f32; 400], vec![0.0f32; 400]);
+    let mut e_next = vec![0.0f32; 400];
+    let (mut libm_us, mut laned_us) = (Vec::new(), Vec::new());
+    let (mut libm_kept, mut laned_kept) = (0usize, 0usize);
+    {
+        let mut fwd = Forward::empty();
+        let mut scratch = ScratchSpace::new();
+        for round in 0..ROUNDS {
+            let (mut libm_s, mut laned_s) = (0.0, 0.0);
+            for (input, _) in &samples {
+                paper_net.forward_into(input, &mut fwd, &mut scratch);
+                for (l, rec) in fwd.records.iter().enumerate() {
+                    let n = widths[l];
+                    for laned_first in [round % 2 == 1, round % 2 == 0] {
+                        let start = Instant::now();
+                        if laned_first {
+                            let (dv, dh) = (&mut dv[..n], &mut dh[..n]);
+                            dv.fill(0.0);
+                            dh.fill(0.0);
+                            let e = &mut e_laned[l];
+                            e.row_mut(steps).fill(0.0);
+                            laned_events.clear();
+                            for t in (0..steps).rev() {
+                                let (rows_to_t, from_next) =
+                                    e.as_mut_slice().split_at_mut((t + 1) * n);
+                                let rows = lanes::AdjointRows {
+                                    ext: ext[l].row(t),
+                                    v: rec.v.row(t),
+                                    o: rec.o.row(t),
+                                    e_next: &from_next[..n],
+                                };
+                                let prune = Some((phase1_eps, &mut laned_events));
+                                let e_row = &mut rows_to_t[t * n..];
+                                lanes::adjoint_step(neuron, pseudo, rows, dv, dh, e_row, prune);
+                            }
+                            laned_s += start.elapsed().as_secs_f64();
+                            laned_kept += laned_events.nnz();
+                        } else {
+                            let (dv, dh) = (&mut dv[..n], &mut dh[..n]);
+                            let e_next = &mut e_next[..n];
+                            dh.fill(0.0);
+                            e_next.fill(0.0);
+                            libm_events.clear();
+                            for t in (0..steps).rev() {
+                                let (vrow, ext) = (rec.v.row(t), ext[l].row(t));
+                                for i in 0..n {
+                                    dv[i] = (ext[i] + dh[i]) * libm_grad(vrow[i] - v_th);
+                                }
+                                libm_events.push_step_pruned(dv, phase1_eps);
+                                for (h, &d) in dh.iter_mut().zip(dv.iter()) {
+                                    *h = -theta * d + beta * *h;
+                                }
+                                kernels::carry_decay_out(alpha, dv, e_next, e_libm[l].row_mut(t));
+                            }
+                            libm_s += start.elapsed().as_secs_f64();
+                            libm_kept += libm_events.nnz();
+                        }
+                    }
+                }
+            }
+            libm_us.push(libm_s * 1e6 / samples.len() as f64);
+            laned_us.push(laned_s * 1e6 / samples.len() as f64);
+        }
+    }
+    // The two forms differ only in the exp (a few ULP) and in which
+    // entries within those ULPs of the threshold survive.
+    for (l, (a, b)) in e_libm.iter().zip(&e_laned).enumerate() {
+        let mut diff = b.clone();
+        diff.add_scaled(-1.0, a);
+        let relative = diff.frobenius_norm() / a.frobenius_norm().max(f32::MIN_POSITIVE);
+        assert!(
+            relative <= 1e-5,
+            "{phase1_label}: layer {l}'s laned e rows differ from the scalar ones by {relative:e}"
+        );
+    }
+    assert!(
+        libm_kept.abs_diff(laned_kept) * 1000 <= libm_kept.max(1),
+        "{phase1_label}: the laned pass kept {laned_kept} events, the scalar one {libm_kept}"
+    );
+    let phase1_row = |name: &str, us: &[f64]| {
+        let mut sorted = us.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        Measurement {
+            name: format!("{phase1_label}/{name}"),
+            ns_per_iter: sorted[0] * 1e3,
+            iters: samples.len() as u64,
+            p50_ns: median(us) * 1e3,
+            p99_ns: sorted[sorted.len() - 1] * 1e3,
+            samples: us.len() as u32,
+        }
+    };
+    report.record(phase1_row("scalar_libm", &libm_us));
+    report.record(phase1_row("laned", &laned_us));
+    let phase1_rounds: Vec<f64> = libm_us.iter().zip(&laned_us).map(|(a, b)| a / b).collect();
+    let phase1_speedup = median(&phase1_rounds);
+    report.metric("phase1_speedup", phase1_speedup);
+    report.metric(
+        "phase1_event_density",
+        laned_kept as f64 / (ROUNDS * samples.len() * steps * widths.iter().sum::<usize>()) as f64,
     );
 
     // --- BPTT weight products at paper width ----------------------------
@@ -607,6 +771,18 @@ fn main() {
     println!(
         "OK: backward speedup on the 700-400-400-20 SHD network = {backward_speedup:.2}x \
          (target >={min_backward:.1}x)"
+    );
+
+    // Phase-1 acceptance: the fused laned pass against the scalar libm
+    // loop it replaced, on the median of the alternating rounds. CI
+    // passes 1.0 to tolerate noisy shared runners.
+    assert!(
+        phase1_speedup >= min_phase1,
+        "BPTT phase 1 must be >={min_phase1:.1}x its scalar libm loop on the 700-400-400-20 \
+         network, measured {phase1_speedup:.2}x (median of {ROUNDS} rounds: {phase1_rounds:.3?})"
+    );
+    println!(
+        "OK: BPTT phase 1 laned vs scalar libm loop = {phase1_speedup:.2}x (target >={min_phase1:.1}x)"
     );
 
     // Accuracy acceptance: every swept policy — up to and including the

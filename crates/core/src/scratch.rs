@@ -82,13 +82,12 @@ pub struct ScratchSpace {
     /// Downstream adjoint being produced (`T × n_in`); swapped with
     /// `d_o` after each layer.
     pub(crate) d_pre: Matrix,
-    /// `dv[t]` adjoint of the membrane potential — length ≥ widest layer.
+    /// `dv[t]` adjoint of the membrane potential, which the hard reset
+    /// also carries to step `t − 1` — length ≥ widest layer.
     pub(crate) dv: Vec<f32>,
-    /// Next-step carry: `dv[t + 1]` (hard reset) or the event-form
-    /// adjoint `e[t + 1]` (adaptive) — length ≥ widest layer.
-    pub(crate) dv_next: Vec<f32>,
-    /// Reset-trace adjoint carry `dh[t + 1]` — length ≥ widest layer.
-    pub(crate) dh_next: Vec<f32>,
+    /// Reset-trace adjoint carry `dh` (adaptive) — length ≥ widest
+    /// layer.
+    pub(crate) dh: Vec<f32>,
     /// Synapse-trace adjoint carry `dk[t + 1]` — length ≥ widest layer.
     pub(crate) dk_next: Vec<f32>,
     /// `Wᵀ·dv` staging buffer of the per-step dense pass — length ≥
@@ -99,8 +98,9 @@ pub struct ScratchSpace {
     /// (cleared at the start of each backward pass; steps are recorded
     /// in reverse-time order, all layers concatenated).
     pub(crate) grad_events: GradRaster,
-    /// The current layer's event-form adjoint rows `e[t]` (`T × n_out`),
-    /// whose sum over the layer's input events is its weight gradient.
+    /// The current layer's event-form adjoint rows `e[t]`, whose sum
+    /// over the layer's input events is its weight gradient, and a zero
+    /// row `e[T]` (`(T + 1) × n_out`).
     pub(crate) e: Matrix,
     /// The current layer's input events regrouped by channel.
     pub(crate) input_events: ChannelEvents,
@@ -138,8 +138,7 @@ impl ScratchSpace {
             .unwrap_or(0);
         for buf in [
             &mut self.dv,
-            &mut self.dv_next,
-            &mut self.dh_next,
+            &mut self.dh,
             &mut self.dk_next,
             &mut self.wt_dv,
         ] {

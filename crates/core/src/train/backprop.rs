@@ -40,12 +40,20 @@
 //! point forms it; at the widest layer it is the costliest product of
 //! the pass.
 //!
+//! Phase 1 of each layer, the recursion over `t` that needs no weights
+//! (`dv[t]` through the surrogate, its pruning into error events, the
+//! `dh` carry and the `e[t]` row), is one fused laned pass per step,
+//! [`lanes::adjoint_step`], for both neuron kinds and every surrogate
+//! shape. It evaluates the surrogate exactly as [`Surrogate::grad`]
+//! specifies it, with the repository's own `exp` rather than the host's
+//! `expf`, so the gradients are the same bits on every host.
+//!
 //! Two entry points run these recursions: [`backward_into`], the plain
 //! per-step reference (one `Wᵀ·dv` pass at every step), and
 //! [`backward_sparse_into`], which prunes `dv` into error events and
 //! forms the input adjoint once per sequence over them — three phases
-//! per layer, described on the function. Both form `dW` with the same
-//! event kernel.
+//! per layer, described on the function. Both run phase 1 through the
+//! same kernel and form `dW` with the same event kernel.
 
 use crate::scratch::ScratchSpace;
 use crate::{Forward, Network, NeuronKind};
@@ -225,10 +233,10 @@ pub fn backward(
 /// intermediate adjoint. See [`ScratchSpace`](crate::ScratchSpace) for
 /// the ownership rules.
 ///
-/// This is the plain pass: no pruning, and at every timestep one
-/// `Wᵀ·dv` projection over `W` for the input adjoint. The weight
-/// gradient is the event form of the module docs, as in
-/// [`backward_sparse_into`]. It is the reference the event-driven pass
+/// This is the plain pass: phase 1 through [`lanes::adjoint_step`]
+/// without pruning, and at every timestep one `Wᵀ·dv` projection over
+/// `W` for the input adjoint. The weight gradient is the event form of
+/// the module docs, as in [`backward_sparse_into`]. It is the reference the event-driven pass
 /// is pinned to (bit for bit under [`SparsityPolicy::Exact`]) and the
 /// dense baseline the kernel bench measures against.
 ///
@@ -261,8 +269,10 @@ pub fn backward_into(
 /// input adjoint. Each layer runs in three phases:
 ///
 /// 1. the `dv` recursion, which involves no weights, over all `T` steps,
-///    recording each step's surviving events (index and value) and
-///    writing the event-form adjoint row `e[t]` from the pruned `dv`;
+///    one fused laned pass per step ([`lanes::adjoint_step`]): `dv[t]`
+///    through the surrogate, pruned, its surviving events (index and
+///    value) left-packed into the event raster, the carries updated and
+///    the event-form adjoint row `e[t]` written from the pruned `dv`;
 /// 2. `dW += Σ_s e[s] ⊗ x[s]` over the layer's input spikes
 ///    ([`lanes::add_event_columns`], the same kernel as
 ///    [`backward_into`]), and `P = DV·W` once per sequence, a
@@ -274,7 +284,8 @@ pub fn backward_into(
 ///    the input layer, like every write of its adjoint.
 ///
 /// With [`SparsityPolicy::Exact`] the gradients are bit-identical to
-/// [`backward_into`] (pruning exact zeros changes no sum); the
+/// [`backward_into`] (both run the same phase-1 kernel, and pruning exact
+/// zeros changes no sum); the
 /// thresholded policies trade a bounded gradient perturbation for
 /// skipping most of the input-adjoint work. Like `backward_into`, this
 /// **accumulates** into `grads` and performs no per-sample heap
@@ -361,8 +372,7 @@ fn bptt(
         d_o,
         d_pre,
         dv,
-        dv_next,
-        dh_next,
+        dh,
         dk_next,
         wt_dv,
         grad_events,
@@ -375,6 +385,7 @@ fn bptt(
     // [`ScratchSpace::backward_events`] never reports a *previous*
     // sample's sparse pass as this one's diagnostic.
     grad_events.clear();
+    let pseudo = lane_surrogate(surrogate);
 
     d_o.resize_zeroed(d_output.rows(), d_output.cols());
     d_o.as_mut_slice().copy_from_slice(d_output.as_slice());
@@ -394,8 +405,28 @@ fn bptt(
         }
         let (n_in, n_out) = (layer.n_in(), layer.n_out());
         let params = layer.params();
-        let v_th = params.v_th;
         let weights = layer.weights();
+        let neuron = match layer.kind() {
+            NeuronKind::Adaptive => lanes::Adjoint::Adaptive {
+                alpha: params.synapse_decay(),
+                beta: params.reset_decay(),
+                theta: params.theta,
+                v_th: params.v_th,
+            },
+            NeuronKind::HardReset | NeuronKind::HardResetMatched => lanes::Adjoint::HardReset {
+                lambda: params.synapse_decay(),
+                gain: layer.kind().input_gain(&params),
+                v_th: params.v_th,
+            },
+        };
+        // The input adjoint: `dk[t] = Wᵀ·dv + α·dk[t+1]` (adaptive) or
+        // `dx[t] = gain·Wᵀ·dv` (hard reset), from one row of `Wᵀ·dv`.
+        let input_carry = |add: &[f32], dk_next: &mut [f32], out: &mut [f32]| match neuron {
+            lanes::Adjoint::Adaptive { alpha, .. } => {
+                kernels::carry_decay_out(alpha, add, dk_next, out)
+            }
+            lanes::Adjoint::HardReset { gain, .. } => kernels::scale_copy(gain, add, out),
+        };
         // Per-layer threshold: `d_o` holds this layer's upstream
         // adjoint ∂E/∂O_l (the loss gradient for the top layer), so
         // `Auto` tracks the adjoint scale as it attenuates down the
@@ -407,89 +438,42 @@ fn bptt(
         if input_adjoint {
             d_pre.resize_zeroed(t_steps, n_in);
         }
-        // Phase 1 writes every row.
-        e.resize_for_overwrite(t_steps, n_out);
+        // Phase 1 writes rows 0..T; row T is `e[T] = 0`, the last
+        // step's `e[t + 1]`.
+        e.resize_for_overwrite(t_steps + 1, n_out);
+        e.row_mut(t_steps).fill(0.0);
         let dv = &mut dv[..n_out];
+        let dh = &mut dh[..n_out];
+        let dk_next = &mut dk_next[..n_in];
         let wt_dv = &mut wt_dv[..n_in];
+        dv.fill(0.0);
+        dh.fill(0.0);
+        dk_next.fill(0.0);
 
-        match layer.kind() {
-            NeuronKind::Adaptive => {
-                let alpha = params.synapse_decay();
-                let beta = params.reset_decay();
-                let theta = params.theta;
-                let dh_next = &mut dh_next[..n_out];
-                let dk_next = &mut dk_next[..n_in];
-                let e_next = &mut dv_next[..n_out];
-                dh_next.fill(0.0);
-                dk_next.fill(0.0);
-                e_next.fill(0.0);
-
-                for t in (0..t_steps).rev() {
-                    let vrow = rec.v.row(t);
-                    let ext = d_o.row(t);
-                    for i in 0..n_out {
-                        let d_o_total = ext[i] + dh_next[i];
-                        dv[i] = d_o_total * surrogate.grad(vrow[i] - v_th);
-                    }
-                    if let Some(eps) = eps {
-                        grad_events.push_step_pruned(dv, eps);
-                    }
-                    // dh[t] = −ϑ·dv[t] + β·dh[t+1], laned. A pruned entry
-                    // adds −ϑ·0 = −0.0, which leaves its carry bitwise
-                    // unchanged.
-                    kernels::decay_axpy(-theta, dv, beta, dh_next);
-                    // e[t] = dv[t] + α·e[t+1], the synapse filter's
-                    // adjoint run backwards in time
-                    kernels::carry_decay_out(alpha, dv, e_next, e.row_mut(t));
-                    if eps.is_none() && input_adjoint {
-                        weights.matvec_t_into(dv, wt_dv);
-                        // dk[t] = Wᵀ·dv + α·dk[t+1], written through
-                        // to the downstream adjoint row
-                        kernels::carry_decay_out(alpha, wt_dv, dk_next, d_pre.row_mut(t));
-                    }
-                }
-                if eps.is_some() && input_adjoint {
-                    // The upstream adjoint is dead after phase 1: its
-                    // buffer takes `P`.
-                    let p = events_times_weights(d_o, &grad_events.rows(steps), weights, pack);
-                    for (k, t) in (0..t_steps).rev().enumerate() {
-                        kernels::carry_decay_out(alpha, p.row(k), dk_next, d_pre.row_mut(t));
-                    }
-                }
+        for t in (0..t_steps).rev() {
+            let (rows_to_t, from_next) = e.as_mut_slice().split_at_mut((t + 1) * n_out);
+            let rows = lanes::AdjointRows {
+                ext: d_o.row(t),
+                v: rec.v.row(t),
+                o: rec.o.row(t),
+                e_next: &from_next[..n_out],
+            };
+            // dv[t], pruned into error events, the carries and e[t] in
+            // one pass.
+            let prune = eps.map(|eps| (eps, &mut *grad_events));
+            let e_row = &mut rows_to_t[t * n_out..];
+            lanes::adjoint_step(neuron, pseudo, rows, dv, dh, e_row, prune);
+            if eps.is_none() && input_adjoint {
+                weights.matvec_t_into(dv, wt_dv);
+                input_carry(wt_dv, dk_next, d_pre.row_mut(t));
             }
-            NeuronKind::HardReset | NeuronKind::HardResetMatched => {
-                let lambda = params.synapse_decay();
-                let gain = layer.kind().input_gain(&params);
-                let dv_next = &mut dv_next[..n_out];
-                dv_next.fill(0.0);
-
-                for t in (0..t_steps).rev() {
-                    let vrow = rec.v.row(t);
-                    let orow = rec.o.row(t);
-                    let ext = d_o.row(t);
-                    for i in 0..n_out {
-                        dv[i] = ext[i] * surrogate.grad(vrow[i] - v_th)
-                            + lambda * (1.0 - orow[i]) * dv_next[i];
-                    }
-                    if let Some(eps) = eps {
-                        grad_events.push_step_pruned(dv, eps);
-                    } else if input_adjoint {
-                        weights.matvec_t_into(dv, wt_dv);
-                        // dx[t] = gain·(Wᵀ·dv), laned
-                        kernels::scale_copy(gain, wt_dv, d_pre.row_mut(t));
-                    }
-                    // The trace is the raw input: e[t] = gain·dv[t].
-                    kernels::scale_copy(gain, dv, e.row_mut(t));
-                    // Only surviving events propagate through the
-                    // reset-gated carry (dv was pruned in place).
-                    dv_next.copy_from_slice(dv);
-                }
-                if eps.is_some() && input_adjoint {
-                    let p = events_times_weights(d_o, &grad_events.rows(steps), weights, pack);
-                    for (k, t) in (0..t_steps).rev().enumerate() {
-                        kernels::scale_copy(gain, p.row(k), d_pre.row_mut(t));
-                    }
-                }
+        }
+        if eps.is_some() && input_adjoint {
+            // The upstream adjoint is dead after phase 1: its buffer
+            // takes `P`.
+            let p = events_times_weights(d_o, &grad_events.rows(steps), weights, pack);
+            for (k, t) in (0..t_steps).rev().enumerate() {
+                input_carry(p.row(k), dk_next, d_pre.row_mut(t));
             }
         }
         // dW += Σ_s e[s] ⊗ x[s] over the layer's input spikes.
@@ -497,10 +481,35 @@ fn bptt(
         input_events.regroup(n_in, input.offsets(), input.ids());
         lanes::add_event_columns(
             grads.per_layer[l].as_mut_slice(),
-            e.as_slice(),
+            &e.as_slice()[..t_steps * n_out],
             input_events,
         );
         std::mem::swap(d_o, d_pre);
+    }
+}
+
+/// The surrogate in the form [`lanes::adjoint_step`] evaluates, with the
+/// constants [`Surrogate::grad`] resolves, computed the same way (a test
+/// pins the two together bit for bit).
+fn lane_surrogate(surrogate: Surrogate) -> lanes::Pseudo {
+    match surrogate {
+        Surrogate::Erfc { sigma } => {
+            let s = sigma.max(1e-6);
+            lanes::Pseudo::Gauss {
+                k: -0.5 / (s * s),
+                peak: 1.0 / ((std::f32::consts::TAU).sqrt() * s),
+            }
+        }
+        Surrogate::Rect { width } => {
+            let w = width.max(1e-6);
+            lanes::Pseudo::Rect {
+                width: w,
+                height: 0.5 / w,
+            }
+        }
+        Surrogate::FastSigmoid { slope } => lanes::Pseudo::FastSigmoid {
+            slope: slope.max(0.0),
+        },
     }
 }
 
@@ -1199,5 +1208,72 @@ mod tests {
         a.accumulate(&b);
         a.scale(0.5);
         assert_eq!(a.per_layer[0][(0, 0)], 2.0);
+    }
+
+    /// `σ'(x)` for every `x` through [`lanes::adjoint_step`]: an
+    /// adaptive step with `ext = 1`, `dh = 0` and `v_th = 0` makes
+    /// `dv = (1 + 0)·σ'(x − 0)`, which is `σ'(x)` exactly.
+    fn laned_grad(surrogate: Surrogate, xs: &[f32]) -> Vec<u32> {
+        let n = xs.len();
+        let (ones, zeros) = (vec![1.0f32; n], vec![0.0f32; n]);
+        let rows = lanes::AdjointRows {
+            ext: &ones,
+            v: xs,
+            o: &zeros,
+            e_next: &zeros,
+        };
+        let neuron = lanes::Adjoint::Adaptive {
+            alpha: 0.0,
+            beta: 0.0,
+            theta: 0.0,
+            v_th: 0.0,
+        };
+        let (mut dv, mut dh, mut e) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        let pseudo = lane_surrogate(surrogate);
+        lanes::adjoint_step(neuron, pseudo, rows, &mut dv, &mut dh, &mut e, None);
+        dv.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn surrogate_grad_matches_the_laned_kernel_bitwise() {
+        // `Surrogate::grad` (snn-neuron) is the scalar spec and
+        // `lanes::adjoint_step` (snn-tensor) its laned copy, constants
+        // and `exp` included. A dense sweep of x over [−20, 20], whose
+        // Gaussian exponents cover exp's whole range and its underflow,
+        // plus the special values, on both dispatch paths.
+        let mut xs: Vec<f32> = (-400_000..=400_000).map(|i| i as f32 * 5e-5).collect();
+        xs.extend([
+            -0.0,
+            f32::MIN_POSITIVE,
+            1e-40,
+            -1e-40,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MAX,
+        ]);
+        for surrogate in [
+            Surrogate::paper_default(),
+            Surrogate::Erfc { sigma: 0.3 },
+            Surrogate::Erfc { sigma: 2.5 },
+            Surrogate::Erfc { sigma: 1e-9 },
+            Surrogate::Rect { width: 0.5 },
+            Surrogate::Rect { width: 0.0 },
+            Surrogate::FastSigmoid { slope: 3.0 },
+            Surrogate::FastSigmoid { slope: -1.0 },
+        ] {
+            let want: Vec<u32> = xs.iter().map(|&x| surrogate.grad(x).to_bits()).collect();
+            for force in [false, true] {
+                snn_tensor::kernels::set_force_scalar(force);
+                let got = laned_grad(surrogate, &xs);
+                snn_tensor::kernels::set_force_scalar(false);
+                let first = (0..xs.len()).find(|&i| got[i] != want[i]);
+                assert!(
+                    first.is_none(),
+                    "{surrogate:?}, scalar {force}: first mismatch at x = {}",
+                    xs[first.unwrap_or(0)]
+                );
+            }
+        }
     }
 }

@@ -68,21 +68,26 @@ impl ClassificationLoss for RateCrossEntropy {
     fn loss_and_grad_into(&self, output: &Matrix, target: usize, d_out: &mut Matrix) -> f32 {
         let (t_steps, classes) = output.shape();
         assert!(target < classes, "target {target} out of range {classes}");
-        let mut counts = vec![0.0f32; classes];
+        // Row 0 of `d_out` holds the counts, then the probabilities, so
+        // a warm buffer makes the call allocation-free.
+        d_out.resize_zeroed(t_steps.max(1), classes);
+        let (probs, rest) = d_out.as_mut_slice().split_at_mut(classes);
         for t in 0..t_steps {
             for (c, &x) in output.row(t).iter().enumerate() {
-                counts[c] += x;
+                probs[c] += x;
             }
         }
-        let probs = stats::softmax(&counts);
-        let loss = stats::cross_entropy(&probs, target);
-        d_out.resize_zeroed(t_steps, classes);
-        for t in 0..t_steps {
-            let row = d_out.row_mut(t);
+        stats::softmax_in_place(probs);
+        let loss = stats::cross_entropy(probs, target);
+        for row in rest.chunks_exact_mut(classes) {
             for c in 0..classes {
                 let y = if c == target { 1.0 } else { 0.0 };
                 row[c] = probs[c] - y;
             }
+        }
+        probs[target] -= 1.0;
+        if t_steps == 0 {
+            d_out.resize_zeroed(0, classes);
         }
         loss
     }

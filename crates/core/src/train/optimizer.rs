@@ -218,12 +218,16 @@ impl Optimizer {
     }
 }
 
-fn ensure_state(buffers: &mut Vec<Matrix>, shapes: impl Iterator<Item = (usize, usize)>) {
-    let shapes: Vec<_> = shapes.collect();
+/// Sizes one optimizer state buffer per layer on first use, and checks
+/// the shapes on every later step (without allocating).
+fn ensure_state<I>(buffers: &mut Vec<Matrix>, shapes: I)
+where
+    I: ExactSizeIterator<Item = (usize, usize)>,
+{
     if buffers.len() != shapes.len() {
-        *buffers = shapes.iter().map(|&(r, c)| Matrix::zeros(r, c)).collect();
+        *buffers = shapes.map(|(r, c)| Matrix::zeros(r, c)).collect();
     } else {
-        for (b, &(r, c)) in buffers.iter().zip(&shapes) {
+        for (b, (r, c)) in buffers.iter().zip(shapes) {
             assert_eq!(
                 b.shape(),
                 (r, c),

@@ -5,14 +5,25 @@
 //!
 //! Every mini-batch is split into **fixed-size chunks of [`GRAD_CHUNK`]
 //! samples** — a partition that depends only on the batch, never on the
-//! thread count. Worker threads claim chunks round-robin, accumulate each
-//! chunk's gradients sample-by-sample into a private [`Gradients`] (using
-//! a private [`ScratchSpace`], so the fan-out is lock-free), and the
-//! per-chunk results are combined by a pairwise tree reduction **in chunk
-//! order**. Floating-point addition is not associative, so this fixed
-//! partition + fixed reduction order is what makes epoch gradients — and
-//! therefore trained weights — **bitwise identical for any
-//! `num_threads`**, including 1.
+//! thread count. Each worker thread takes a contiguous run of chunks,
+//! accumulates each chunk's gradients sample-by-sample into that chunk's
+//! own [`Gradients`] (using its own [`ScratchSpace`], so the fan-out is
+//! lock-free), and the per-chunk results are combined in place by a
+//! pairwise tree reduction **in chunk order**. Floating-point addition is
+//! not associative, so this fixed partition + fixed reduction order is
+//! what makes epoch gradients — and therefore trained weights — **bitwise
+//! identical for any `num_threads`**, including 1.
+//!
+//! # Buffers kept across batches
+//!
+//! A [`Trainer`] keeps every worker's scratch and forward records and
+//! every chunk's gradients from one batch (and one `epoch_*` call) to
+//! the next: each chunk's gradients are zeroed in place before its first
+//! sample, and rebuilt only when the network's layer shapes change. So a
+//! warm trainer allocates nothing per sample and nothing gradient-sized
+//! per batch, and, since a chunk's sum is a pure function of its samples
+//! and starts from zero either way, a reused trainer trains the same bits
+//! as a fresh one.
 
 use crate::engine::Backend;
 use crate::scratch::ScratchSpace;
@@ -133,25 +144,19 @@ pub struct EpochStats {
 }
 
 /// Per-worker reusable buffers (one per thread; never shared — see the
-/// [`ScratchSpace`] ownership rules).
+/// [`ScratchSpace`] ownership rules), kept by the [`Trainer`] across
+/// batches.
 #[derive(Default)]
 struct WorkerCtx {
     scratch: ScratchSpace,
     fwd: Forward,
+    /// The current sample's output spike counts.
+    counts: Vec<f32>,
 }
 
-impl WorkerCtx {
-    fn new() -> Self {
-        Self {
-            scratch: ScratchSpace::new(),
-            fwd: Forward::empty(),
-        }
-    }
-}
-
-/// One chunk's contribution, tagged with its position in the batch.
-struct ChunkOutcome {
-    index: usize,
+/// One chunk's contribution to a batch, kept by the [`Trainer`] across
+/// batches and reset before each.
+struct Chunk {
     grads: Gradients,
     loss: f64,
     preds: Vec<(usize, usize)>,
@@ -161,6 +166,42 @@ struct ChunkOutcome {
     /// Examined backward adjoint entries (its denominator; 0 for dense
     /// backward passes).
     events_candidates: u64,
+}
+
+impl Chunk {
+    fn new() -> Self {
+        Self {
+            grads: Gradients {
+                per_layer: Vec::new(),
+            },
+            loss: 0.0,
+            preds: Vec::new(),
+            events_nnz: 0,
+            events_candidates: 0,
+        }
+    }
+
+    /// Zeroes every sum for a batch on `net`: the gradients in place, or
+    /// rebuilt when the network's layer shapes differ from theirs.
+    fn reset(&mut self, net: &Network) {
+        let layers = net.layers();
+        let fits = self.grads.per_layer.len() == layers.len()
+            && self
+                .grads
+                .per_layer
+                .iter()
+                .zip(layers)
+                .all(|(g, l)| g.shape() == (l.n_out(), l.n_in()));
+        if fits {
+            self.grads.reset();
+        } else {
+            self.grads = Gradients::zeros_like(net);
+        }
+        self.loss = 0.0;
+        self.preds.clear();
+        self.events_nnz = 0;
+        self.events_candidates = 0;
+    }
 }
 
 /// Drives training of a [`Network`].
@@ -173,10 +214,25 @@ struct ChunkOutcome {
 /// let trainer = Trainer::new(TrainerConfig::default());
 /// assert_eq!(trainer.config().batch_size, 64);
 /// ```
-#[derive(Debug)]
 pub struct Trainer {
     config: TrainerConfig,
     optimizer: Optimizer,
+    /// Each worker's buffers, kept across batches.
+    workers: Vec<WorkerCtx>,
+    /// One entry per chunk of the largest batch seen, kept across
+    /// batches.
+    chunks: Vec<Chunk>,
+}
+
+impl std::fmt::Debug for Trainer {
+    /// The configuration and optimizer state; the kept buffers are
+    /// scratch and are left out.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Trainer")
+            .field("config", &self.config)
+            .field("optimizer", &self.optimizer)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Trainer {
@@ -184,7 +240,12 @@ impl Trainer {
     /// `config`.
     pub fn new(config: TrainerConfig) -> Self {
         let optimizer = config.optimizer.clone();
-        Self { config, optimizer }
+        Self {
+            config,
+            optimizer,
+            workers: Vec::new(),
+            chunks: Vec::new(),
+        }
     }
 
     /// The active configuration.
@@ -224,8 +285,8 @@ impl Trainer {
               grads: &mut Gradients| {
                 let (input, target) = sample;
                 net.forward_into(input, &mut ctx.fwd, &mut ctx.scratch);
-                let counts = ctx.fwd.spike_counts();
-                let pred = stats::argmax(&counts).unwrap_or(0);
+                ctx.fwd.spike_counts_into(&mut ctx.counts);
+                let pred = stats::argmax(&ctx.counts).unwrap_or(0);
                 let mut d_out = std::mem::take(&mut ctx.scratch.d_loss);
                 let l = loss.loss_and_grad_into(ctx.fwd.output(), *target, &mut d_out);
                 if dense {
@@ -302,18 +363,27 @@ impl Trainer {
         let mut events_nnz = 0u64;
         let mut events_candidates = 0u64;
 
-        for batch in data.chunks(self.config.batch_size.max(1)) {
-            let outcomes = run_batch(net, batch, threads, per_sample);
-            let mut chunk_grads = Vec::with_capacity(outcomes.len());
-            for outcome in outcomes {
-                total_loss += outcome.loss;
-                pairs.extend(outcome.preds);
-                events_nnz += outcome.events_nnz;
-                events_candidates += outcome.events_candidates;
-                chunk_grads.push(outcome.grads);
+        let Trainer {
+            config,
+            optimizer,
+            workers,
+            chunks,
+        } = self;
+        for batch in data.chunks(config.batch_size.max(1)) {
+            let chunks = run_batch(net, batch, threads, workers, chunks, per_sample);
+            for chunk in chunks.iter() {
+                total_loss += chunk.loss;
+                pairs.extend_from_slice(&chunk.preds);
+                events_nnz += chunk.events_nnz;
+                events_candidates += chunk.events_candidates;
             }
-            let batch_grads = tree_reduce(chunk_grads).expect("non-empty batch");
-            self.apply(net, batch_grads, batch.len());
+            tree_reduce(chunks);
+            let grads = &mut chunks[0].grads;
+            grads.scale(1.0 / batch.len() as f32);
+            if let Some(max_norm) = config.grad_clip {
+                grads.clip_global_norm(max_norm);
+            }
+            optimizer.step(net, grads);
         }
         EpochStats {
             mean_loss: if data.is_empty() {
@@ -333,108 +403,93 @@ impl Trainer {
             },
         }
     }
-
-    fn apply(&mut self, net: &mut Network, mut batch: Gradients, count: usize) {
-        batch.scale(1.0 / count as f32);
-        if let Some(max_norm) = self.config.grad_clip {
-            batch.clip_global_norm(max_norm);
-        }
-        self.optimizer.step(net, &batch);
-    }
 }
 
-/// Computes every chunk of one batch, possibly in parallel.
+/// Computes every chunk of one non-empty batch into `chunks`, possibly in
+/// parallel, and returns the batch's chunks in order.
 ///
-/// Chunk boundaries are multiples of [`GRAD_CHUNK`]; worker `w` owns
-/// chunks `w, w + workers, w + 2·workers, …` (static round-robin — the
+/// Chunk boundaries are multiples of [`GRAD_CHUNK`]; worker `w` owns the
+/// `w`-th contiguous run of `⌈chunks / workers⌉` chunks (static — the
 /// per-sample cost is uniform, so stealing buys nothing and static
-/// ownership keeps every worker's buffers private). Each worker reuses
-/// one `WorkerCtx` across all its samples. Outcomes are returned sorted
-/// by chunk index.
-fn run_batch<S, F>(net: &Network, batch: &[S], threads: usize, per_sample: &F) -> Vec<ChunkOutcome>
+/// ownership keeps every worker's buffers private). Both lists grow to
+/// the largest batch seen and are reused from then on; each chunk is
+/// reset before its first sample.
+fn run_batch<'c, S, F>(
+    net: &Network,
+    batch: &[S],
+    threads: usize,
+    workers: &mut Vec<WorkerCtx>,
+    chunks: &'c mut Vec<Chunk>,
+    per_sample: &F,
+) -> &'c mut [Chunk]
 where
     S: Sync,
     F: Fn(&S, &Network, &mut WorkerCtx, &mut Gradients) -> (f32, Option<(usize, usize)>) + Sync,
 {
-    let n_chunks = batch.len().div_ceil(GRAD_CHUNK).max(1);
-    let workers = threads.clamp(1, n_chunks);
+    let n_chunks = batch.len().div_ceil(GRAD_CHUNK);
+    let per_worker = n_chunks.div_ceil(threads.clamp(1, n_chunks));
+    let n_workers = n_chunks.div_ceil(per_worker);
+    if workers.len() < n_workers {
+        workers.resize_with(n_workers, WorkerCtx::default);
+    }
+    if chunks.len() < n_chunks {
+        chunks.resize_with(n_chunks, Chunk::new);
+    }
+    let chunks = &mut chunks[..n_chunks];
 
-    let run_worker = |w: usize| -> Vec<ChunkOutcome> {
-        let mut ctx = WorkerCtx::new();
-        let mut out = Vec::new();
-        let mut chunk = w;
-        while chunk * GRAD_CHUNK < batch.len() {
-            let lo = chunk * GRAD_CHUNK;
+    // Chunk `first + k` of the batch into `owned[k]`, on `ctx`.
+    let run_worker = |ctx: &mut WorkerCtx, first: usize, owned: &mut [Chunk]| {
+        for (k, chunk) in owned.iter_mut().enumerate() {
+            let lo = (first + k) * GRAD_CHUNK;
             let hi = (lo + GRAD_CHUNK).min(batch.len());
-            // One Gradients per chunk is deliberate: each chunk's sum
-            // must be an independent object so the tree reduction is a
-            // pure function of chunk order. The allocation is per-chunk
-            // (amortized over GRAD_CHUNK samples' forward+BPTT, which
-            // dwarf it) — the zero-alloc guarantee is per-sample.
-            let mut grads = Gradients::zeros_like(net);
-            let mut loss = 0.0f64;
-            let mut preds = Vec::new();
-            let mut events_nnz = 0u64;
-            let mut events_candidates = 0u64;
+            chunk.reset(net);
             for sample in &batch[lo..hi] {
-                let (l, pred) = per_sample(sample, net, &mut ctx, &mut grads);
-                loss += l as f64;
-                preds.extend(pred);
+                let (l, pred) = per_sample(sample, net, ctx, &mut chunk.grads);
+                chunk.loss += l as f64;
+                chunk.preds.extend(pred);
                 // Both backward kernels reset the event raster, so this
                 // reads exactly this sample's pruning diagnostic (empty
                 // after a dense pass).
                 let events = ctx.scratch.backward_events();
-                events_nnz += events.nnz() as u64;
-                events_candidates += events.candidates() as u64;
+                chunk.events_nnz += events.nnz() as u64;
+                chunk.events_candidates += events.candidates() as u64;
             }
-            out.push(ChunkOutcome {
-                index: chunk,
-                grads,
-                loss,
-                preds,
-                events_nnz,
-                events_candidates,
-            });
-            chunk += workers;
         }
-        out
     };
 
-    let mut outcomes = if workers == 1 || batch.is_empty() {
-        run_worker(0)
+    if n_workers == 1 {
+        run_worker(&mut workers[0], 0, chunks);
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| scope.spawn(move || run_worker(w)))
+            let run_worker = &run_worker;
+            let handles: Vec<_> = chunks
+                .chunks_mut(per_worker)
+                .zip(workers.iter_mut())
+                .enumerate()
+                .map(|(w, (owned, ctx))| {
+                    scope.spawn(move || run_worker(ctx, w * per_worker, owned))
+                })
                 .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("trainer worker panicked"))
-                .collect()
-        })
-    };
-    outcomes.sort_by_key(|o| o.index);
-    outcomes
+            for handle in handles {
+                handle.join().expect("trainer worker panicked");
+            }
+        });
+    }
+    chunks
 }
 
-/// Pairwise tree reduction in slice order: combines `(0,1)`, `(2,3)`, …
-/// then recurses, so the summation tree depends only on the chunk count.
-fn tree_reduce(mut grads: Vec<Gradients>) -> Option<Gradients> {
-    if grads.is_empty() {
-        return None;
-    }
-    while grads.len() > 1 {
-        let mut next = Vec::with_capacity(grads.len().div_ceil(2));
-        let mut iter = grads.into_iter();
-        while let Some(mut a) = iter.next() {
-            if let Some(b) = iter.next() {
-                a.accumulate(&b);
-            }
-            next.push(a);
+/// Pairwise tree reduction into `chunks[0]`, in chunk order: combines
+/// `(0,1)`, `(2,3)`, … then the pairs' sums, so the summation tree
+/// depends only on the chunk count.
+fn tree_reduce(chunks: &mut [Chunk]) {
+    let mut stride = 1;
+    while stride < chunks.len() {
+        for i in (0..chunks.len() - stride).step_by(2 * stride) {
+            let (left, right) = chunks.split_at_mut(i + stride);
+            left[i].grads.accumulate(&right[0].grads);
         }
-        grads = next;
+        stride *= 2;
     }
-    grads.pop()
 }
 
 /// Evaluates classification accuracy on held-out data (no updates),
@@ -700,6 +755,118 @@ mod tests {
                 );
                 assert_eq!(a.samples, b.samples);
             }
+        }
+    }
+
+    fn weights(net: &Network) -> Vec<Vec<u32>> {
+        net.layers()
+            .iter()
+            .map(|l| l.weights().as_slice().iter().map(|w| w.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn a_reused_trainer_trains_the_bits_of_a_fresh_one() {
+        // One trainer kept across epochs, a batch remainder (45 samples
+        // in batches of 20: chunks 3, 3 and 1), a call with fewer chunks
+        // than it holds, and networks of two shapes, against a fresh
+        // trainer for every call. Plain SGD keeps no optimizer state, so
+        // the two may differ only through the buffers the trainer keeps.
+        let data = chunky_data(45);
+        let mut results = Vec::new();
+        for threads in [1usize, 2, 4] {
+            let config = TrainerConfig {
+                batch_size: 20,
+                optimizer: Optimizer::sgd(0.05),
+                ..TrainerConfig::default()
+            }
+            .with_threads(threads);
+            let init = |sizes: &[usize], seed| {
+                let mut rng = Rng::seed_from(seed);
+                let params = NeuronParams::paper_defaults().with_v_th(0.4);
+                Network::mlp(sizes, NeuronKind::Adaptive, params, &mut rng)
+            };
+            let (mut a_reused, mut b_reused) = (init(&[6, 16, 3], 9), init(&[6, 11, 7, 3], 10));
+            let (mut a_fresh, mut b_fresh) = (a_reused.clone(), b_reused.clone());
+            let mut reused = Trainer::new(config.clone());
+            let calls: [(bool, &[(SpikeRaster, usize)]); 5] = [
+                (true, &data),
+                (true, &data),
+                (false, &data),
+                (true, &data[..7]),
+                (false, &data[3..]),
+            ];
+            for (k, (on_a, part)) in calls.into_iter().enumerate() {
+                let (net_reused, net_fresh) = if on_a {
+                    (&mut a_reused, &mut a_fresh)
+                } else {
+                    (&mut b_reused, &mut b_fresh)
+                };
+                let got = reused.epoch_classification(net_reused, part, &RateCrossEntropy);
+                let want = Trainer::new(config.clone()).epoch_classification(
+                    net_fresh,
+                    part,
+                    &RateCrossEntropy,
+                );
+                assert_eq!(got, want, "stats of call {k} at {threads} threads");
+                assert_eq!(
+                    weights(net_reused),
+                    weights(net_fresh),
+                    "weights after call {k} at {threads} threads"
+                );
+            }
+            results.push((weights(&a_reused), weights(&b_reused)));
+        }
+        assert!(
+            results.windows(2).all(|w| w[0] == w[1]),
+            "trained weights differ between 1, 2 and 4 threads"
+        );
+    }
+
+    #[test]
+    fn tree_reduce_sums_pairs_in_chunk_order() {
+        // Against the pairwise reduction over a list: (0,1), (2,3), …
+        // then the sums of the pairs, for every chunk count up to 9.
+        let mut rng = Rng::seed_from(5);
+        let net = Network::mlp(
+            &[3, 5],
+            NeuronKind::Adaptive,
+            NeuronParams::paper_defaults(),
+            &mut rng,
+        );
+        for n in 1..=9 {
+            let mut chunks: Vec<Chunk> = (0..n)
+                .map(|_| {
+                    let mut chunk = Chunk::new();
+                    chunk.reset(&net);
+                    for g in chunk.grads.per_layer[0].as_mut_slice() {
+                        *g = rng.uniform(-1.0, 1.0) * 10f32.powi(rng.below(9) as i32 - 4);
+                    }
+                    chunk
+                })
+                .collect();
+            let mut level: Vec<Vec<f32>> = chunks
+                .iter()
+                .map(|c| c.grads.per_layer[0].as_slice().to_vec())
+                .collect();
+            while level.len() > 1 {
+                level = level
+                    .chunks(2)
+                    .map(|pair| match pair {
+                        [a, b] => a.iter().zip(b).map(|(x, y)| x + y).collect(),
+                        [a] => a.clone(),
+                        _ => unreachable!(),
+                    })
+                    .collect();
+            }
+            tree_reduce(&mut chunks);
+            let got: Vec<u32> = chunks[0].grads.per_layer[0]
+                .as_slice()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            let want: Vec<u32> = level[0].iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "{n} chunks");
         }
     }
 

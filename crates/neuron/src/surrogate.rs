@@ -14,6 +14,26 @@
 /// peak value exactly 1. Two alternatives are provided for the ablation
 /// study: a rectangular window and the fast-sigmoid derivative.
 ///
+/// # Numerics
+///
+/// [`grad`](Self::grad) is the scalar specification of the surrogate
+/// the BPTT kernel evaluates (`lanes::adjoint_step` in `snn-tensor`
+/// mirrors it operation for operation, in `f32x8` lanes on AVX2). The
+/// Gaussian is `exp(k·x²)·peak` with `k = −0.5/σ²` and
+/// `peak = 1/(√(2π)·σ)` resolved once, and its `exp` is the
+/// repository's own rather than the host's `expf`: a Cody–Waite
+/// reduction `x = n·ln 2 + r`, `|r| ≤ ln 2 / 2` (`n` rounded by the
+/// `1.5·2²³` shifter, `ln 2` split in two so that `n·ln2_hi` is
+/// exact), Cephes' degree-7 polynomial for `eʳ`, and `2ⁿ` assembled
+/// from exponent bits in two factors, so a subnormal result is rounded
+/// once. It uses separate multiplies and adds only, no fused
+/// multiply-add and no libm call, so training gradients are the same
+/// bits on every host. It stays within 2 ULP of the correctly rounded
+/// `eˣ` on `[−104, 0]` (tested on a dense sweep; it reads at most 1
+/// ULP there), returns exactly 1 at ±0, `+0.0` from −104 down to −∞
+/// (arguments are clamped into `[−104, 88.72284]` first), `+∞` above
+/// `ln(f32::MAX)`, and passes a quiet NaN through with its payload.
+///
 /// # Examples
 ///
 /// ```
@@ -57,7 +77,9 @@ impl Surrogate {
         match *self {
             Surrogate::Erfc { sigma } => {
                 let s = sigma.max(1e-6);
-                (-x * x / (2.0 * s * s)).exp() / ((std::f32::consts::TAU).sqrt() * s)
+                let k = -0.5 / (s * s);
+                let peak = 1.0 / ((std::f32::consts::TAU).sqrt() * s);
+                exp(x * x * k) * peak
             }
             Surrogate::Rect { width } => {
                 let w = width.max(1e-6);
@@ -73,6 +95,58 @@ impl Surrogate {
             }
         }
     }
+}
+
+/// `eˣ` from multiplies, adds, compares and exponent bits (see
+/// [`Surrogate`]'s numerics section); `lanes::adjoint_step` in
+/// `snn-tensor` holds the laned copy, which a `snn-core` test pins to
+/// [`Surrogate::grad`] bit for bit.
+fn exp(x: f32) -> f32 {
+    // Past these the result leaves the f32 range: from the first f32
+    // above ln(f32::MAX) it is +inf, and below −104 even the smallest
+    // subnormal rounds to +0.0.
+    const MAX_ARG: f32 = 88.722_84;
+    const MIN_ARG: f32 = -104.0;
+    // Adding 1.5·2²³ rounds |t| < 2²² to an integer in the low mantissa
+    // bits; subtracting it again gives that integer as a float.
+    const SHIFT: f32 = 12_582_912.0;
+    // ln 2 = LN2_HI + LN2_LO, LN2_HI with 9 significant bits, so n·LN2_HI
+    // is exact for every n this range produces (Cody–Waite).
+    const LN2_HI: f32 = 0.693_359_4;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    // Cephes' expf: e^r ≈ 1 + r + r²·P(r) on |r| ≤ ln 2 / 2.
+    const P: [f32; 6] = [
+        1.987_569_1e-4,
+        1.398_199_9e-3,
+        8.333_452e-3,
+        4.166_579_6e-2,
+        0.166_666_65,
+        0.5,
+    ];
+    // Clamped into range first (a NaN passes both compares and then
+    // propagates): at MAX_ARG the result overflows to +inf, and at
+    // MIN_ARG it rounds to +0.0.
+    let x = if x < MIN_ARG { MIN_ARG } else { x };
+    let x = if x > MAX_ARG { MAX_ARG } else { x };
+    let shifted = x * std::f32::consts::LOG2_E + SHIFT;
+    let n = shifted - SHIFT;
+    let r = (x - n * LN2_HI) - n * LN2_LO;
+    let mut p = P[0];
+    for c in &P[1..] {
+        p = p * r + c;
+    }
+    let y = (p * (r * r) + r) + 1.0;
+    // 2ⁿ as 2^(n − n/2) · 2^(n/2): both factors are normal for every n
+    // in range, the first product is exact, and the second rounds once.
+    // (For a NaN, y is NaN and the wrapped integers are ignored.)
+    let n = (shifted.to_bits() as i32).wrapping_sub(SHIFT.to_bits() as i32);
+    let half = n >> 1;
+    y * pow2(n.wrapping_sub(half)) * pow2(half)
+}
+
+/// `2ⁿ` for a normal exponent `n` (−126..=127), from its bits.
+fn pow2(n: i32) -> f32 {
+    f32::from_bits((n.wrapping_add(127) as u32) << 23)
 }
 
 impl Default for Surrogate {
@@ -134,6 +208,77 @@ mod tests {
         assert_eq!(s.grad(0.0), 1.0);
         assert!(s.grad(1.0) < 0.05);
         assert!((s.grad(1.0) - s.grad(-1.0)).abs() < 1e-7);
+    }
+
+    /// Distance in representable f32 steps between two non-negative
+    /// floats (subnormals and zero included).
+    fn ulps(a: f32, b: f32) -> u32 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    #[test]
+    fn exp_is_within_two_ulp_of_the_rounded_exp() {
+        // A dense sweep of [−104, 0] (about 2²¹ points) plus the
+        // positive range, against f64's exp rounded to f32.
+        let mut worst = (0u32, 0.0f32);
+        let steps = 1 << 21;
+        for i in 0..=steps {
+            let x = -104.0 * (i as f64 / steps as f64) as f32;
+            let d = ulps(exp(x), (x as f64).exp() as f32);
+            if d > worst.0 {
+                worst = (d, x);
+            }
+        }
+        assert!(worst.0 <= 2, "{} ULP at x = {}", worst.0, worst.1);
+        for i in 0..=1 << 16 {
+            let x = 88.0 * (i as f32 / 65536.0);
+            let d = ulps(exp(x), (x as f64).exp() as f32);
+            assert!(d <= 2, "{d} ULP at x = {x}");
+        }
+    }
+
+    #[test]
+    fn exp_special_values_are_exact() {
+        assert_eq!(exp(0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp(-0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp(f32::NEG_INFINITY).to_bits(), 0.0f32.to_bits());
+        assert_eq!(exp(-104.001).to_bits(), 0.0f32.to_bits());
+        assert_eq!(exp(-1e30).to_bits(), 0.0f32.to_bits());
+        assert_eq!(exp(f32::INFINITY), f32::INFINITY);
+        assert_eq!(exp(88.73), f32::INFINITY);
+        assert!(exp(88.72).is_finite());
+        let nan = f32::from_bits(0x7fc0_1234);
+        assert_eq!(exp(nan).to_bits(), nan.to_bits());
+        assert!(exp(-f32::NAN).is_nan());
+    }
+
+    #[test]
+    fn exp_underflow_tail_is_pinned() {
+        // Below ln(f32::MIN_POSITIVE) ≈ −87.34 the results are
+        // subnormal and rounded once; from about −103.97 (2⁻¹⁵⁰) they
+        // round to +0.0. Each pinned value is the correctly rounded eˣ,
+        // so a change to the reduction or the scaling shows here first.
+        for (x, bits) in [
+            (-87.0f32, 0x00b3_3687u32),
+            (-87.5, 0x006c_b2bc),
+            (-90.0, 0x0008_ec28),
+            (-100.0, 0x0000_001b),
+            (-103.0, 0x0000_0001),
+            (-103.97, 0x0000_0001),
+            (-103.98, 0x0000_0000),
+            (-104.0, 0x0000_0000),
+        ] {
+            assert_eq!(exp(x).to_bits(), bits, "exp({x}) = {:e}", exp(x));
+        }
+        // Non-increasing toward −104 at every float of the tail.
+        let mut x = -87.0f32;
+        let mut last = exp(x);
+        while x > -104.0 {
+            x = f32::from_bits(x.to_bits() + 64);
+            let y = exp(x);
+            assert!(y <= last, "exp rose at {x}");
+            last = y;
+        }
     }
 
     #[test]

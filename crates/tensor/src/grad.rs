@@ -113,6 +113,40 @@ impl GradRaster {
         self.candidates = 0;
     }
 
+    /// Room for `width` more entries: pointers to the end of the index
+    /// and value lists, valid for `width` writes until the raster is
+    /// next touched. [`lanes::adjoint_step`](crate::lanes::adjoint_step)
+    /// left-packs a step's survivors there, then calls
+    /// [`commit`](Self::commit).
+    pub(crate) fn spare(&mut self, width: usize) -> (*mut usize, *mut f32) {
+        self.indices.reserve(width);
+        self.values.reserve(width);
+        (
+            self.indices.spare_capacity_mut().as_mut_ptr().cast(),
+            self.values.spare_capacity_mut().as_mut_ptr().cast(),
+        )
+    }
+
+    /// Records one step of `width` candidates whose `kept` survivors
+    /// were written through [`spare`](Self::spare).
+    ///
+    /// # Safety
+    ///
+    /// The first `kept` entries behind both pointers of the last
+    /// `spare(width)` must be initialised, and `kept <= width`.
+    pub(crate) unsafe fn commit(&mut self, kept: usize, width: usize) {
+        debug_assert!(kept <= width);
+        let len = self.indices.len() + kept;
+        // SAFETY: the caller initialised these entries, within the
+        // capacity `spare` reserved.
+        unsafe {
+            self.indices.set_len(len);
+            self.values.set_len(len);
+        }
+        self.offsets.push(len);
+        self.candidates += width;
+    }
+
     /// Records one step from `x`, **zeroing** every entry with
     /// `|x[i]| <= eps` in place and appending the survivors' indices
     /// ([`lanes::prune_indices`](crate::lanes::prune_indices)) and

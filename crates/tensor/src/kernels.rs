@@ -21,10 +21,12 @@
 //!   pass. It reads the weights through [`ColMajor::as_slice`]. Behind
 //!   training, batch inference, streaming and the dense reference
 //!   alike; [`fused_decay_accumulate`] is its drive update over one
-//!   whole vector, [`decay_add_unit`] the input-trace update the `pre`
-//!   record and the dense drive read, and the BPTT recursion is built
-//!   from [`decay_axpy`], [`carry_decay_out`] and [`scale_copy`].
+//!   whole vector, and [`decay_add_unit`] the input-trace update the
+//!   `pre` record and the dense drive read.
 //!
+//! Phase 1 of BPTT (the membrane adjoint, its surrogate, pruning and
+//! carries) is one fused pass per step, [`lanes::adjoint_step`]; the
+//! input-adjoint carries are [`carry_decay_out`] and [`scale_copy`].
 //! The BPTT weight gradient runs over the layer's input events through
 //! [`lanes::add_event_columns`], and the event-driven input adjoint
 //! `P = DV·W` through [`lanes::sparse_matmul_add`].
@@ -44,8 +46,8 @@ use crate::lanes;
 use crate::Matrix;
 
 pub use crate::lanes::{
-    add_assign, axpy, carry_decay_out, decay_axpy, dot, reduce_max, scale, scale_copy,
-    set_force_scalar, simd_enabled, threshold_mask,
+    add_assign, axpy, carry_decay_out, dot, reduce_max, scale, scale_copy, set_force_scalar,
+    simd_enabled,
 };
 
 /// Square tile edge of the blocked transpose in
@@ -58,7 +60,7 @@ const TRANSPOSE_TILE: usize = 32;
 /// `x[t]`, and the threshold trace `h = β·h + O[t−1]` for binary
 /// fires). The decay is laned; the unit charges are index writes. For
 /// a non-negative `x` this is bit-identical to the dense
-/// `decay_axpy(1.0, row, decay, x)` over the 0/1 row.
+/// `x[i] = 1.0·row[i] + decay·x[i]` over the 0/1 row.
 ///
 /// # Panics
 ///

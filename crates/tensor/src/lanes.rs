@@ -50,6 +50,17 @@
 //! one bit for bit. Every element still sees the same operations in
 //! the same order, so the tile pass reassociates nothing either.
 //!
+//! # The BPTT adjoint step
+//!
+//! [`adjoint_step`] is phase 1 of the backward pass for one timestep of
+//! one layer, fused: the membrane adjoint through the surrogate
+//! derivative ([`Pseudo`]; the Gaussian through the repository's own
+//! `exp`, which uses no libm call), its pruning into error events
+//! left-packed into a [`GradRaster`] without a branch, the carries and
+//! the event-form row `e[t]`, for both neuron kinds ([`Adjoint`]). It
+//! mirrors `Surrogate::grad` in `snn-neuron` operation for operation, so
+//! its two paths and that scalar specification agree bit for bit.
+//!
 //! # Forcing the scalar fallback
 //!
 //! Set `SNN_FORCE_SCALAR=1` in the environment (read once, on first
@@ -58,6 +69,7 @@
 //! paths are bit-identical, flipping the switch mid-process can never
 //! change results — only throughput.
 
+use crate::GradRaster;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Fixed lane width of the chunk loops (`f32x8`, one AVX2 register).
@@ -192,19 +204,6 @@ pub fn scale(alpha: f32, x: &mut [f32]) {
     portable::scale(alpha, x);
 }
 
-/// `y[i] = a·x[i] + b·y[i]`, laned — the decay-and-charge update of
-/// the BPTT reset-trace adjoint `dh = −ϑ·dv + β·dh`. Elementwise, so
-/// bit-identical to the scalar loop it replaces.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn decay_axpy(a: f32, x: &[f32], b: f32, y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "decay_axpy: length mismatch");
-    portable::decay_axpy(a, x, b, y);
-}
-
 /// `carry[i] = add[i] + alpha·carry[i]; out[i] = carry[i]`, laned — the
 /// BPTT synapse-trace adjoint recursion `dk[t] = Wᵀ·dv + α·dk[t+1]`
 /// with its write-through to the downstream adjoint row.
@@ -231,30 +230,6 @@ pub fn scale_copy(alpha: f32, x: &[f32], out: &mut [f32]) {
     portable::scale_copy(alpha, x, out);
 }
 
-/// Collects the indices with `|x[i]| > eps` into `out` (cleared first,
-/// capacity reused, ascending order). On AVX2 the compare runs 8 lanes
-/// at a time with a movemask scan; index sets are exact, so the paths
-/// agree bitwise.
-///
-/// The BPTT uses it to rebuild spike-column lists from forward records
-/// without mutating them (the adjoint side goes through
-/// `GradRaster::push_step_pruned`, which also zeroes the losers). With
-/// `eps = 0.0` the surviving set is exactly the nonzero entries, which
-/// is why the `Exact` sparsity policy is bit-identical to the dense
-/// kernels: every dense gradient kernel already skips zero rows, so
-/// pruning precisely that set changes nothing.
-#[inline]
-pub fn threshold_mask(x: &[f32], eps: f32, out: &mut Vec<usize>) {
-    out.clear();
-    #[cfg(target_arch = "x86_64")]
-    if simd_enabled() {
-        // SAFETY: gated on AVX2 detection.
-        unsafe { avx2::threshold_indices(x, eps, out) };
-        return;
-    }
-    portable::threshold_indices(x, eps, out);
-}
-
 /// Appends to `out` the indices with `|x[i]| > eps` (ascending) and
 /// zeroes every other entry in place — the pruning step behind
 /// `GradRaster::push_step_pruned`. On AVX2 one compare per 8 lanes
@@ -272,6 +247,231 @@ pub fn prune_indices(x: &mut [f32], eps: f32, out: &mut Vec<usize>) {
     }
     portable::prune_indices(x, eps, 0, out);
 }
+
+/// One layer's adjoint recursion in [`adjoint_step`], with the constants
+/// of its neuron kind.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Adjoint {
+    /// The adaptive threshold: `dv = (ext + dh)·σ'(v − v_th)`, then the
+    /// reset-trace carry `dh ← −ϑ·dv + β·dh` and the event-form row
+    /// `e[t] = dv + α·e[t+1]`.
+    Adaptive {
+        /// Synapse-trace decay `α`.
+        alpha: f32,
+        /// Reset-trace decay `β`.
+        beta: f32,
+        /// Reset charge `ϑ`.
+        theta: f32,
+        /// Firing threshold.
+        v_th: f32,
+    },
+    /// The hard reset, with the gradient stopped through the reset:
+    /// `dv = ext·σ'(v − v_th) + λ·(1 − o)·dv[t+1]` and `e[t] = gain·dv`.
+    HardReset {
+        /// Membrane decay `λ`.
+        lambda: f32,
+        /// Input gain.
+        gain: f32,
+        /// Firing threshold.
+        v_th: f32,
+    },
+}
+
+/// The spike function's surrogate derivative `σ'(x)` in
+/// [`adjoint_step`], its constants resolved. `Surrogate::grad` in
+/// `snn-neuron` is the scalar specification, which the kernel mirrors
+/// operation for operation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Pseudo {
+    /// The paper's Gaussian (eq. 14), `exp(k·x²)·peak`, through the
+    /// repository's `exp`: a Cody–Waite reduction by `ln 2`, a degree-7
+    /// polynomial and `2ⁿ` from exponent bits, with separate multiplies
+    /// and adds and no libm call.
+    Gauss {
+        /// `−0.5/σ²`.
+        k: f32,
+        /// `1/(√(2π)·σ)`.
+        peak: f32,
+    },
+    /// `height` where `|x| < width`, else `+0.0`.
+    Rect {
+        /// Half-width of the window.
+        width: f32,
+        /// Its value inside, `0.5/width`.
+        height: f32,
+    },
+    /// `1 / (1 + slope·|x|)²`.
+    FastSigmoid {
+        /// Slope steepness, non-negative.
+        slope: f32,
+    },
+}
+
+/// Step `t`'s rows that [`adjoint_step`] reads, one value per neuron.
+#[derive(Debug, Clone, Copy)]
+pub struct AdjointRows<'a> {
+    /// The upstream adjoint `∂E/∂O[t]`.
+    pub ext: &'a [f32],
+    /// The membrane potentials `v[t]`.
+    pub v: &'a [f32],
+    /// The spikes `o[t]` (the hard reset reads them).
+    pub o: &'a [f32],
+    /// `e[t + 1]`, zeros at the last step (the adaptive kind reads it).
+    pub e_next: &'a [f32],
+}
+
+/// One timestep of phase 1 of BPTT in one pass over a layer's neurons:
+/// the membrane adjoint `dv[t]` from the upstream adjoint row, the carry
+/// and `σ'(v − v_th)` ([`Adjoint`], [`Pseudo`]), its pruning, the
+/// carries and the event-form row `e[t]`.
+///
+/// `dv` holds `dv[t+1]` on entry (the hard-reset carry reads it) and
+/// `dv[t]` on exit. `dh` holds the adaptive reset-trace carry, `dh[t+1]`
+/// on entry and `dh[t]` on exit; the hard reset leaves it alone. `e`
+/// receives `e[t]`.
+///
+/// With `prune = Some((ε, events))` every `dv` with `|dv| ≤ ε`, and
+/// every NaN, becomes `+0.0` before anything reads it, and the
+/// survivors' indices (ascending) and values are appended to `events`
+/// as one step, so the carries see exactly the recorded events. The
+/// survivors are left-packed without a branch: on AVX2 a compare and
+/// movemask per 8 lanes select a permutation from a 256-entry table,
+/// and one full-width store of values and of indices is followed by a
+/// cursor advance of the lane count; the scalar loop writes every
+/// element at the cursor and advances it only for a survivor. Without
+/// `prune`, nothing is pruned and nothing is recorded.
+///
+/// Every element sees the operations of its [`Adjoint`] and [`Pseudo`]
+/// in the order they are written there, one multiply and one add at a
+/// time, never fused. On AVX2 whole `f32x8` chunks run in registers
+/// (the surrogates of up to 8 chunks first, which do not wait on the
+/// pack cursor, then the rest chunk by chunk) and the scalar loop, which
+/// is the portable path, takes the last `n mod 8` neurons, so the paths
+/// agree bitwise.
+///
+/// # Panics
+///
+/// Panics if the rows, `dh` or `e` differ in length from `dv`.
+pub fn adjoint_step(
+    neuron: Adjoint,
+    surrogate: Pseudo,
+    rows: AdjointRows,
+    dv: &mut [f32],
+    dh: &mut [f32],
+    e: &mut [f32],
+    prune: Option<(f32, &mut GradRaster)>,
+) {
+    let n = dv.len();
+    let lens = [
+        ("ext", rows.ext.len()),
+        ("v", rows.v.len()),
+        ("o", rows.o.len()),
+        ("e_next", rows.e_next.len()),
+        ("dh", dh.len()),
+        ("e", e.len()),
+    ];
+    for (name, len) in lens {
+        assert_eq!(len, n, "adjoint_step: bad {name}");
+    }
+    assert!(u32::try_from(n).is_ok(), "adjoint_step: too wide");
+    let (eps, mut events) = prune.map_or((0.0, None), |(eps, events)| (eps, Some(events)));
+    let pack = events.as_mut().map(|events| {
+        let (idx, val) = events.spare(n);
+        Pack {
+            eps,
+            idx,
+            val,
+            len: 0,
+        }
+    });
+    let mut step = Step {
+        neuron,
+        surrogate,
+        rows,
+        dv,
+        dh,
+        e,
+        pack,
+    };
+    let mut laned = 0;
+    #[cfg(target_arch = "x86_64")]
+    if simd_enabled() {
+        laned = n / LANES * LANES;
+        // SAFETY: gated on AVX2 detection; every row and buffer is `n`
+        // long (checked above) and `spare` made room for `n` entries.
+        unsafe { avx2::adjoint_step(&mut step, laned) };
+    }
+    portable::adjoint_step(&mut step, laned);
+    if let (Some(events), Some(pack)) = (events, step.pack) {
+        // SAFETY: the kernels wrote the first `pack.len <= n` entries
+        // through the pointers `spare` handed out.
+        unsafe { events.commit(pack.len, n) };
+    }
+}
+
+/// The checked operands of one [`adjoint_step`].
+struct Step<'a, 'b> {
+    neuron: Adjoint,
+    surrogate: Pseudo,
+    rows: AdjointRows<'a>,
+    dv: &'b mut [f32],
+    dh: &'b mut [f32],
+    e: &'b mut [f32],
+    pack: Option<Pack>,
+}
+
+/// Where a pruning [`adjoint_step`] left-packs its survivors: the end of
+/// a [`GradRaster`]'s index and value lists, with room for the step's
+/// width, and the count written so far.
+struct Pack {
+    eps: f32,
+    idx: *mut usize,
+    val: *mut f32,
+    len: usize,
+}
+
+impl Pack {
+    /// Prunes `d` (`+0.0` unless `|d| > ε`) and writes it with its index
+    /// `i` at the cursor, which moves on only for a survivor.
+    ///
+    /// # Safety
+    ///
+    /// `i` must be below the step's width that `spare` made room for, and
+    /// every earlier call of the step must have had a smaller `i`, so the
+    /// cursor is at most `i`.
+    #[inline]
+    unsafe fn push(&mut self, i: usize, d: f32) -> f32 {
+        let keep = d.abs() > self.eps;
+        let d = if keep { d } else { 0.0 };
+        // SAFETY: cursor <= i < width (the caller's contract).
+        unsafe {
+            self.idx.add(self.len).write(i);
+            self.val.add(self.len).write(d);
+        }
+        self.len += usize::from(keep);
+        d
+    }
+}
+
+/// Range ends of the repository's `exp` (the same as `Surrogate::grad`'s
+/// in `snn-neuron`), into which arguments are clamped: at `EXP_MAX` the
+/// result overflows to `+∞`, at `EXP_MIN` it rounds to `+0.0`.
+const EXP_MAX: f32 = 88.722_84;
+const EXP_MIN: f32 = -104.0;
+/// `1.5·2²³`: adding it rounds `|t| < 2²²` to an integer.
+const EXP_SHIFT: f32 = 12_582_912.0;
+/// `ln 2` split for the Cody–Waite reduction; `n·LN2_HI` is exact.
+const LN2_HI: f32 = 0.693_359_4;
+const LN2_LO: f32 = -2.121_944_4e-4;
+/// Cephes' `expf` polynomial: `eʳ ≈ 1 + r + r²·P(r)`, Horner order.
+const EXP_POLY: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    0.166_666_65,
+    0.5,
+];
 
 /// Width of a register tile, eight `f32x8` registers: the output rows
 /// [`tile_rollout`] carries through a whole sequence (one `u64` of fire
@@ -726,7 +926,10 @@ pub fn reduce_max(x: &[f32]) -> f32 {
 /// Portable chunk loops — the always-correct fallback and the canonical
 /// definition of every kernel's float semantics.
 mod portable {
-    use super::{ChannelEvents, Drive, Neuron, Run, LANES, TILE};
+    use super::{
+        Adjoint, ChannelEvents, Drive, Neuron, Pseudo, Run, Step, EXP_MAX, EXP_MIN, EXP_POLY,
+        EXP_SHIFT, LANES, LN2_HI, LN2_LO, TILE,
+    };
 
     #[inline]
     pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -793,20 +996,6 @@ mod portable {
     }
 
     #[inline]
-    pub fn decay_axpy(a: f32, x: &[f32], b: f32, y: &mut [f32]) {
-        let mut cx = x.chunks_exact(LANES);
-        let mut cy = y.chunks_exact_mut(LANES);
-        for (px, py) in cx.by_ref().zip(cy.by_ref()) {
-            for l in 0..LANES {
-                py[l] = a * px[l] + b * py[l];
-            }
-        }
-        for (x, y) in cx.remainder().iter().zip(cy.into_remainder()) {
-            *y = a * x + b * *y;
-        }
-    }
-
-    #[inline]
     pub fn carry_decay_out(alpha: f32, add: &[f32], carry: &mut [f32], out: &mut [f32]) {
         let mut ca = add.chunks_exact(LANES);
         let mut cc = carry.chunks_exact_mut(LANES);
@@ -842,15 +1031,6 @@ mod portable {
         }
     }
 
-    #[inline]
-    pub fn threshold_indices(x: &[f32], eps: f32, out: &mut Vec<usize>) {
-        for (i, &v) in x.iter().enumerate() {
-            if v.abs() > eps {
-                out.push(i);
-            }
-        }
-    }
-
     /// [`super::prune_indices`] with the recorded indices offset by
     /// `first`, so the AVX2 path can hand it its tail.
     #[inline]
@@ -862,6 +1042,94 @@ mod portable {
                 *v = 0.0;
             }
         }
+    }
+
+    /// Neurons `from..` of [`super::adjoint_step`], one at a time, so the
+    /// AVX2 path can hand it its tail.
+    pub fn adjoint_step(step: &mut Step, from: usize) {
+        let Step {
+            neuron,
+            surrogate,
+            rows,
+            dv,
+            dh,
+            e,
+            pack,
+        } = step;
+        let v_th = match *neuron {
+            Adjoint::Adaptive { v_th, .. } | Adjoint::HardReset { v_th, .. } => v_th,
+        };
+        for i in from..dv.len() {
+            let g = pseudo(*surrogate, rows.v[i] - v_th);
+            let mut d = match *neuron {
+                Adjoint::Adaptive { .. } => (rows.ext[i] + dh[i]) * g,
+                Adjoint::HardReset { lambda, .. } => {
+                    rows.ext[i] * g + lambda * (1.0 - rows.o[i]) * dv[i]
+                }
+            };
+            if let Some(pack) = pack {
+                // SAFETY: `adjoint_step` made room for `dv.len()` entries,
+                // and `i` rises from `from`, where the AVX2 chunks (at
+                // most one entry each) left the cursor.
+                d = unsafe { pack.push(i, d) };
+            }
+            dv[i] = d;
+            match *neuron {
+                Adjoint::Adaptive {
+                    alpha, beta, theta, ..
+                } => {
+                    dh[i] = -theta * d + beta * dh[i];
+                    e[i] = d + alpha * rows.e_next[i];
+                }
+                Adjoint::HardReset { gain, .. } => e[i] = gain * d,
+            }
+        }
+    }
+
+    /// `σ'(x)` of one element, as `Surrogate::grad` specifies it.
+    #[inline]
+    fn pseudo(surrogate: Pseudo, x: f32) -> f32 {
+        match surrogate {
+            Pseudo::Gauss { k, peak } => exp(x * x * k) * peak,
+            Pseudo::Rect { width, height } => {
+                if x.abs() < width {
+                    height
+                } else {
+                    0.0
+                }
+            }
+            Pseudo::FastSigmoid { slope } => {
+                let d = 1.0 + slope * x.abs();
+                1.0 / (d * d)
+            }
+        }
+    }
+
+    /// The repository's `eˣ`, the scalar copy of `Surrogate::grad`'s (see
+    /// [`super::Pseudo::Gauss`]); the AVX2 `exp` mirrors it lane by lane.
+    #[inline]
+    pub fn exp(x: f32) -> f32 {
+        // Clamped into range; a NaN passes both compares and propagates.
+        let x = if x < EXP_MIN { EXP_MIN } else { x };
+        let x = if x > EXP_MAX { EXP_MAX } else { x };
+        let shifted = x * std::f32::consts::LOG2_E + EXP_SHIFT;
+        let n = shifted - EXP_SHIFT;
+        let r = (x - n * LN2_HI) - n * LN2_LO;
+        let mut p = EXP_POLY[0];
+        for c in &EXP_POLY[1..] {
+            p = p * r + c;
+        }
+        let y = (p * (r * r) + r) + 1.0;
+        // 2ⁿ in two normal factors, so a subnormal result rounds once.
+        let n = (shifted.to_bits() as i32).wrapping_sub(EXP_SHIFT.to_bits() as i32);
+        let half = n >> 1;
+        y * pow2(n.wrapping_sub(half)) * pow2(half)
+    }
+
+    /// `2ⁿ` for a normal exponent `n`, from its bits.
+    #[inline]
+    fn pow2(n: i32) -> f32 {
+        f32::from_bits((n.wrapping_add(127) as u32) << 23)
     }
 
     /// Rows `r0..r0 + g.len()` of one [`super::tile_rollout`] tile
@@ -992,7 +1260,10 @@ mod portable {
 /// function here is bit-identical to its portable counterpart.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{portable, ChannelEvents, Drive, Neuron, Run, LANES, TILE};
+    use super::{
+        portable, Adjoint, ChannelEvents, Drive, Neuron, Pack, Pseudo, Run, Step, EXP_MAX, EXP_MIN,
+        EXP_POLY, EXP_SHIFT, LANES, LN2_HI, LN2_LO, TILE,
+    };
     use std::arch::x86_64::*;
 
     /// # Safety
@@ -1096,35 +1367,6 @@ mod avx2 {
     ///
     /// Requires AVX2 (callers gate on `simd_enabled`).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn threshold_indices(x: &[f32], eps: f32, out: &mut Vec<usize>) {
-        let chunks = x.len() / LANES;
-        let veps = _mm256_set1_ps(eps);
-        // Clearing the sign bit is `abs` for every finite and infinite
-        // value; NaN stays NaN and compares false, same as the scalar
-        // `v.abs() > eps`.
-        let abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
-        for i in 0..chunks {
-            // SAFETY: i * LANES + LANES <= len by construction.
-            let v = unsafe { _mm256_loadu_ps(x.as_ptr().add(i * LANES)) };
-            let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(_mm256_and_ps(v, abs_mask), veps);
-            let mut bits = _mm256_movemask_ps(gt) as u32;
-            while bits != 0 {
-                let l = bits.trailing_zeros() as usize;
-                out.push(i * LANES + l);
-                bits &= bits - 1;
-            }
-        }
-        for (i, &v) in x[chunks * LANES..].iter().enumerate() {
-            if v.abs() > eps {
-                out.push(chunks * LANES + i);
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 (callers gate on `simd_enabled`).
-    #[target_feature(enable = "avx2")]
     pub unsafe fn prune_indices(x: &mut [f32], eps: f32, out: &mut Vec<usize>) {
         let chunks = x.len() / LANES;
         let veps = _mm256_set1_ps(eps);
@@ -1146,6 +1388,255 @@ mod avx2 {
             }
         }
         portable::prune_indices(&mut x[chunks * LANES..], eps, chunks * LANES, out);
+    }
+
+    /// The first `laned` neurons (a multiple of 8) of
+    /// [`super::adjoint_step`], 8 lanes at a time, with the surrogate's
+    /// lane form.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, every row and buffer of `step` at least `laned`
+    /// long, and room for `laned` entries behind the pack's pointers.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn adjoint_step(step: &mut Step, laned: usize) {
+        let one = _mm256_set1_ps(1.0);
+        // SAFETY: forwarded from the caller.
+        unsafe {
+            match step.surrogate {
+                Pseudo::Gauss { k, peak } => {
+                    let (k, peak) = (_mm256_set1_ps(k), _mm256_set1_ps(peak));
+                    adjoint_chunks(step, laned, |x| {
+                        _mm256_mul_ps(exp(_mm256_mul_ps(_mm256_mul_ps(x, x), k)), peak)
+                    })
+                }
+                Pseudo::Rect { width, height } => {
+                    let (width, height) = (_mm256_set1_ps(width), _mm256_set1_ps(height));
+                    adjoint_chunks(step, laned, |x| {
+                        let inside = _mm256_cmp_ps::<_CMP_LT_OQ>(abs(x), width);
+                        _mm256_and_ps(inside, height)
+                    })
+                }
+                Pseudo::FastSigmoid { slope } => {
+                    let slope = _mm256_set1_ps(slope);
+                    adjoint_chunks(step, laned, |x| {
+                        let d = _mm256_add_ps(one, _mm256_mul_ps(slope, abs(x)));
+                        _mm256_div_ps(one, _mm256_mul_ps(d, d))
+                    })
+                }
+            }
+        }
+    }
+
+    /// The chunk loop of [`adjoint_step`] for the neuron kind, `grad`
+    /// being the surrogate's lane form.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and the contract of [`adjoint_step`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn adjoint_chunks(step: &mut Step, laned: usize, grad: impl Fn(__m256) -> __m256) {
+        let Step {
+            neuron,
+            rows,
+            dv,
+            dh,
+            e,
+            pack,
+            ..
+        } = step;
+        let (ext, v, o, e_next) = (
+            rows.ext.as_ptr(),
+            rows.v.as_ptr(),
+            rows.o.as_ptr(),
+            rows.e_next.as_ptr(),
+        );
+        let (dv, dh, e) = (dv.as_mut_ptr(), dh.as_mut_ptr(), e.as_mut_ptr());
+        let v_th = _mm256_set1_ps(match *neuron {
+            Adjoint::Adaptive { v_th, .. } | Adjoint::HardReset { v_th, .. } => v_th,
+        });
+        // The surrogate of a block of up to 8 chunks first, then the rest
+        // chunk by chunk: the blocks' surrogates are independent of each
+        // other and of the pack cursor, so they overlap in the pipeline.
+        let mut grads = [_mm256_setzero_ps(); LANES];
+        // SAFETY: `i + 8 <= laned`, inside every row and buffer (the
+        // caller's contract).
+        unsafe {
+            for b in (0..laned).step_by(LANES * LANES) {
+                let block = ((laned - b) / LANES).min(LANES);
+                for (k, g) in grads.iter_mut().enumerate().take(block) {
+                    *g = grad(_mm256_sub_ps(_mm256_loadu_ps(v.add(b + k * LANES)), v_th));
+                }
+                match *neuron {
+                    Adjoint::Adaptive {
+                        alpha, beta, theta, ..
+                    } => {
+                        let (alpha, beta, neg_theta) = (
+                            _mm256_set1_ps(alpha),
+                            _mm256_set1_ps(beta),
+                            _mm256_set1_ps(-theta),
+                        );
+                        for (k, &g) in grads.iter().enumerate().take(block) {
+                            let i = b + k * LANES;
+                            let h = _mm256_loadu_ps(dh.add(i));
+                            let mut d =
+                                _mm256_mul_ps(_mm256_add_ps(_mm256_loadu_ps(ext.add(i)), h), g);
+                            if let Some(pack) = pack {
+                                d = pack8(pack, d, i);
+                            }
+                            _mm256_storeu_ps(dv.add(i), d);
+                            // mul + add, not FMA: −ϑ·dv + β·dh and dv + α·e[t+1]
+                            let h =
+                                _mm256_add_ps(_mm256_mul_ps(neg_theta, d), _mm256_mul_ps(beta, h));
+                            _mm256_storeu_ps(dh.add(i), h);
+                            let carried = _mm256_mul_ps(alpha, _mm256_loadu_ps(e_next.add(i)));
+                            _mm256_storeu_ps(e.add(i), _mm256_add_ps(d, carried));
+                        }
+                    }
+                    Adjoint::HardReset { lambda, gain, .. } => {
+                        let (lambda, gain, one) = (
+                            _mm256_set1_ps(lambda),
+                            _mm256_set1_ps(gain),
+                            _mm256_set1_ps(1.0),
+                        );
+                        for (k, &g) in grads.iter().enumerate().take(block) {
+                            let i = b + k * LANES;
+                            let open = _mm256_mul_ps(
+                                lambda,
+                                _mm256_sub_ps(one, _mm256_loadu_ps(o.add(i))),
+                            );
+                            let carried = _mm256_mul_ps(open, _mm256_loadu_ps(dv.add(i)));
+                            let mut d = _mm256_add_ps(
+                                _mm256_mul_ps(_mm256_loadu_ps(ext.add(i)), g),
+                                carried,
+                            );
+                            if let Some(pack) = pack {
+                                d = pack8(pack, d, i);
+                            }
+                            _mm256_storeu_ps(dv.add(i), d);
+                            _mm256_storeu_ps(e.add(i), _mm256_mul_ps(gain, d));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Lane `l`'s bits with the sign cleared: `|x|` for every value, NaN
+    /// payloads kept.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn abs(x: __m256) -> __m256 {
+        _mm256_and_ps(x, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff)))
+    }
+
+    /// Prunes the 8 lanes of `d` (neurons `i..i + 8`) to `+0.0` unless
+    /// `|d| > ε` (ordered: NaN is pruned) and left-packs the survivors:
+    /// their values and indices go to the cursor in one full-width store
+    /// each, permuted by [`PACK_LANES`], and the cursor moves on by their
+    /// count. Returns the pruned lanes.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, and the cursor at most `i` with room for the
+    /// step's width behind the pointers.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn pack8(pack: &mut Pack, d: __m256, i: usize) -> __m256 {
+        let keep = _mm256_cmp_ps::<_CMP_GT_OQ>(abs(d), _mm256_set1_ps(pack.eps));
+        let d = _mm256_and_ps(d, keep);
+        let mask = _mm256_movemask_ps(keep) as usize;
+        // Slot j takes lane (PACK_LANES[mask] >> 4j) & 15.
+        let slots = _mm256_and_si256(
+            _mm256_srlv_epi32(
+                _mm256_set1_epi32(PACK_LANES[mask] as i32),
+                _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28),
+            ),
+            _mm256_set1_epi32(0xf),
+        );
+        let idx = _mm256_add_epi32(slots, _mm256_set1_epi32(i as i32));
+        // SAFETY: cursor + 8 <= i + 8 <= the step's width (the caller's
+        // contract); slots past the survivors are overwritten or left
+        // past the committed length.
+        unsafe {
+            let at = pack.len;
+            _mm256_storeu_ps(pack.val.add(at), _mm256_permutevar8x32_ps(d, slots));
+            let lo = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(idx));
+            let hi = _mm256_cvtepu32_epi64(_mm256_extracti128_si256::<1>(idx));
+            _mm256_storeu_si256(pack.idx.add(at).cast(), lo);
+            _mm256_storeu_si256(pack.idx.add(at + 4).cast(), hi);
+        }
+        pack.len += mask.count_ones() as usize;
+        d
+    }
+
+    /// For each 8-bit keep mask, the kept lanes in ascending order, one
+    /// per nibble from the lowest (unused nibbles 0).
+    const PACK_LANES: [u32; 256] = {
+        let mut table = [0u32; 256];
+        let mut mask = 0;
+        while mask < 256 {
+            let (mut packed, mut slot, mut lane) = (0u32, 0, 0);
+            while lane < LANES {
+                if mask >> lane & 1 == 1 {
+                    packed |= (lane as u32) << (4 * slot);
+                    slot += 1;
+                }
+                lane += 1;
+            }
+            table[mask] = packed;
+            mask += 1;
+        }
+        table
+    };
+
+    /// The repository's `eˣ` in 8 lanes, [`portable::exp`] operation for
+    /// operation.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn exp(x: __m256) -> __m256 {
+        // `maxps`/`minps` return their second operand when either is NaN,
+        // so with `x` second they are the scalar clamps exactly.
+        let x = _mm256_max_ps(_mm256_set1_ps(EXP_MIN), x);
+        let x = _mm256_min_ps(_mm256_set1_ps(EXP_MAX), x);
+        let shift = _mm256_set1_ps(EXP_SHIFT);
+        let shifted = _mm256_add_ps(
+            _mm256_mul_ps(x, _mm256_set1_ps(std::f32::consts::LOG2_E)),
+            shift,
+        );
+        let n = _mm256_sub_ps(shifted, shift);
+        let r = _mm256_sub_ps(
+            _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(LN2_HI))),
+            _mm256_mul_ps(n, _mm256_set1_ps(LN2_LO)),
+        );
+        let mut p = _mm256_set1_ps(EXP_POLY[0]);
+        for &c in &EXP_POLY[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(c));
+        }
+        let y = _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r),
+            _mm256_set1_ps(1.0),
+        );
+        let n = _mm256_sub_epi32(
+            _mm256_castps_si256(shifted),
+            _mm256_set1_epi32(EXP_SHIFT.to_bits() as i32),
+        );
+        let half = _mm256_srai_epi32::<1>(n);
+        _mm256_mul_ps(
+            _mm256_mul_ps(y, pow2(_mm256_sub_epi32(n, half))),
+            pow2(half),
+        )
+    }
+
+    /// `2ⁿ` per lane for normal exponents, from their bits.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn pow2(n: __m256i) -> __m256 {
+        _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
+            n,
+            _mm256_set1_epi32(127),
+        )))
     }
 
     /// The first `g.len()` rows (a multiple of 8, at most [`TILE`]) of
@@ -1549,21 +2040,17 @@ mod tests {
                 let mut y_port = y0.clone();
                 let mut y_plain = y0;
                 let (y_simd, y_port) = (&mut y_simd[offset..], &mut y_port[offset..]);
-                let mut m_simd = Vec::new();
-                let mut m_port = Vec::new();
 
                 let d_simd = dot(a, b);
                 axpy(0.37, a, y_simd);
                 add_assign(b, y_simd);
                 scale(0.93, y_simd);
-                threshold_mask(y_simd, 0.25, &mut m_simd);
 
                 set_force_scalar(true);
                 let d_port = dot(a, b);
                 axpy(0.37, a, y_port);
                 add_assign(b, y_port);
                 scale(0.93, y_port);
-                threshold_mask(y_port, 0.25, &mut m_port);
                 set_force_scalar(false);
 
                 for ((y, &a), &b) in y_plain[offset..].iter_mut().zip(a).zip(b) {
@@ -1578,7 +2065,6 @@ mod tests {
                     assert_eq!(s.to_bits(), p.to_bits(), "elementwise {at}");
                     assert_eq!(s.to_bits(), q.to_bits(), "elementwise vs plain loop {at}");
                 }
-                assert_eq!(m_simd, m_port, "threshold_mask {at}");
             }
         }
     }
@@ -1591,23 +2077,6 @@ mod tests {
         let first = dot(&a, &b);
         for _ in 0..10 {
             assert_eq!(first.to_bits(), dot(&a, &b).to_bits());
-        }
-    }
-
-    #[test]
-    fn decay_axpy_matches_scalar_loop_bitwise() {
-        let mut rng = Rng::seed_from(4);
-        for len in LENS {
-            let x = vec_rng(len, &mut rng);
-            let mut y = vec_rng(len, &mut rng);
-            let mut y_ref = y.clone();
-            decay_axpy(-0.7, &x, 0.9, &mut y);
-            for (yr, xr) in y_ref.iter_mut().zip(&x) {
-                *yr = -0.7 * xr + 0.9 * *yr;
-            }
-            for (a, b) in y.iter().zip(&y_ref) {
-                assert_eq!(a.to_bits(), b.to_bits(), "len {len}");
-            }
         }
     }
 
@@ -1639,16 +2108,6 @@ mod tests {
         for (o, x) in out.iter().zip(&x) {
             assert_eq!(o.to_bits(), (1.5 * x).to_bits());
         }
-    }
-
-    #[test]
-    fn threshold_mask_is_exact_and_ascending() {
-        let x = [0.0, 0.5, -0.5, 0.1, -2.0, 0.0, 0.3, f32::NAN, 1.0];
-        let mut out = vec![7usize]; // must be cleared
-        threshold_mask(&x, 0.25, &mut out);
-        assert_eq!(out, vec![1, 2, 4, 6, 8]);
-        threshold_mask(&x, 0.0, &mut out);
-        assert_eq!(out, vec![1, 2, 3, 4, 6, 8]);
     }
 
     #[test]
@@ -2186,6 +2645,290 @@ mod tests {
         let mut events = ChannelEvents::default();
         events.regroup(3, &[0, 1, 1], &[2]);
         add_event_columns(&mut [0.0; 6], &[0.0; 3], &events);
+    }
+
+    /// One [`adjoint_step`] problem of width `n`: the rows and carries
+    /// hold signed zeros, ±inf and NaN in every lane position, `v`
+    /// exactly at `v_th`, and neurons whose `dv` is exactly `±ε` (the
+    /// surrogate is 1 at `v = v_th` for every shape the tests use, and
+    /// the hard-reset carry is shut by `o = 1`).
+    struct AdjointCase {
+        ext: Vec<f32>,
+        v: Vec<f32>,
+        o: Vec<f32>,
+        e_next: Vec<f32>,
+        dv: Vec<f32>,
+        dh: Vec<f32>,
+    }
+
+    /// What a step leaves: `dv`, `dh`, `e` and the recorded events.
+    #[derive(Debug)]
+    struct AdjointOut {
+        dv: Vec<f32>,
+        dh: Vec<f32>,
+        e: Vec<f32>,
+        idx: Vec<usize>,
+        val: Vec<f32>,
+    }
+
+    const ADJOINT_WIDTHS: [usize; 8] = [1, 7, 8, 9, 63, 64, 65, 400];
+    const ADJOINT_VTH: f32 = 0.4;
+
+    fn adjoint_case(n: usize, eps: f32, rng: &mut Rng) -> AdjointCase {
+        // Potentials far enough out that the Gaussian's exponent sweeps
+        // its whole range, underflow included.
+        let wide = |rng: &mut Rng, n| (0..n).map(|_| rng.uniform(-14.0, 14.0)).collect();
+        let mut case = AdjointCase {
+            ext: vec_rng(n, rng),
+            v: wide(rng, n),
+            o: (0..n).map(|_| f32::from(u8::from(rng.coin(0.3)))).collect(),
+            e_next: vec_rng(n, rng),
+            dv: vec_rng(n, rng),
+            dh: vec_rng(n, rng),
+        };
+        let c = &mut case;
+        for i in 0..n {
+            match i % 13 {
+                0 | 1 => {
+                    // |dv| == ε exactly: pruned when ε > 0.
+                    c.v[i] = ADJOINT_VTH;
+                    c.ext[i] = if i % 13 == 0 { eps } else { -eps };
+                    (c.dh[i], c.dv[i], c.o[i]) = (0.0, 0.0, 1.0);
+                }
+                2 => (c.v[i], c.ext[i]) = (0.0, -0.0),
+                3 => (c.v[i], c.dh[i], c.dv[i]) = (-0.0, -0.0, 0.0),
+                4 => c.v[i] = f32::NAN,
+                5 => c.ext[i] = f32::INFINITY,
+                6 => c.dh[i] = f32::NEG_INFINITY,
+                7 => c.dv[i] = f32::NAN,
+                8 => c.e_next[i] = f32::NAN,
+                9 => c.v[i] = f32::INFINITY,
+                10 => (c.ext[i], c.dh[i]) = (f32::NAN, f32::NAN),
+                11 => c.e_next[i] = -0.0,
+                _ => {}
+            }
+        }
+        case
+    }
+
+    fn run_adjoint(
+        case: &AdjointCase,
+        neuron: Adjoint,
+        surrogate: Pseudo,
+        eps: Option<f32>,
+    ) -> AdjointOut {
+        let n = case.v.len();
+        let (mut dv, mut dh, mut e) = (case.dv.clone(), case.dh.clone(), vec![7.0; n]);
+        // A step already in the raster, so the step appends after it.
+        let mut events = GradRaster::new();
+        events.push_step_pruned(&mut [0.5, 0.0, -2.0], 0.0);
+        let rows = AdjointRows {
+            ext: &case.ext,
+            v: &case.v,
+            o: &case.o,
+            e_next: &case.e_next,
+        };
+        let prune = eps.map(|eps| (eps, &mut events));
+        adjoint_step(neuron, surrogate, rows, &mut dv, &mut dh, &mut e, prune);
+        let (idx, val) = if eps.is_some() {
+            assert_eq!(events.steps(), 2);
+            assert_eq!(events.step(0), &[0, 2]);
+            assert_eq!(events.candidates(), 3 + n);
+            let step = events.rows(1..2);
+            let (idx, val) = step.row(0);
+            (idx.to_vec(), val.to_vec())
+        } else {
+            assert_eq!(events.steps(), 1, "an unpruned step records nothing");
+            (Vec::new(), Vec::new())
+        };
+        AdjointOut {
+            dv,
+            dh,
+            e,
+            idx,
+            val,
+        }
+    }
+
+    /// Bit equality, except that any NaN equals any NaN: IEEE leaves
+    /// the payload of an operation on two NaNs to the implementation,
+    /// and the compiler may order a commutative operation's operands
+    /// either way on either path.
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    fn adjoint_kinds() -> [Adjoint; 2] {
+        [
+            Adjoint::Adaptive {
+                alpha: 0.75,
+                beta: 0.8,
+                theta: 0.3,
+                v_th: ADJOINT_VTH,
+            },
+            Adjoint::HardReset {
+                lambda: 0.9,
+                gain: 0.25,
+                v_th: ADJOINT_VTH,
+            },
+        ]
+    }
+
+    fn adjoint_surrogates() -> [Pseudo; 4] {
+        [
+            // Peak exactly 1, the paper's k = −π and a wider Gaussian.
+            Pseudo::Gauss {
+                k: -std::f32::consts::PI,
+                peak: 1.0,
+            },
+            Pseudo::Gauss {
+                k: -0.02,
+                peak: 1.0,
+            },
+            Pseudo::Rect {
+                width: 0.5,
+                height: 1.0,
+            },
+            Pseudo::FastSigmoid { slope: 3.0 },
+        ]
+    }
+
+    #[test]
+    fn adjoint_step_prunes_exactly_the_scalar_survivors() {
+        // Against a plain scalar prune of the unpruned step's `dv`, on
+        // whichever path this host dispatches to and on the portable one.
+        let mut rng = Rng::seed_from(21);
+        for n in ADJOINT_WIDTHS {
+            for eps in [0.0f32, 0.05] {
+                let case = adjoint_case(n, eps, &mut rng);
+                for neuron in adjoint_kinds() {
+                    for surrogate in adjoint_surrogates() {
+                        for force in [false, true] {
+                            set_force_scalar(force);
+                            let raw = run_adjoint(&case, neuron, surrogate, None);
+                            let got = run_adjoint(&case, neuron, surrogate, Some(eps));
+                            set_force_scalar(false);
+                            let at =
+                                format!("{neuron:?} {surrogate:?} n {n} eps {eps} scalar {force}");
+                            let want: Vec<usize> =
+                                (0..n).filter(|&i| raw.dv[i].abs() > eps).collect();
+                            assert_eq!(got.idx, want, "indices, {at}");
+                            let want_val: Vec<f32> = want.iter().map(|&i| raw.dv[i]).collect();
+                            assert!(same_bits(&got.val, &want_val), "values, {at}");
+                            let pruned: Vec<f32> = raw
+                                .dv
+                                .iter()
+                                .map(|&d| if d.abs() > eps { d } else { 0.0 })
+                                .collect();
+                            assert!(same_bits(&got.dv, &pruned), "dv, {at}");
+                            if eps > 0.0 {
+                                assert!(!got.idx.contains(&0) && !got.idx.contains(&1), "{at}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adjoint_step_avx2_matches_portable_bitwise() {
+        if !simd_enabled() {
+            return; // nothing to cross-check on this host
+        }
+        let mut rng = Rng::seed_from(22);
+        for n in ADJOINT_WIDTHS {
+            for eps in [None, Some(0.0f32), Some(0.05)] {
+                let case = adjoint_case(n, eps.unwrap_or(0.0), &mut rng);
+                for neuron in adjoint_kinds() {
+                    for surrogate in adjoint_surrogates() {
+                        let lanes = run_adjoint(&case, neuron, surrogate, eps);
+                        set_force_scalar(true);
+                        let portable = run_adjoint(&case, neuron, surrogate, eps);
+                        set_force_scalar(false);
+                        let at = format!("{neuron:?} {surrogate:?} n {n} eps {eps:?}");
+                        assert!(same_bits(&lanes.dv, &portable.dv), "dv, {at}");
+                        assert!(same_bits(&lanes.dh, &portable.dh), "dh, {at}");
+                        assert!(same_bits(&lanes.e, &portable.e), "e, {at}");
+                        assert_eq!(lanes.idx, portable.idx, "indices, {at}");
+                        assert!(same_bits(&lanes.val, &portable.val), "values, {at}");
+                        if eps.is_some() {
+                            // Pruned lanes carry no NaN into the carries'
+                            // inputs, so these are bitwise, payloads too.
+                            assert_eq!(to_bits(&lanes.dv), to_bits(&portable.dv), "{at}");
+                            assert_eq!(to_bits(&lanes.e), to_bits(&portable.e), "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adjoint_step_follows_the_recursions() {
+        // One adaptive and one hard-reset step written out by hand.
+        let rows = AdjointRows {
+            ext: &[1.0, 0.5],
+            v: &[0.4, 1.4],
+            o: &[1.0, 0.0],
+            e_next: &[2.0, -1.0],
+        };
+        let rect = Pseudo::Rect {
+            width: 0.5,
+            height: 1.0,
+        };
+        let (mut dv, mut dh, mut e) = ([3.0, 4.0], [0.25, 1.0], [0.0; 2]);
+        adjoint_step(
+            adjoint_kinds()[0],
+            rect,
+            rows,
+            &mut dv,
+            &mut dh,
+            &mut e,
+            None,
+        );
+        // Neuron 0 at v_th: dv = ext + dh; neuron 1 outside the window.
+        assert_eq!(dv, [1.25, 0.0]);
+        assert_eq!(dh, [-0.3 * 1.25 + 0.8 * 0.25, 0.8 * 1.0]);
+        assert_eq!(e, [1.25 + 0.75 * 2.0, 0.0 - 0.75]);
+        let (mut dv, mut e) = ([3.0, 4.0], [0.0; 2]);
+        adjoint_step(
+            adjoint_kinds()[1],
+            rect,
+            rows,
+            &mut dv,
+            &mut dh,
+            &mut e,
+            None,
+        );
+        // o = 1 shuts neuron 0's carry; neuron 1 keeps λ·dv[t+1].
+        assert_eq!(dv, [1.0, 0.9 * 4.0]);
+        assert_eq!(e, [0.25, 0.25 * (0.9 * 4.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "adjoint_step: bad e_next")]
+    fn adjoint_step_rejects_rows_of_another_width() {
+        let rows = AdjointRows {
+            ext: &[0.0; 3],
+            v: &[0.0; 3],
+            o: &[0.0; 3],
+            e_next: &[0.0; 2],
+        };
+        let surrogate = adjoint_surrogates()[0];
+        let mut bufs = ([0.0; 3], [0.0; 3], [0.0; 3]);
+        adjoint_step(
+            adjoint_kinds()[0],
+            surrogate,
+            rows,
+            &mut bufs.0,
+            &mut bufs.1,
+            &mut bufs.2,
+            None,
+        );
     }
 
     #[test]

@@ -266,77 +266,6 @@ impl Matrix {
         }
     }
 
-    /// Rank-1 update `A += alpha · u · vᵀ` where `v` is **binary** and
-    /// given by its active-index list: `A[r, c] += alpha·u[r]` for every
-    /// `c` in `active`. `O(nnz(u) · nnz(v))` instead of
-    /// `O(nnz(u) · cols)` — the BPTT weight-gradient update for layers
-    /// whose presynaptic trace is a raw spike raster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u.len() != rows` or an index is out of range.
-    pub fn add_outer_indexed(&mut self, alpha: f32, u: &[f32], active: &[usize]) {
-        assert_eq!(u.len(), self.rows, "add_outer_indexed: bad u");
-        if let Some(&max) = active.iter().max() {
-            assert!(
-                max < self.cols,
-                "add_outer_indexed: column {max} out of bounds"
-            );
-        }
-        for (r, &ur) in u.iter().enumerate() {
-            if ur == 0.0 {
-                continue;
-            }
-            let scale = alpha * ur;
-            let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for &c in active {
-                row[c] += scale;
-            }
-        }
-    }
-
-    /// Rank-1 update `A += alpha · u vᵀ` over an (active error row ×
-    /// active spike column) index pair: `v` is **binary** and both
-    /// vectors are given by their active lists, so the update costs
-    /// `O(nnz(u) · nnz(v))` and touches no silent row or column — the
-    /// fully event-driven weight-gradient update for layers whose
-    /// presynaptic trace is a raw spike raster.
-    ///
-    /// For a `rows_active` list holding exactly `u`'s nonzero indices
-    /// this is bit-identical to
-    /// [`add_outer_indexed`](Self::add_outer_indexed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u.len() != rows` or an index of either list is out of
-    /// range.
-    pub fn add_outer_indexed_pairs(
-        &mut self,
-        alpha: f32,
-        u: &[f32],
-        rows_active: &[usize],
-        cols_active: &[usize],
-    ) {
-        assert_eq!(u.len(), self.rows, "add_outer_indexed_pairs: bad u");
-        if let Some(&max) = cols_active.iter().max() {
-            assert!(
-                max < self.cols,
-                "add_outer_indexed_pairs: column {max} out of bounds"
-            );
-        }
-        for &r in rows_active {
-            assert!(
-                r < self.rows,
-                "add_outer_indexed_pairs: row {r} out of bounds"
-            );
-            let scale = alpha * u[r];
-            let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for &c in cols_active {
-                row[c] += scale;
-            }
-        }
-    }
-
     /// Reshapes in place to `rows × cols`, zero-filling the contents.
     /// Reuses the existing buffer when capacity allows, so scratch
     /// matrices resized to recurring shapes never reallocate.
@@ -537,21 +466,6 @@ mod tests {
         m.add_outer(2.0, &[1.0, -1.0], &[1.0, 2.0, 3.0]);
         assert_eq!(m.row(0), &[2.0, 4.0, 6.0]);
         assert_eq!(m.row(1), &[-2.0, -4.0, -6.0]);
-    }
-
-    #[test]
-    fn add_outer_indexed_pairs_matches_definition() {
-        let mut m = Matrix::zeros(2, 3);
-        let u = [3.0, -2.0];
-        m.add_outer_indexed_pairs(2.0, &u, &[1], &[0, 2]);
-        assert_eq!(m.row(0), &[0.0, 0.0, 0.0]);
-        assert_eq!(m.row(1), &[-4.0, 0.0, -4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "column 9 out of bounds")]
-    fn add_outer_indexed_pairs_bad_column_panics() {
-        Matrix::zeros(2, 2).add_outer_indexed_pairs(1.0, &[1.0, 1.0], &[0], &[9]);
     }
 
     #[test]

@@ -22,13 +22,22 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
 /// allocation-free form used by serving hot paths.
 pub fn softmax_into(logits: &[f32], out: &mut Vec<f32>) {
     out.clear();
-    if logits.is_empty() {
+    out.extend_from_slice(logits);
+    softmax_in_place(out);
+}
+
+/// [`softmax`] in place: `x` holds the logits on entry and the
+/// probabilities on exit.
+pub fn softmax_in_place(x: &mut [f32]) {
+    if x.is_empty() {
         return;
     }
-    let max = logits.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-    out.extend(logits.iter().map(|&x| (x - max).exp()));
-    let sum: f32 = out.iter().sum();
-    for p in out.iter_mut() {
+    let max = x.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+    for v in x.iter_mut() {
+        *v = (*v - max).exp();
+    }
+    let sum: f32 = x.iter().sum();
+    for p in x.iter_mut() {
         *p /= sum;
     }
 }

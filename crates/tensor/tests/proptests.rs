@@ -223,36 +223,6 @@ proptest! {
     }
 
     #[test]
-    fn indexed_add_outer_matches_dense(
-        m in matrix_strategy(12), density in density_strategy(), seed in 0u64..1000
-    ) {
-        let (v, active) = binary_vector(m.cols(), density, seed);
-        let u: Vec<f32> = (0..m.rows()).map(|i| 0.5 - (i as f32 * 1.7).cos()).collect();
-        let mut fast = m.clone();
-        let mut dense = m.clone();
-        fast.add_outer_indexed(0.7, &u, &active);
-        dense.add_outer(0.7, &u, &v);
-        for (a, b) in fast.as_slice().iter().zip(dense.as_slice()) {
-            prop_assert!((a - b).abs() < 1e-4 * (1.0 + b.abs()));
-        }
-    }
-
-    #[test]
-    fn threshold_mask_keeps_exactly_the_survivors(
-        v in vector_strategy(24), eps in prop_oneof![Just(0.0f32), 1e-6f32..1.0]
-    ) {
-        let mut mask = vec![999]; // must be cleared
-        kernels::threshold_mask(&v, eps, &mut mask);
-        let expected: Vec<usize> = v
-            .iter()
-            .enumerate()
-            .filter(|(_, x)| x.abs() > eps)
-            .map(|(i, _)| i)
-            .collect();
-        prop_assert_eq!(mask, expected);
-    }
-
-    #[test]
     fn indexed_rows_add_outer_is_bitwise_dense(
         m in matrix_strategy(12), density in density_strategy(), seed in 0u64..1000
     ) {
@@ -275,29 +245,6 @@ proptest! {
         lanes::sparse_matmul_add(fast.as_mut_slice(), m.cols(), &rows, &v, &mut Vec::new());
         dense.add_outer(0.9, &u, &v);
         prop_assert_eq!(bits(fast.as_slice()), bits(dense.as_slice()));
-    }
-
-    #[test]
-    fn indexed_pairs_add_outer_is_bitwise_indexed(
-        m in matrix_strategy(12),
-        row_density in density_strategy(),
-        col_density in density_strategy(),
-        seed in 0u64..1000,
-    ) {
-        // Both lists active: the hard-reset backward update. Must be
-        // bitwise identical to the singly-indexed kernel over the same
-        // nonzero set.
-        let (mut u, rows_active) = binary_vector(m.rows(), row_density, seed);
-        let mut rng = Rng::seed_from(seed ^ 0x1234);
-        for &r in &rows_active {
-            u[r] = rng.uniform(-2.0, 2.0).max(1e-3);
-        }
-        let (_, cols_active) = binary_vector(m.cols(), col_density, seed ^ 0x77);
-        let mut fast = m.clone();
-        let mut reference = m.clone();
-        fast.add_outer_indexed_pairs(1.3, &u, &rows_active, &cols_active);
-        reference.add_outer_indexed(1.3, &u, &cols_active);
-        prop_assert_eq!(fast.as_slice(), reference.as_slice());
     }
 
     #[test]
